@@ -8,6 +8,8 @@ The package is organised as a small stack:
   public verification predicates.
 * :mod:`prefixsim.wire` -- binary codecs (plain and communication-optimized)
   for every message and certificate.
+* :mod:`prefixsim.nest` -- the envelope and host helper every layer uses
+  to run keyed sub-instances (views, slots, lanes).
 * :mod:`prefixsim.spc`, :mod:`prefixsim.msc` -- the leaderless agreement
   layer and the multi-slot replication layer built on top of it.
 * :mod:`prefixsim.derived` -- graded/binary/validated consensus wrappers.

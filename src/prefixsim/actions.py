@@ -33,8 +33,3 @@ class Output:
 class StartTimer:
     key: tuple
     delay: Any
-
-
-@dataclass
-class FetchRequest:
-    digest: bytes

@@ -20,6 +20,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from . import crypto, msc, spc
 from .crypto import Scheme
+from .nest import innermost, rewrap
 from .pc import Vote
 from .simnet import Adversary, Time
 
@@ -128,11 +129,8 @@ class Censor(Adversary):
         self.lag = lag
 
     def _applies(self, msg) -> bool:
-        if isinstance(msg, self.kinds):
-            return getattr(msg, "slot", self.from_slot) >= self.from_slot
-        if isinstance(msg, msc.SlotMsg) and isinstance(msg.inner, self.kinds):
-            return msg.slot >= self.from_slot
-        return False
+        inner = innermost(msg)
+        return isinstance(inner, self.kinds) and getattr(inner, "slot", self.from_slot) >= self.from_slot
 
     def on_send(self, party, msg, receivers):
         if self._applies(msg):
@@ -177,15 +175,13 @@ class Equivocate(Adversary):
     def _variant(self, party, msg):
         if isinstance(msg, msc.Proposal):
             return msc.Proposal(msg.inst, msg.slot, msg.payload + b"/alt")
-        vote = msg
-        wrapped = None
-        if isinstance(msg, (msc.SlotMsg, spc.VpcMsg)):
-            return None  # nested equivocation handled at the proposal layer
-        if isinstance(vote, Vote) and vote.round == 1 and len(vote.value) > 0:
-            flipped = vote.value[:-1] + (vote.value[-1] + b"/alt",)
-            sig = self.ring.sign_vector(party, crypto.VOTE1, vote.inst, flipped)
-            return Vote(vote.inst, 1, party, flipped, sig)
-        return wrapped
+        # Nested votes are left alone: equivocation there happens at the
+        # proposal layer.
+        if isinstance(msg, Vote) and msg.round == 1 and len(msg.value) > 0:
+            flipped = msg.value[:-1] + (msg.value[-1] + b"/alt",)
+            sig = self.ring.sign_vector(party, crypto.VOTE1, msg.inst, flipped)
+            return Vote(msg.inst, 1, party, flipped, sig)
+        return None
 
 
 class SplitView(Adversary):
@@ -209,9 +205,7 @@ class SplitView(Adversary):
         return None
 
     def on_deliver(self, party, sender, msg):
-        nv = msg
-        if isinstance(msg, msc.SlotMsg):
-            nv = msg.inner
+        nv = innermost(msg)
         if not isinstance(nv, spc.NewView) or nv.view != self.view or party in self._done:
             return False
         seen = self._seen[party]
@@ -221,12 +215,8 @@ class SplitView(Adversary):
             self._done.add(party)
             honest = [p for p in range(self.sim.n) if p not in self.byzantine]
             t1, t2 = self.targets or (honest[0], honest[1])
-            first, second = seen[0], seen[1]
-            if isinstance(msg, msc.SlotMsg):
-                first = msc.SlotMsg(msg.inst, msg.slot, first)
-                second = msc.SlotMsg(msg.inst, msg.slot, second)
-            self.sim.byz_send(party, t1, first)
-            self.sim.byz_send(party, t2, second)
+            self.sim.byz_send(party, t1, rewrap(msg, seen[0]))
+            self.sim.byz_send(party, t2, rewrap(msg, seen[1]))
         return False
 
 
@@ -242,8 +232,7 @@ class WithholdBody(Adversary):
         self.reveal = {p: frozenset(r) for p, r in reveal.items()}
 
     def _withheld(self, msg) -> bool:
-        inner = msg.inner if isinstance(msg, msc.SlotMsg) else msg
-        return isinstance(inner, (spc.NewView, msc.Proposal))
+        return isinstance(innermost(msg), (spc.NewView, msc.Proposal))
 
     def on_send(self, party, msg, receivers):
         if self._withheld(msg):
@@ -252,10 +241,7 @@ class WithholdBody(Adversary):
         return [(dest, msg, None) for dest in receivers]
 
     def on_deliver(self, party, sender, msg):
-        inner = msg.inner if isinstance(msg, msc.SlotMsg) else msg
-        if isinstance(inner, spc.FetchReq):
-            return False
-        return True
+        return not isinstance(innermost(msg), spc.FetchReq)
 
 
 class DoctoredProofs(Adversary):
@@ -280,15 +266,13 @@ class DoctoredProofs(Adversary):
         return QC(proof.round, (forged,) + proof.votes[1:])
 
     def on_deliver(self, party, sender, msg):
-        inner = msg.inner if isinstance(msg, msc.SlotMsg) else msg
+        inner = innermost(msg)
         if isinstance(inner, spc.NewCommit) and self.injected < self.limit:
             self.injected += 1
             wrong_value = spc.NewCommit(inner.inst, inner.view, inner.value + (b"forged",), inner.proof)
             bad_proof = spc.NewCommit(inner.inst, inner.view, inner.value, self._corrupt_qc(inner.proof))
             for doctored in (wrong_value, bad_proof):
-                out = doctored
-                if isinstance(msg, msc.SlotMsg):
-                    out = msc.SlotMsg(msg.inst, msg.slot, doctored)
+                out = rewrap(msg, doctored)
                 for dest in self.sim.honest:
                     self.sim.byz_send(party, dest, out)
         return True

@@ -96,7 +96,7 @@ def pc_optimistic_validity(inputs, honest, metrics, byzantine) -> List[Violation
     return bad
 
 
-def spc_violations(sim, cfg, inputs, honest, metrics) -> List[Violation]:
+def spc_violations(sim, inputs, honest, metrics) -> List[Violation]:
     bad: List[Violation] = []
     lows = _outputs(metrics, honest, "low")
     highs = _outputs(metrics, honest, "high")
@@ -128,31 +128,17 @@ def spc_violations(sim, cfg, inputs, honest, metrics) -> List[Violation]:
 
 def spc_skip_conservatism(sim, honest) -> List[Violation]:
     """Every skip certificate that jumps past views implies those views
-    produced only parentless lows at honest parties."""
+    produced only parentless lows at honest parties (of an spc run)."""
     bad: List[Violation] = []
-    engines = [sim.engines[p] for p in honest if sim.engines.get(p) is not None]
-    spc_engines = []
-    for e in engines:
-        if hasattr(e, "built_skips"):
-            spc_engines.append(e)
-        elif hasattr(e, "spc"):  # multi-slot wrapper
-            spc_engines.extend(e.spc.values())
-        elif hasattr(e, "inner") and hasattr(e.inner, "built_skips"):
-            spc_engines.append(e.inner)
-    for engine in spc_engines:
+    engines = [sim.engines[p] for p in honest]
+    for engine in engines:
         for cert in engine.built_skips:
             for view in range(cert.ref_view + 1, cert.prev_view + 1):
-                for other in spc_engines:
-                    if other.cfg.instance != engine.cfg.instance:
-                        continue
+                for other in engines:
                     out = other.vpc_outputs.get(view, {})
                     if "low" in out and other._parent_of(out["low"][0]) is not None:
-                        bad.append(
-                            Violation(
-                                "skip-conservatism",
-                                f"skip over view {view} despite a parented low",
-                            )
-                        )
+                        detail = f"skip over view {view} despite a parented low"
+                        bad.append(Violation("skip-conservatism", detail))
     return bad
 
 
@@ -165,8 +151,6 @@ def msc_violations(sim, honest, byzantine, payload_fn, slots, gst, metrics) -> L
         values = {tuple(log) for log in logs.values()}
         if len(values) > 1:
             bad.append(Violation("slot-agreement", f"slot {slot} logs differ"))
-        if not all(logs.values()) and any(logs.values()):
-            pass  # partial progress is a termination matter, checked below
         ranks = {e.ranks.get(slot) for e in engines.values() if slot in e.ranks}
         if len(ranks) > 1:
             bad.append(Violation("ranking-agreement", f"slot {slot} rankings differ"))
@@ -179,19 +163,18 @@ def msc_violations(sim, honest, byzantine, payload_fn, slots, gst, metrics) -> L
     return bad
 
 
+def _slot_start(metrics, honest, slot):
+    """Earliest honest start of a slot, or None if no honest party
+    started it: slot 1 starts at input, slot s when slot s-1's agreement
+    lands."""
+    starts = [0 if slot == 1 else metrics.output_time(p, f"slot{slot - 1}-high") for p in honest]
+    return min((t for t in starts if t is not None), default=None)
+
+
 def _slot_post_gst(metrics, honest, slot, gst) -> bool:
     """A slot counts as post-GST when its earliest honest start is."""
-    if gst is None:
-        return False
-    starts = []
-    for p in honest:
-        if slot == 1:
-            starts.append(0)
-        else:
-            t = metrics.output_time(p, f"slot{slot - 1}-high")
-            if t is not None:
-                starts.append(t)
-    return bool(starts) and min(starts) >= gst
+    start = _slot_start(metrics, honest, slot)
+    return gst is not None and start is not None and start >= gst
 
 
 def msc_demotions_byzantine(sim, honest, byzantine, slots, gst, metrics) -> List[Violation]:
@@ -220,19 +203,12 @@ def msc_demotions_byzantine(sim, honest, byzantine, slots, gst, metrics) -> List
 def censorship_audit(sim, honest, payload_fn, slots, gst, metrics) -> List[int]:
     """Post-GST slots whose committed output misses some honest input.
 
-    A slot is classified post-GST by its earliest honest start time
-    (slot s starts when slot s-1's agreement lands; slot 1 at input)."""
+    A slot is classified post-GST by its earliest honest start time; with
+    no GST every started slot counts."""
     censored = []
     for slot in range(1, slots + 1):
-        starts = []
-        for p in honest:
-            if slot == 1:
-                starts.append(0)
-            else:
-                t = metrics.output_time(p, f"slot{slot - 1}-high")
-                if t is not None:
-                    starts.append(t)
-        if not starts or (gst is not None and min(starts) < gst):
+        start = _slot_start(metrics, honest, slot)
+        if start is None or (gst is not None and start < gst):
             continue
         for p in honest:
             committed = {payload for _, _, payload in sim.engines[p].committed_for_slot(slot)}

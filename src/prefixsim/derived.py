@@ -18,6 +18,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from . import wire
 from .actions import Broadcast, Output, StartTimer
 from .crypto import Scheme
+from .nest import Host
 from .pc import PcConfig, PcEngine, Variant
 from .prefixes import Vector
 from .spc import SpcConfig, SpcEngine
@@ -48,23 +49,11 @@ def pc_from_graded(pairs: List[Tuple[Optional[bytes], int]]) -> Tuple[Vector, Ve
     return tuple(low[: len(high)]), tuple(high)
 
 
-@dataclass(frozen=True)
-class LaneMsg:
-    """Envelope for one of several parallel instances."""
-
-    inst: tuple
-    lane: int
-    inner: object
-
-
+@wire.register(51)
 @dataclass(frozen=True)
 class ValInput:
     inst: tuple
     payload: bytes
-
-
-for _tag, _cls in ((50, LaneMsg), (51, ValInput)):
-    wire.register(_tag)(_cls)
 
 
 class GradedEngine:
@@ -74,6 +63,10 @@ class GradedEngine:
         self.cfg = PcConfig(n, f, 1, Variant.THREE_ROUND, instance)
         self.inner = PcEngine(self.cfg, party, scheme)
         self.decided = False
+
+    @property
+    def dropped(self) -> int:
+        return self.inner.dropped
 
     def on_input(self, value: bytes) -> list:
         return self._relay(self.inner.on_input((value,)))
@@ -99,11 +92,13 @@ class PcFromGradedEngine:
     """Consistent prefix consensus rebuilt from L parallel graded lanes."""
 
     def __init__(self, n: int, f: int, L: int, party: int, scheme: Scheme, instance: tuple = ("pcg",)):
-        self.instance = instance
         self.L = L
-        self.lanes = [
-            GradedEngine(n, f, party, scheme, instance + ("lane", k)) for k in range(L)
-        ]
+        self.lanes = Host(
+            instance,
+            lambda k: GradedEngine(n, f, party, scheme, instance + ("lane", k)),
+            self._lane_output,
+            stop=L,
+        )
         self.results: Dict[int, Tuple[Optional[bytes], int]] = {}
         self.emitted = False
 
@@ -112,29 +107,23 @@ class PcFromGradedEngine:
             raise ValueError("input length mismatch")
         actions: list = []
         for lane, elem in enumerate(value):
-            actions.extend(self._relay(lane, self.lanes[lane].on_input(elem)))
+            actions.extend(self.lanes.start(lane, elem))
         return actions
 
-    def on_message(self, sender: int, msg) -> list:
-        if not isinstance(msg, LaneMsg) or msg.inst != self.instance:
-            return []
-        if not isinstance(msg.lane, int) or not 0 <= msg.lane < self.L:
-            return []
-        return self._relay(msg.lane, self.lanes[msg.lane].on_message(sender, msg.inner))
+    @property
+    def dropped(self) -> int:
+        return self.lanes.dropped
 
-    def _relay(self, lane: int, actions: list) -> list:
-        out: list = []
-        for act in actions:
-            if isinstance(act, Broadcast):
-                out.append(Broadcast(LaneMsg(self.instance, lane, act.msg)))
-            elif isinstance(act, Output):
-                self.results[lane] = act.value
-                if len(self.results) == self.L and not self.emitted:
-                    self.emitted = True
-                    low, high = pc_from_graded([self.results[k] for k in range(self.L)])
-                    out.append(Output("low", low))
-                    out.append(Output("high", high))
-        return out
+    def on_message(self, sender: int, msg) -> list:
+        return self.lanes.route(sender, msg)
+
+    def _lane_output(self, lane: int, out: Output) -> list:
+        self.results[lane] = out.value
+        if len(self.results) < self.L or self.emitted:
+            return []
+        self.emitted = True
+        low, high = pc_from_graded([self.results[k] for k in range(self.L)])
+        return [Output("low", low), Output("high", high)]
 
 
 class BinaryEngine:

@@ -29,6 +29,12 @@ def write_uint(out: list, value: int) -> None:
             return
 
 
+def encode_uint(value: int) -> bytes:
+    out: list = []
+    write_uint(out, value)
+    return b"".join(out)
+
+
 def read_uint(data: bytes, pos: int) -> Tuple[int, int]:
     result = 0
     shift = 0
@@ -89,10 +95,6 @@ def encode_vector(vec: Sequence[Element]) -> bytes:
     return b"".join(out)
 
 
-def write_vector(out: list, vec: Sequence[Element]) -> None:
-    out.append(encode_vector(vec))
-
-
 def read_vector(data: bytes, pos: int) -> Tuple[Vector, int]:
     count, pos = read_uint(data, pos)
     elems = []
@@ -100,10 +102,3 @@ def read_vector(data: bytes, pos: int) -> Tuple[Vector, int]:
         elem, pos = read_element(data, pos)
         elems.append(elem)
     return tuple(elems), pos
-
-
-def encode_uint_pair(a: int, b: int) -> bytes:
-    out: list = []
-    write_uint(out, a)
-    write_uint(out, b)
-    return b"".join(out)

@@ -20,6 +20,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from . import crypto, wire
 from .actions import Broadcast, Output, Send, StartTimer
 from .crypto import Scheme
+from .nest import Host, Nested
 from .prefixes import Vector
 from .spc import FetchReq, FetchResp, SpcConfig, SpcEngine
 
@@ -36,22 +37,12 @@ def update_rank(rank: tuple, high: Vector) -> tuple:
     return tuple(rank[:cut]) + tuple(rank[cut + 1 :]) + (rank[cut],)
 
 
+@wire.register(40)
 @dataclass(frozen=True)
 class Proposal:
     inst: tuple
     slot: int
     payload: bytes
-
-
-@dataclass(frozen=True)
-class SlotMsg:
-    inst: tuple
-    slot: int
-    inner: object
-
-
-for _tag, _cls in ((40, Proposal), (41, SlotMsg)):
-    wire.register(_tag)(_cls)
 
 
 @dataclass(frozen=True)
@@ -103,22 +94,30 @@ class MscEngine:
         self.slot = 0
         self.buffers: Dict[int, Dict[int, bytes]] = {}
         self.payloads: Dict[bytes, bytes] = {}
-        self.spc: Dict[int, SpcEngine] = {}
         self.ranks: Dict[int, tuple] = {}
         self.ran_spc: set = set()
         self.committed: set = set()
         self.commit_log: List[Tuple[int, int, int, bytes]] = []  # slot, index, origin, digest
         self.slot_outputs: Dict[int, Dict[str, tuple]] = {}
         self.pending: List[Tuple[bytes, tuple]] = []
-        self.future_msgs: Dict[int, list] = {}
         self.fetching: set = set()
         self.object_store: Dict[bytes, object] = {}  # shared across slot engines
         self.own_dropped = 0
         self._memo = memo if memo is not None else {}
+        # One strong-agreement instance per slot, started by RunSPC; slot
+        # traffic that races ahead of our own slot start waits for it.
+        self.slots = Host(
+            cfg.instance,
+            lambda slot: SpcEngine(cfg.spc_cfg(slot, self.ranks[slot]), party, scheme, self._memo,
+                                   store=self.object_store),
+            self._slot_output,
+            first=1,
+            buffer=lambda slot: slot >= self.slot and not (cfg.slots and slot > cfg.slots),
+        )
 
     @property
     def dropped(self) -> int:
-        return self.own_dropped + sum(e.dropped for e in self.spc.values())
+        return self.own_dropped + self.slots.dropped
 
     # ------------------------------------------------------------------
 
@@ -141,21 +140,25 @@ class MscEngine:
             if slot == self.slot and slot not in self.ran_spc:
                 return self._run_spc(slot)
             return []
-        if key[0] == "spc":
-            slot = key[1]
-            engine = self.spc.get(slot)
-            if engine is not None:
-                return self._wrap_slot(slot, engine.on_timer(key[2:]))
-            return []
-        return []
+        return self.slots.on_timer(key)
 
     def on_message(self, sender: int, msg) -> list:
         if isinstance(msg, Proposal):
             return self._handle_proposal(sender, msg)
-        if isinstance(msg, SlotMsg):
-            return self._route_slot(sender, msg)
-        self.own_dropped += 1
-        return []
+        slot = self.slots.key_of(msg)
+        if slot is None:
+            return []
+        inner = msg.inner
+        # Payload fetches are served and taken here; proposal-object
+        # fetches go to a running slot engine and are never buffered.
+        if isinstance(inner, FetchReq) and inner.digest in self.payloads:
+            resp = FetchResp(inner.inst, inner.digest, self.payloads[inner.digest])
+            return [Send(sender, Nested(self.cfg.instance, slot, resp))]
+        if isinstance(inner, FetchResp) and isinstance(inner.obj, bytes):
+            return self._take_payload(inner)
+        if isinstance(inner, (FetchReq, FetchResp)) and slot not in self.slots.children:
+            return []
+        return self.slots.deliver(slot, sender, inner)
 
     # ------------------------------------------------------------------
 
@@ -196,76 +199,17 @@ class MscEngine:
         self.ranks[slot] = rank
         bucket = self.buffers.get(slot, {})
         vec = tuple(payload_digest(bucket[p]) if p in bucket else HBOT for p in rank)
-        engine = SpcEngine(
-            self.cfg.spc_cfg(slot, rank), self.party, self.scheme, self._memo,
-            store=self.object_store,
-        )
-        self.spc[slot] = engine
-        actions = self._wrap_slot(slot, engine.on_input(vec))
-        # Slot traffic that raced ahead of our own slot start.
-        for sender, msg in self.future_msgs.pop(slot, []):
-            actions.extend(self._route_slot(sender, msg))
-        return actions
+        return self.slots.start(slot, vec)
 
-    def _route_slot(self, sender: int, msg: SlotMsg) -> list:
-        if msg.inst != self.cfg.instance or not isinstance(msg.slot, int):
+    def _take_payload(self, resp: FetchResp) -> list:
+        if payload_digest(resp.obj) != resp.digest:
             self.own_dropped += 1
             return []
-        slot = msg.slot
-        if isinstance(msg.inner, FetchReq):
-            return self._serve_fetch(sender, slot, msg.inner)
-        if isinstance(msg.inner, FetchResp):
-            return self._take_fetch(sender, slot, msg.inner)
-        engine = self.spc.get(slot)
-        if engine is None:
-            # A slot engine exists only once RunSPC fires; traffic for the
-            # current or a future slot waits for it, anything else is stale.
-            if slot < self.slot or (self.cfg.slots and slot > self.cfg.slots):
-                return []
-            self.future_msgs.setdefault(slot, []).append((sender, msg))
-            return []
-        return self._wrap_slot(slot, engine.on_message(sender, msg.inner))
+        self.payloads.setdefault(resp.digest, resp.obj)
+        return self._resolve_pending(resp.digest)
 
-    def _serve_fetch(self, sender: int, slot: int, req: FetchReq) -> list:
-        payload = self.payloads.get(req.digest)
-        if payload is not None:
-            resp = FetchResp(req.inst, req.digest, payload)
-            return [Send(sender, SlotMsg(self.cfg.instance, slot, resp))]
-        engine = self.spc.get(slot)
-        if engine is not None:
-            return self._wrap_slot(slot, engine.on_message(sender, req))
-        return []
-
-    def _take_fetch(self, sender: int, slot: int, resp: FetchResp) -> list:
-        """Payload responses land in the payload store; proposal-object
-        responses flow into the slot engine."""
-        if isinstance(resp.obj, bytes):
-            if payload_digest(resp.obj) != resp.digest:
-                self.own_dropped += 1
-                return []
-            self.payloads.setdefault(resp.digest, resp.obj)
-            return self._resolve_pending(resp.digest)
-        engine = self.spc.get(slot)
-        if engine is None:
-            return []
-        return self._wrap_slot(slot, engine.on_message(sender, resp))
-
-    def _wrap_slot(self, slot: int, inner_actions: list) -> list:
-        actions: list = []
-        for act in inner_actions:
-            if isinstance(act, Broadcast):
-                actions.append(Broadcast(SlotMsg(self.cfg.instance, slot, act.msg)))
-            elif isinstance(act, Send):
-                actions.append(Send(act.dest, SlotMsg(self.cfg.instance, slot, act.msg)))
-            elif isinstance(act, StartTimer):
-                actions.append(StartTimer(("spc", slot) + act.key, act.delay))
-            elif isinstance(act, Output):
-                actions.extend(self._slot_output(slot, act.kind, act.value))
-            else:
-                raise AssertionError(f"unexpected slot action {act!r}")
-        return actions
-
-    def _slot_output(self, slot: int, kind: str, value: Vector) -> list:
+    def _slot_output(self, slot: int, out: Output) -> list:
+        kind, value = out.kind, out.value
         self.slot_outputs.setdefault(slot, {})[kind] = (value, None)
         actions = self._commit_vector(slot, value, 0)
         if kind == "high":
@@ -287,11 +231,11 @@ class MscEngine:
             payload = self.payloads.get(digest)
             if payload is None:
                 # Fetch within the slot's namespace and resume in order.
-                self.pending.append((digest, ("commit", slot, vector, idx)))
+                self.pending.append((digest, (slot, vector, idx)))
                 if digest not in self.fetching:
                     self.fetching.add(digest)
                     req = FetchReq(self.cfg.instance + ("slot", slot), digest)
-                    actions.append(Broadcast(SlotMsg(self.cfg.instance, slot, req)))
+                    actions.append(Broadcast(Nested(self.cfg.instance, slot, req)))
                 return actions
             if digest not in self.committed:
                 self.committed.add(digest)
@@ -305,11 +249,8 @@ class MscEngine:
             return []
         self.pending = [(d, t) for d, t in self.pending if d != digest]
         actions: list = []
-        for task in ready:
-            if task[0] == "commit":
-                actions.extend(self._commit_vector(task[1], task[2], task[3]))
-            elif task[0] == "slotmsg":
-                actions.extend(self._route_slot(task[1], task[2]))
+        for slot, vector, idx in ready:
+            actions.extend(self._commit_vector(slot, vector, idx))
         return actions
 
     # ------------------------------------------------------------------

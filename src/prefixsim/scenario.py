@@ -322,7 +322,7 @@ def run_checks(result: RunResult, cfg, scheme) -> list:
         if protocol == "pc_opt":
             violations += checks.pc_optimistic_validity(result.inputs, honest, result.metrics, byz)
     elif protocol == "spc":
-        violations += checks.spc_violations(result.sim, None, result.inputs, honest, result.metrics)
+        violations += checks.spc_violations(result.sim, result.inputs, honest, result.metrics)
     elif protocol == "msc":
         violations += checks.msc_violations(
             result.sim, honest, byz, msc_payload_fn(scn), scn["slots"], scn["gst"], result.metrics

@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from .actions import Broadcast, Output, Send, StartTimer
+from .nest import innermost
 
 Time = Union[int, Fraction]
 
@@ -140,7 +141,7 @@ class Metrics:
 def _summize(msg) -> str:
     name = type(msg).__name__
     bits = [name]
-    for attr in ("inst", "round", "view", "slot", "kind"):
+    for attr in ("inst", "key", "round", "view", "slot", "kind"):
         val = getattr(msg, attr, None)
         if val is not None:
             bits.append(f"{attr}={val}")
@@ -230,10 +231,7 @@ class Simulation:
         env = Envelope(self.now, deliver, sender, receiver, msg, nbytes)
         self.metrics.message_count += 1
         self.metrics.bytes_total += nbytes
-        inner = msg
-        while hasattr(inner, "inner"):  # unwrap slot/lane envelopes
-            inner = inner.inner
-        if type(inner).__name__ in ("FetchReq", "FetchResp"):
+        if type(innermost(msg)).__name__ in ("FetchReq", "FetchResp"):
             self.metrics.fetch_messages += 1
         self._trace(f"@{self.now} send {sender}->{receiver} {_summize(msg)} deliver@{deliver} b={nbytes}")
         self._push(deliver, sender, receiver, ("msg", env))

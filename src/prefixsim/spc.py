@@ -30,6 +30,8 @@ from typing import Dict, List, Optional, Tuple
 from . import crypto, encoding, wire
 from .actions import Broadcast, Output, Send, StartTimer
 from .crypto import AggregateSignature, Scheme, Signature
+from .encoding import DecodeError
+from .nest import Host, Nested
 from .pc import PcConfig, PcEngine, QC, Variant, predicate_high, predicate_low
 from .prefixes import Vector
 
@@ -115,13 +117,6 @@ class NewCommit:
 
 
 @dataclass(frozen=True)
-class VpcMsg:
-    inst: tuple
-    view: int
-    vote: object
-
-
-@dataclass(frozen=True)
 class FetchReq:
     inst: tuple
     digest: bytes
@@ -135,19 +130,25 @@ class FetchResp:
 
 
 for _tag, _cls in ((30, DirectCert), (31, SkipCert), (32, NewView), (33, EmptyView),
-                   (34, NewCommit), (35, VpcMsg), (36, FetchReq), (37, FetchResp)):
+                   (34, NewCommit), (36, FetchReq), (37, FetchResp)):
     wire.register(_tag)(_cls)
-
-
-def _uint_bytes(value: int) -> bytes:
-    out: list = []
-    encoding.write_uint(out, value)
-    return b"".join(out)
 
 
 def skip_statement(view: int, ref_view: int) -> Vector:
     """Signed payload of one empty-view report."""
-    return (_uint_bytes(view), _uint_bytes(ref_view))
+    return (encoding.encode_uint(view), encoding.encode_uint(ref_view))
+
+
+def _statement_ref(view: int, stmt) -> Optional[int]:
+    """The reference view an empty-view statement about ``view`` reports,
+    or None when ``stmt`` is not such a statement."""
+    if not isinstance(stmt, tuple) or len(stmt) != 2 or not isinstance(stmt[1], bytes):
+        return None
+    try:
+        ref, _pos = encoding.read_uint(stmt[1], 0)
+    except DecodeError:
+        return None
+    return ref if stmt == skip_statement(view, ref) else None
 
 
 _digest_memo: Dict[int, tuple] = {}
@@ -187,7 +188,6 @@ class SpcEngine:
         self.party = party
         self.scheme = scheme
         self.view = 1
-        self.vpc: Dict[int, PcEngine] = {}
         self.vpc_outputs: Dict[int, Dict[str, tuple]] = {}
         self.proposals: Dict[int, Dict[int, NewView]] = {}
         self.empty_votes: Dict[int, Dict[int, EmptyView]] = {}
@@ -204,10 +204,17 @@ class SpcEngine:
         self.outputs: Dict[str, tuple] = {}
         self.own_dropped = 0
         self._memo = memo if memo is not None else {}
+        # One verifiable prefix-consensus instance per view, built on contact.
+        self.views = Host(
+            cfg.instance,
+            lambda view: PcEngine(cfg.vpc_cfg(view), party, scheme, self._memo),
+            self._vpc_output,
+            first=1,
+        )
 
     @property
     def dropped(self) -> int:
-        return self.own_dropped + sum(e.dropped for e in self.vpc.values())
+        return self.own_dropped + self.views.dropped
 
     # ------------------------------------------------------------------
     # event entry points
@@ -232,13 +239,13 @@ class SpcEngine:
             # Late low: view-1 traffic still matters until the low lands.
             if "low" in self.outputs:
                 return []
-            if isinstance(msg, VpcMsg) and msg.view == 1:
-                return self._route_vpc(msg)
+            if isinstance(msg, Nested) and msg.key == 1:
+                return self.views.route(sender, msg)
             if isinstance(msg, NewCommit) and msg.view == 1:
                 return self._handle_new_commit(msg)
             return []
-        if isinstance(msg, VpcMsg):
-            return self._route_vpc(msg)
+        if isinstance(msg, Nested):
+            return self.views.route(sender, msg)
         if isinstance(msg, NewView):
             return self._handle_new_view(sender, msg)
         if isinstance(msg, EmptyView):
@@ -251,37 +258,12 @@ class SpcEngine:
     # ------------------------------------------------------------------
     # verifiable-PC plumbing
 
-    def _vpc_engine(self, view: int) -> PcEngine:
-        eng = self.vpc.get(view)
-        if eng is None:
-            eng = PcEngine(self.cfg.vpc_cfg(view), self.party, self.scheme, self._memo)
-            self.vpc[view] = eng
-        return eng
-
-    def _route_vpc(self, msg: VpcMsg) -> list:
-        if not isinstance(msg.view, int) or msg.view < 1 or msg.inst != self.cfg.instance:
-            self.own_dropped += 1
-            return []
-        inner = self._vpc_engine(msg.view)
-        return self._wrap_vpc(msg.view, inner.on_message(getattr(msg.vote, "sender", -1), msg.vote))
-
     def _run_vpc_input(self, view: int, value: Vector) -> list:
         self.ran_vpc.add(view)
-        inner = self._vpc_engine(view)
-        return self._wrap_vpc(view, inner.on_input(value))
+        return self.views.start(view, value)
 
-    def _wrap_vpc(self, view: int, inner_actions: list) -> list:
-        actions: list = []
-        for act in inner_actions:
-            if isinstance(act, Broadcast):
-                actions.append(Broadcast(VpcMsg(self.cfg.instance, view, act.msg)))
-            elif isinstance(act, Output):
-                actions.extend(self._vpc_output(view, act.kind, act.value, act.proof))
-            else:
-                raise AssertionError(f"unexpected inner action {act!r}")
-        return actions
-
-    def _vpc_output(self, view: int, kind: str, value: Vector, proof) -> list:
+    def _vpc_output(self, view: int, out: Output) -> list:
+        kind, value, proof = out.kind, out.value, out.proof
         self.vpc_outputs.setdefault(view, {})[kind] = (value, proof)
         if kind == "low":
             if self._done_high() and not (view == 1 and "low" not in self.outputs):
@@ -376,12 +358,9 @@ class SpcEngine:
                 return False
             if not self.scheme.verify_aggregate(agg):
                 return False
-            reported = []
-            for msg in agg.messages:
-                if msg[0] != _uint_bytes(cert.prev_view):
-                    return False  # a statement names a different view
-                ref, _pos = encoding.read_uint(msg[1], 0)
-                reported.append(ref)
+            reported = [_statement_ref(cert.prev_view, stmt) for stmt in agg.messages]
+            if None in reported:
+                return False  # a statement is malformed or names a different view
             if cert.ref_view != max(reported):
                 return False
             if not self._predicate_high(cert.ref_view, cert.ref_value, cert.ref_proof):

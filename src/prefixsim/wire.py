@@ -21,6 +21,11 @@ Registered objects are the protocol dataclasses; their class tags are
 listed in ``_REGISTRY``.  Decoding rejects unknown tags, truncations,
 and arity mismatches, naming the offending field.
 
+A sub-instance's message travels inside ``nest.Nested`` (tag 5), whose
+fields are the host instance, the child's integer key (view, slot or
+lane) and the inner message, so a vote of view ``v`` in slot ``s`` is
+``Nested(msc, s, Nested(msc+slot s, v, Vote))``.
+
 Compact certificates
 --------------------
 The communication-optimized representations replace embedded vote sets

@@ -5,7 +5,7 @@ import pytest
 from prefixsim import adversaries, crypto
 from prefixsim.crypto import MacScheme
 from prefixsim.pc import PcConfig, PcEngine, Variant
-from prefixsim.prefixes import is_prefix, mcp
+from prefixsim.prefixes import BOT, is_prefix, mcp
 from prefixsim.simnet import DelayPolicy, Simulation
 from prefixsim.spc import (
     DirectCert,
@@ -287,3 +287,25 @@ def test_empty_view_with_unknown_reference_dropped():
     before = engine.dropped
     assert engine.on_message(1, ev) == []
     assert engine.dropped == before + 1
+
+
+def test_skip_cert_with_malformed_statement_is_dropped():
+    # A Byzantine party can aggregate one honest (broadcast) empty-view
+    # signature with its own signature on any vector.  Statements that are
+    # not (view, ref) uvarint pairs must be counted drops, never raise.
+    cfg = SpcConfig(4, 1, 4, 1, ("t", "spc"))
+    scheme = MacScheme(4)
+    value, proof = make_view1_high(cfg, scheme, [(a, b, c, d)] * 4)
+    honest = skip_statement(2, 1)
+    view = honest[0]
+    for bad in ((), (view,), (BOT, BOT), (view, BOT), (view, b"\x80"), (view, b"\x01\x00"),
+                honest + (b"x",)):
+        entries = [
+            (1, honest, scheme.sign_vector(1, crypto.EMPTY_VIEW, cfg.instance, honest)),
+            (3, bad, scheme.sign_vector(3, crypto.EMPTY_VIEW, cfg.instance, bad)),
+        ]
+        agg = scheme.aggregate(crypto.EMPTY_VIEW, cfg.instance, entries)
+        engine = SpcEngine(cfg, 0, scheme)
+        nv = NewView(cfg.instance, 3, SkipCert(2, 1, value, proof, agg))
+        assert engine.on_message(3, nv) == [], bad
+        assert engine.dropped == 1 and engine.view == 1, bad
