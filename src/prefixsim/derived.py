@@ -133,6 +133,10 @@ class BinaryEngine:
         self.inner = SpcEngine(SpcConfig(n, f, 1, delta_cap, instance), party, scheme)
         self.decided = False
 
+    @property
+    def dropped(self) -> int:
+        return self.inner.dropped
+
     def on_input(self, bit: int) -> list:
         return self._relay(self.inner.on_input((bytes([bit]),)))
 
@@ -181,6 +185,10 @@ class ValidatedEngine:
         self.buffer: Dict[int, bytes] = {}
         self.started = False
         self.decided = False
+
+    @property
+    def dropped(self) -> int:
+        return self.inner.dropped
 
     def on_input(self, payload: bytes) -> list:
         if not self.validator(payload):

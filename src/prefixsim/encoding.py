@@ -2,18 +2,42 @@
 
 These are the building blocks of the wire format (see :mod:`prefixsim.wire`
 for the full message layouts) and of the canonical byte strings fed to the
-signing and hashing backends.
+signing and hashing backends, plus :func:`cached`, the one cache for
+results derived from immutable protocol objects.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Any, Callable, Hashable, Sequence, Tuple
 
 from .prefixes import BOT, Element, Vector, _Bot
 
 
 class DecodeError(ValueError):
     """Raised when a byte string cannot be parsed as the claimed structure."""
+
+
+def cached(obj, key: Hashable, compute: Callable[[], Any]) -> Any:
+    """``compute()``, run once per immutable ``obj`` and ``key``.
+
+    Results live on ``obj`` in one non-field attribute (fields, equality
+    and wire form are untouched): every holder shares them and they die
+    with the object.  ``key`` carries all else a result depends on, e.g.
+    ``(cfg, scheme)`` for verification, so a verdict is never reused for
+    another view, slot or scheme.  Objects without a ``__dict__`` are
+    not cached; a ``compute`` that raises stores nothing.
+    """
+    attrs = getattr(obj, "__dict__", None)
+    if type(attrs) is not dict:
+        return compute()
+    results = attrs.get("_cached")
+    if results is None:
+        results = attrs["_cached"] = {}
+    try:
+        return results[key]
+    except KeyError:
+        value = results[key] = compute()
+        return value
 
 
 def write_uint(out: list, value: int) -> None:

@@ -84,7 +84,6 @@ class MscEngine:
         scheme: Scheme,
         input_for: Callable[[int], bytes],
         validator: Optional[Callable[[bytes], bool]] = None,
-        memo: Optional[dict] = None,
     ):
         self.cfg = cfg
         self.party = party
@@ -103,13 +102,11 @@ class MscEngine:
         self.fetching: set = set()
         self.object_store: Dict[bytes, object] = {}  # shared across slot engines
         self.own_dropped = 0
-        self._memo = memo if memo is not None else {}
         # One strong-agreement instance per slot, started by RunSPC; slot
         # traffic that races ahead of our own slot start waits for it.
         self.slots = Host(
             cfg.instance,
-            lambda slot: SpcEngine(cfg.spc_cfg(slot, self.ranks[slot]), party, scheme, self._memo,
-                                   store=self.object_store),
+            lambda slot: SpcEngine(cfg.spc_cfg(slot, self.ranks[slot]), party, scheme, store=self.object_store),
             self._slot_output,
             first=1,
             buffer=lambda slot: slot >= self.slot and not (cfg.slots and slot > cfg.slots),

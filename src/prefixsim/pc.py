@@ -12,6 +12,11 @@ Every round-``r`` quorum is the first ``n-f`` verified votes to arrive;
 the quorum certificate (the plain vote set) both drives the next round
 and serves as the publicly checkable proof for the verification
 predicates at the bottom of this module.
+
+Verification accepts any field shape (a malformed vote is just invalid)
+and caches its verdict on the vote or certificate under the key
+``(cfg, scheme)`` (:func:`encoding.cached`): all parties share it, and
+no other view or slot reuses it.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from typing import Dict, List, Optional, Tuple
 from . import crypto
 from .actions import Broadcast, Output
 from .crypto import Scheme, Signature
+from .encoding import cached
 from .prefixes import Vector, is_prefix, longest_supported_prefix, mce, mcp
 
 
@@ -193,33 +199,27 @@ def _expected_vote_value(vote: Vote, cfg: PcConfig) -> Optional[Vector]:
     return None
 
 
-def verify_vote(vote: Vote, cfg: PcConfig, scheme: Scheme, memo: Optional[dict] = None) -> bool:
-    if memo is None:
-        memo = {}
-    key = id(vote)
-    hit = memo.get(key)
-    if hit is not None and hit[0] is vote:
-        return hit[1]
-    ok = _verify_vote_inner(vote, cfg, scheme, memo)
-    memo[key] = (vote, ok)
-    return ok
+def verify_vote(vote: Vote, cfg: PcConfig, scheme: Scheme) -> bool:
+    return isinstance(vote, Vote) and cached(vote, (cfg, scheme), lambda: _verify_vote_inner(vote, cfg, scheme))
 
 
-def _verify_vote_inner(vote: Vote, cfg: PcConfig, scheme: Scheme, memo: dict) -> bool:
+def _verify_vote_inner(vote: Vote, cfg: PcConfig, scheme: Scheme) -> bool:
+    value, qcs = vote.value, vote.qcs
+    if not (isinstance(vote.round, int) and isinstance(vote.sender, int)
+            and isinstance(vote.sig, Signature) and isinstance(vote.sig.blob, bytes)
+            and isinstance(value, tuple) and all(isinstance(elem, bytes) for elem in value)
+            and isinstance(qcs, tuple) and all(isinstance(qc, QC) for qc in qcs)):
+        return False
     arity = _QC_ARITY[cfg.variant].get(vote.round)
     if arity is None or vote.inst != cfg.instance:
         return False
-    if len(vote.qcs) != arity:
-        return False
-    if not isinstance(vote.value, tuple) or len(vote.value) > cfg.L:
+    if len(qcs) != arity or len(value) > cfg.L:
         return False
     if not scheme.verify_vector(vote.sender, VOTE_KIND[vote.round], cfg.instance, vote.value, vote.sig):
         return False
     expected_rounds = (1, 2) if (cfg.variant is Variant.OPTIMISTIC and vote.round == 3) else (vote.round - 1,) * arity
     for qc, want in zip(vote.qcs, expected_rounds):
-        if not isinstance(qc, QC) or qc.round != want:
-            return False
-        if not verify_qc(qc, cfg, scheme, memo):
+        if qc.round != want or not verify_qc(qc, cfg, scheme):
             return False
     if vote.round > 1:
         try:
@@ -230,33 +230,22 @@ def _verify_vote_inner(vote: Vote, cfg: PcConfig, scheme: Scheme, memo: dict) ->
     return True
 
 
-def verify_qc(qc: QC, cfg: PcConfig, scheme: Scheme, memo: Optional[dict] = None) -> bool:
-    if memo is None:
-        memo = {}
-    key = id(qc)
-    hit = memo.get(key)
-    if hit is not None and hit[0] is qc:
-        return hit[1]
-    ok = _verify_qc_inner(qc, cfg, scheme, memo)
-    memo[key] = (qc, ok)
-    return ok
+def verify_qc(qc: QC, cfg: PcConfig, scheme: Scheme) -> bool:
+    return isinstance(qc, QC) and cached(qc, (cfg, scheme), lambda: _verify_qc_inner(qc, cfg, scheme))
 
 
-def _verify_qc_inner(qc: QC, cfg: PcConfig, scheme: Scheme, memo: dict) -> bool:
-    if len(qc.votes) != cfg.quorum:
+def _verify_qc_inner(qc: QC, cfg: PcConfig, scheme: Scheme) -> bool:
+    if not isinstance(qc.votes, tuple) or len(qc.votes) != cfg.quorum:
+        return False
+    if not all(verify_vote(vote, cfg, scheme) and vote.round == qc.round for vote in qc.votes):
         return False
     senders = qc.senders()
-    if len(set(senders)) != len(senders):
-        return False
-    for vote in qc.votes:
-        if vote.round != qc.round or not verify_vote(vote, cfg, scheme, memo):
-            return False
-    return True
+    return len(set(senders)) == len(senders)
 
 
-def predicate_low(value: Vector, proof, cfg: PcConfig, scheme: Scheme, memo: Optional[dict] = None) -> bool:
+def predicate_low(value: Vector, proof, cfg: PcConfig, scheme: Scheme) -> bool:
     """Public predicate: ``proof`` certifies ``value`` as a safe-to-commit low."""
-    if not isinstance(proof, QC) or not verify_qc(proof, cfg, scheme, memo):
+    if not verify_qc(proof, cfg, scheme):
         return False
     try:
         if cfg.variant is Variant.THREE_ROUND:
@@ -273,9 +262,9 @@ def predicate_low(value: Vector, proof, cfg: PcConfig, scheme: Scheme, memo: Opt
     return False
 
 
-def predicate_high(value: Vector, proof, cfg: PcConfig, scheme: Scheme, memo: Optional[dict] = None) -> bool:
+def predicate_high(value: Vector, proof, cfg: PcConfig, scheme: Scheme) -> bool:
     """Public predicate: ``proof`` certifies ``value`` as a safe-to-extend high."""
-    if not isinstance(proof, QC) or not verify_qc(proof, cfg, scheme, memo):
+    if not verify_qc(proof, cfg, scheme):
         return False
     try:
         if cfg.variant is Variant.THREE_ROUND:
@@ -307,7 +296,7 @@ class PcEngine:
     locally at send time and never traverses the network.
     """
 
-    def __init__(self, cfg: PcConfig, party: int, scheme: Scheme, memo: Optional[dict] = None):
+    def __init__(self, cfg: PcConfig, party: int, scheme: Scheme):
         self.cfg = cfg
         self.party = party
         self.scheme = scheme
@@ -318,7 +307,6 @@ class PcEngine:
         self.input_value: Optional[Vector] = None
         self.dropped = 0
         self._stalled_qc2: Optional[QC] = None
-        self._memo = memo if memo is not None else {}
 
     # -- event entry points
 
@@ -336,7 +324,7 @@ class PcEngine:
         if not isinstance(msg, Vote) or msg.sender != sender:
             self.dropped += 1
             return []
-        if not verify_vote(msg, self.cfg, self.scheme, self._memo):
+        if not verify_vote(msg, self.cfg, self.scheme):
             self.dropped += 1
             return []
         return self._record(msg)

@@ -292,7 +292,7 @@ class Simulation:
                 raise SimulationError("event budget exceeded (runaway protocol?)")
             self._deliver(receiver, sender, item)
         self.metrics.end_time = self.now
-        self.metrics.drops = sum(getattr(e, "dropped", 0) for e in self.engines.values() if e is not None)
+        self.metrics.drops = sum(e.dropped for e in self.engines.values() if e is not None)
         self.metrics.transcript_sha = self._sha.hexdigest()
         return self.metrics
 

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 from . import crypto, encoding, wire
 from .actions import Broadcast, Output, Send, StartTimer
 from .crypto import AggregateSignature, Scheme, Signature
-from .encoding import DecodeError
+from .encoding import DecodeError, cached
 from .nest import Host, Nested
 from .pc import PcConfig, PcEngine, QC, Variant, predicate_high, predicate_low
 from .prefixes import Vector
@@ -151,21 +151,9 @@ def _statement_ref(view: int, stmt) -> Optional[int]:
     return ref if stmt == skip_statement(view, ref) else None
 
 
-_digest_memo: Dict[int, tuple] = {}
-
-
 def proposal_digest(nv: NewView) -> bytes:
-    """Content digest of a view-entry object (memoized by identity; the
-    objects are immutable and shared by reference inside one process)."""
-    key = id(nv)
-    hit = _digest_memo.get(key)
-    if hit is not None and hit[0] is nv:
-        return hit[1]
-    digest = wire.hash_obj(nv)
-    if len(_digest_memo) > 200_000:
-        _digest_memo.clear()
-    _digest_memo[key] = (nv, digest)
-    return digest
+    """Content digest of a view-entry object, cached on the object."""
+    return cached(nv, "digest", lambda: wire.hash_obj(nv))
 
 
 class _Missing(Exception):
@@ -181,7 +169,6 @@ class SpcEngine:
         cfg: SpcConfig,
         party: int,
         scheme: Scheme,
-        memo: Optional[dict] = None,
         store: Optional[dict] = None,
     ):
         self.cfg = cfg
@@ -203,11 +190,10 @@ class SpcEngine:
         self.built_skips: List[SkipCert] = []
         self.outputs: Dict[str, tuple] = {}
         self.own_dropped = 0
-        self._memo = memo if memo is not None else {}
         # One verifiable prefix-consensus instance per view, built on contact.
         self.views = Host(
             cfg.instance,
-            lambda view: PcEngine(cfg.vpc_cfg(view), party, scheme, self._memo),
+            lambda view: PcEngine(cfg.vpc_cfg(view), party, scheme),
             self._vpc_output,
             first=1,
         )
@@ -308,12 +294,12 @@ class SpcEngine:
     def _predicate_high(self, view: int, value, proof) -> bool:
         if not isinstance(view, int) or view < 1:
             return False
-        return predicate_high(value, proof, self.cfg.vpc_cfg(view), self.scheme, self._memo)
+        return predicate_high(value, proof, self.cfg.vpc_cfg(view), self.scheme)
 
     def _predicate_low(self, view: int, value, proof) -> bool:
         if not isinstance(view, int) or view < 1:
             return False
-        return predicate_low(value, proof, self.cfg.vpc_cfg(view), self.scheme, self._memo)
+        return predicate_low(value, proof, self.cfg.vpc_cfg(view), self.scheme)
 
     def _parent_of(self, vector: Vector):
         """Parent (view, value) named by the first non-placeholder entry,
@@ -523,7 +509,11 @@ class SpcEngine:
     def _take_fetch(self, resp: FetchResp) -> list:
         if resp.inst != self.cfg.instance:
             return []
-        if wire.hash_obj(resp.obj) != resp.digest:
+        try:
+            matches = proposal_digest(resp.obj) == resp.digest
+        except (TypeError, ValueError):  # not encodable: no digest can match
+            matches = False
+        if not matches:
             self.own_dropped += 1
             return []
         self.store.setdefault(resp.digest, resp.obj)

@@ -57,7 +57,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from . import crypto, encoding, pc
 from .crypto import AggregateSignature, Scheme, Signature
-from .encoding import DecodeError
+from .encoding import DecodeError, cached
 from .pc import PcConfig, QC, Variant, Vote
 from .prefixes import BOT, Vector, _Bot, is_prefix, longest_supported_prefix, mcp
 
@@ -1019,17 +1019,8 @@ def equivalence_harness(vote1_values: Sequence[Vector], cfg: PcConfig, scheme: S
 class PlainCodec:
     name = "plain"
 
-    def __init__(self):
-        self._memo: Dict[int, tuple] = {}
-
     def measure(self, msg) -> int:
-        key = id(msg)
-        hit = self._memo.get(key)
-        if hit is not None and hit[0] is msg:
-            return hit[1]
-        size = measure(msg)
-        self._memo[key] = (msg, size)
-        return size
+        return cached(msg, "plain", lambda: measure(msg))
 
     def encode(self, msg) -> bytes:
         return encode(msg)
@@ -1056,7 +1047,6 @@ class CompactCodec:
             raise ValueError(f"no compact codec for {cfg.variant.value}")
         self.cfg = cfg
         self.scheme = scheme
-        self._memo: Dict[int, tuple] = {}
 
     def to_compact(self, msg):
         if isinstance(msg, Vote) and msg.inst == self.cfg.instance:
@@ -1066,13 +1056,7 @@ class CompactCodec:
         return msg
 
     def measure(self, msg) -> int:
-        key = id(msg)
-        hit = self._memo.get(key)
-        if hit is not None and hit[0] is msg:
-            return hit[1]
-        size = measure(self.to_compact(msg))
-        self._memo[key] = (msg, size)
-        return size
+        return cached(msg, self, lambda: measure(self.to_compact(msg)))
 
     def encode(self, msg) -> bytes:
         return encode(self.to_compact(msg))

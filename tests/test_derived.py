@@ -172,3 +172,20 @@ def test_validated_skips_invalid_entries():
     metrics = sim.run()
     decisions = {metrics.output_value(p, "decision") for p in range(n)}
     assert decisions == {b"ok-0"}
+
+
+def test_binary_and_validated_runs_report_inner_drops():
+    n = 4
+    scheme = MacScheme(n)
+    for build, inputs in (
+        (lambda p: BinaryEngine(n, 1, 1, p, scheme), [1, 1, 1, 1]),
+        (lambda p: ValidatedEngine(n, 1, 1, p, scheme), [b"payload-%d" % p for p in range(n)]),
+    ):
+        adv = adversaries.DoctoredProofs(byzantine={3})
+        sim = Simulation(n, build, policy=DelayPolicy.synchronized(1), adversary=adv, seed=4)
+        for party, value in enumerate(inputs):
+            sim.schedule_input(party, value)
+        metrics = sim.run()
+        assert adv.injected > 0
+        assert metrics.drops > 0
+        assert metrics.drops == sum(e.dropped for e in sim.engines.values())

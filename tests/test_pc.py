@@ -6,7 +6,8 @@ import random
 import pytest
 
 from prefixsim import crypto
-from prefixsim.crypto import MacScheme
+from prefixsim.crypto import MacScheme, Signature
+from prefixsim.nest import Nested
 from prefixsim.pc import (
     PcConfig,
     PcEngine,
@@ -22,6 +23,7 @@ from prefixsim.pc import (
 )
 from prefixsim.prefixes import is_prefix, mcp
 from prefixsim.simnet import DelayPolicy, Simulation
+from prefixsim.spc import SpcConfig, SpcEngine
 
 a, b, c, d = b"a", b"b", b"c", b"d"
 
@@ -168,6 +170,34 @@ def test_engine_drops_malformed_and_duplicate():
 
 # ---------------------------------------------------------------------------
 # Verifiability predicates
+
+
+# Hostile field shapes, built for instance ``inst`` with ``sign(kind,
+# value)`` signing as party 1.  Each used to raise inside verify_vote.
+HOSTILE_VOTES = {
+    "int qcs": lambda inst, sign: Vote(inst, 1, 1, (a,), sign(crypto.VOTE1, (a,)), 5),
+    "tuple sig": lambda inst, sign: Vote(inst, 1, 1, (a,), (1, b"x")),
+    "list round": lambda inst, sign: Vote(inst, [1], 1, (a,), sign(crypto.VOTE1, (a,))),
+    "int element": lambda inst, sign: Vote(inst, 1, 1, (a, 7), Signature(1, bytes(16))),
+    "int qc votes": lambda inst, sign: Vote(inst, 2, 1, (a,), sign(crypto.VOTE2, (a,)), (QC(1, 5),)),
+    "qc of ints": lambda inst, sign: Vote(inst, 2, 1, (a,), sign(crypto.VOTE2, (a,)), (QC(1, (1, 2, 3)),)),
+}
+
+
+@pytest.mark.parametrize("route", ["direct", "view envelope"])
+@pytest.mark.parametrize("shape", list(HOSTILE_VOTES))
+def test_hostile_vote_shapes_are_counted_drops(shape, route):
+    scheme = MacScheme(4)
+    if route == "direct":
+        engine = PcEngine(cfg3(), 0, scheme)
+        inst, wrap = engine.cfg.instance, lambda vote: vote
+    else:
+        spc_cfg = SpcConfig(4, 1, 4, 1, ("t", "spc"))
+        engine = SpcEngine(spc_cfg, 0, scheme)
+        inst, wrap = spc_cfg.vpc_cfg(1).instance, lambda vote: Nested(spc_cfg.instance, 1, vote)
+    vote = HOSTILE_VOTES[shape](inst, lambda kind, value: scheme.sign_vector(1, kind, inst, value))
+    assert engine.on_message(1, wrap(vote)) == []
+    assert engine.dropped == 1
 
 
 def honest_run_outputs(variant=Variant.THREE_ROUND, n=4, f=1, L=4):

@@ -4,12 +4,14 @@ import pytest
 
 from prefixsim import adversaries, crypto
 from prefixsim.crypto import MacScheme
-from prefixsim.pc import PcConfig, PcEngine, Variant
+from prefixsim.nest import Nested
+from prefixsim.pc import PcConfig, PcEngine, Variant, Vote, verify_vote
 from prefixsim.prefixes import BOT, is_prefix, mcp
 from prefixsim.simnet import DelayPolicy, Simulation
 from prefixsim.spc import (
     DirectCert,
     EmptyView,
+    FetchResp,
     NewView,
     SkipCert,
     SpcConfig,
@@ -173,9 +175,10 @@ def test_doctored_proofs_rejected():
 # certificate validation units
 
 
-def make_view1_high(cfg, scheme, inputs):
-    """A verifiable view-1 high produced by running the instance alone."""
-    vcfg = cfg.vpc_cfg(1)
+def make_view1_high(cfg, scheme, inputs, view=1):
+    """A verifiable view-1 (or ``view``) high produced by running the
+    instance alone."""
+    vcfg = cfg.vpc_cfg(view)
     sim = Simulation(cfg.n, lambda p: PcEngine(vcfg, p, scheme), policy=DelayPolicy.synchronized(1))
     for p, v in enumerate(inputs):
         sim.schedule_input(p, tuple(v))
@@ -309,3 +312,49 @@ def test_skip_cert_with_malformed_statement_is_dropped():
         nv = NewView(cfg.instance, 3, SkipCert(2, 1, value, proof, agg))
         assert engine.on_message(3, nv) == [], bad
         assert engine.dropped == 1 and engine.view == 1, bad
+
+
+# ---------------------------------------------------------------------------
+# a certificate is evidence only for the instance it was built in
+
+
+def test_view_vote_replayed_into_next_view_is_dropped():
+    cfg = SpcConfig(4, 1, 4, 1, ("t", "spc"))
+    scheme = MacScheme(4)
+    engine = SpcEngine(cfg, 0, scheme)
+    inst2 = cfg.vpc_cfg(2).instance
+    value = (a, b, c, d)
+    vote = Vote(inst2, 1, 1, value, scheme.sign_vector(1, crypto.VOTE1, inst2, value))
+    assert engine.on_message(1, Nested(cfg.instance, 2, vote)) == []
+    assert engine.views.children[2].votes[1] == {1: vote}
+    assert engine.dropped == 0
+    assert engine.on_message(1, Nested(cfg.instance, 3, vote)) == []
+    assert engine.dropped == 1
+    assert engine.views.children[3].votes[1] == {}
+
+
+def test_view_high_proof_does_not_certify_the_next_view():
+    cfg = SpcConfig(4, 1, 4, 1, ("t", "spc"))
+    scheme = MacScheme(4)
+    engine = SpcEngine(cfg, 0, scheme)
+    value, proof = make_view1_high(cfg, scheme, [(a, b, c, d)] * 4, view=2)
+    assert engine._predicate_high(2, value, proof)
+    assert not engine._predicate_high(3, value, proof)
+
+
+def test_vote_verdict_is_not_reused_across_schemes():
+    cfg = SpcConfig(4, 1, 4, 1, ("t", "spc")).vpc_cfg(1)
+    signer, other = MacScheme(4), MacScheme(4, seed=b"other-keys")
+    value = (a, b, c, d)
+    vote = Vote(cfg.instance, 1, 1, value, signer.sign_vector(1, crypto.VOTE1, cfg.instance, value))
+    assert verify_vote(vote, cfg, signer)
+    assert not verify_vote(vote, cfg, other)
+    assert verify_vote(vote, cfg, signer)
+
+
+@pytest.mark.parametrize("obj", [object(), NewView(("t", "spc"), -1, None)], ids=["unregistered", "negative"])
+def test_unencodable_fetch_response_is_dropped(obj):
+    cfg = SpcConfig(4, 1, 4, 1, ("t", "spc"))
+    engine = SpcEngine(cfg, 0, MacScheme(4))
+    assert engine.on_message(1, FetchResp(cfg.instance, b"d", obj)) == []
+    assert engine.dropped == 1 and engine.store == {}
