@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Hashable, Sequence, Tuple
 
-from .prefixes import BOT, Element, Vector, _Bot
+from .prefixes import Element, _Bot
 
 
 class DecodeError(ValueError):
@@ -99,18 +99,6 @@ def write_element(out: list, elem: Element) -> None:
         write_bytes(out, elem)
 
 
-def read_element(data: bytes, pos: int) -> Tuple[Element, int]:
-    if pos >= len(data):
-        raise DecodeError("truncated element")
-    kind = data[pos]
-    pos += 1
-    if kind == _ELEM_BOT:
-        return BOT, pos
-    if kind == _ELEM_BYTES:
-        return read_bytes(data, pos)
-    raise DecodeError(f"unknown element kind {kind}")
-
-
 def encode_vector(vec: Sequence[Element]) -> bytes:
     out: list = []
     write_uint(out, len(vec))
@@ -118,11 +106,3 @@ def encode_vector(vec: Sequence[Element]) -> bytes:
         write_element(out, elem)
     return b"".join(out)
 
-
-def read_vector(data: bytes, pos: int) -> Tuple[Vector, int]:
-    count, pos = read_uint(data, pos)
-    elems = []
-    for _ in range(count):
-        elem, pos = read_element(data, pos)
-        elems.append(elem)
-    return tuple(elems), pos

@@ -148,6 +148,9 @@ class MscEngine:
         inner = msg.inner
         # Payload fetches are served and taken here; proposal-object
         # fetches go to a running slot engine and are never buffered.
+        if isinstance(inner, FetchReq) and not isinstance(inner.digest, bytes):
+            self.own_dropped += 1
+            return []
         if isinstance(inner, FetchReq) and inner.digest in self.payloads:
             resp = FetchResp(inner.inst, inner.digest, self.payloads[inner.digest])
             return [Send(sender, Nested(self.cfg.instance, slot, resp))]

@@ -407,7 +407,9 @@ class SpcEngine:
             self.best_high = candidate
 
     def _handle_empty_view(self, sender: int, ev: EmptyView) -> list:
-        if ev.inst != self.cfg.instance or not isinstance(ev.view, int):
+        if not (ev.inst == self.cfg.instance and isinstance(ev.view, int) and isinstance(ev.ref_view, int)
+                and isinstance(ev.sig, Signature) and isinstance(ev.sig.blob, bytes)
+                and isinstance(ev.ref_value, tuple)):
             self.own_dropped += 1
             return []
         if ev.view < self.view or ev.view <= ev.ref_view:
@@ -500,6 +502,9 @@ class SpcEngine:
 
     def _serve_fetch(self, sender: int, req: FetchReq) -> list:
         if req.inst != self.cfg.instance:
+            return []
+        if not isinstance(req.digest, bytes):
+            self.own_dropped += 1
             return []
         obj = self.store.get(req.digest)
         if obj is None:

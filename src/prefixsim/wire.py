@@ -26,6 +26,19 @@ fields are the host instance, the child's integer key (view, slot or
 lane) and the inner message, so a vote of view ``v`` in slot ``s`` is
 ``Nested(msc, s, Nested(msc+slot s, v, Vote))``.
 
+Sizes and digests
+-----------------
+:func:`measure` returns ``len(encode(msg))`` without encoding: it sums
+per-value lengths by the rules above, and each registered object's
+length (except a ``Signature``'s, which is cheaper to recount) is kept
+on the object with :func:`encoding.cached`, so a vote or certificate
+embedded in many messages is sized once.  :func:`hash_obj` is the
+truncated SHA-256 of the exact plain encoding, so digests, the payload
+digests in ``commits.log`` and ``transcript_sha`` follow the layout
+byte for byte.  Unencodable values (an unregistered type or a list, a
+negative integer) raise the same ``TypeError``/``ValueError`` from
+:func:`encode`, :func:`measure` and :func:`hash_obj`.
+
 Compact certificates
 --------------------
 The communication-optimized representations replace embedded vote sets
@@ -67,52 +80,87 @@ from .prefixes import BOT, Vector, _Bot, is_prefix, longest_supported_prefix, mc
 _T_NONE, _T_INT, _T_BYTES, _T_TUPLE, _T_BOT, _T_STR, _T_OBJ = range(7)
 
 _REGISTRY: Dict[int, type] = {}
-_TAG_OF: Dict[type, int] = {}
+#: Per registered class: header bytes (type byte, tag, field count), field
+#: names, and whether an object's length is cached on it.
+_LAYOUT: Dict[type, Tuple[bytes, Tuple[str, ...], bool]] = {}
 
 
 def register(tag: int):
     def wrap(cls):
         if tag in _REGISTRY:
             raise ValueError(f"duplicate wire tag {tag}")
+        fields = dataclasses.fields(cls)
+        header = bytes([_T_OBJ]) + encoding.encode_uint(tag) + encoding.encode_uint(len(fields))
+        # An object of ints and bytes only (Signature) is sized faster than
+        # a cache lookup, and a cache on each one would cost memory.
+        leaf = all(f.type in ("int", "bytes") for f in fields)
         _REGISTRY[tag] = cls
-        _TAG_OF[cls] = tag
+        _LAYOUT[cls] = (header, tuple(f.name for f in fields), not leaf)
         return cls
 
     return wrap
 
 
-def _write_value(out: list, value) -> None:
-    if value is None:
-        out.append(bytes([_T_NONE]))
-    elif value is BOT or isinstance(value, _Bot):
-        out.append(bytes([_T_BOT]))
-    elif isinstance(value, bool):
-        out.append(bytes([_T_INT]))
-        encoding.write_uint(out, int(value))
-    elif isinstance(value, int):
-        out.append(bytes([_T_INT]))
-        encoding.write_uint(out, value)
-    elif isinstance(value, bytes):
-        out.append(bytes([_T_BYTES]))
-        encoding.write_bytes(out, value)
-    elif isinstance(value, str):
-        out.append(bytes([_T_STR]))
-        encoding.write_bytes(out, value.encode())
-    elif isinstance(value, tuple):
-        out.append(bytes([_T_TUPLE]))
-        encoding.write_uint(out, len(value))
+def _head(kind: int, value: int) -> bytes:
+    """A type byte and its uvarint (length, count or integer)."""
+    return bytes((kind,)) + encoding.encode_uint(value)
+
+
+_INT_HEADS, _BYTES_HEADS, _TUPLE_HEADS = ([_head(k, v) for v in range(0x80)] for k in (_T_INT, _T_BYTES, _T_TUPLE))
+
+
+def _write_value(out: bytearray, value) -> None:
+    kind = type(value)
+    if kind is bytes:
+        n = len(value)
+        out += _BYTES_HEADS[n] if n < 0x80 else _head(_T_BYTES, n)
+        out += value
+    elif kind is tuple:
+        n = len(value)
+        out += _TUPLE_HEADS[n] if n < 0x80 else _head(_T_TUPLE, n)
         for item in value:
             _write_value(out, item)
+    elif kind is int:
+        out += _INT_HEADS[value] if 0 <= value < 0x80 else _head(_T_INT, value)
+    elif kind in _LAYOUT:
+        header, names, _ = _LAYOUT[kind]
+        out += header
+        for name in names:
+            _write_value(out, getattr(value, name))
+    elif value is None or isinstance(value, _Bot):
+        out.append(_T_NONE if value is None else _T_BOT)
+    elif isinstance(value, str):
+        raw = value.encode()
+        out += _head(_T_STR, len(raw)) + raw
     else:
-        tag = _TAG_OF.get(type(value))
-        if tag is None:
-            raise TypeError(f"unencodable value of type {type(value).__name__}")
-        out.append(bytes([_T_OBJ]))
-        encoding.write_uint(out, tag)
-        fields = dataclasses.fields(value)
-        encoding.write_uint(out, len(fields))
-        for f in fields:
-            _write_value(out, getattr(value, f.name))
+        for base in (int, bytes, tuple):  # bool and subclasses
+            if isinstance(value, base):
+                return _write_value(out, base(value))
+        raise TypeError(f"unencodable value of type {kind.__name__}")
+
+
+def _size(value) -> int:
+    """``len`` of ``value``'s encoding, by the rules of ``_write_value``."""
+    kind = type(value)
+    if kind is bytes:
+        n = len(value)
+        return (2 if n < 0x80 else len(_head(_T_BYTES, n))) + n
+    if kind is tuple:
+        n = len(value)
+        return (2 if n < 0x80 else len(_head(_T_TUPLE, n))) + sum(map(_size, value))
+    if kind is int:
+        return 2 if 0 <= value < 0x80 else len(_head(_T_INT, value))
+    layout = _LAYOUT.get(kind)
+    if layout is None:  # None, BOT, str, bool and subclasses: small and rare
+        out = bytearray()
+        _write_value(out, value)
+        return len(out)
+    header, names, keep = layout
+
+    def size() -> int:
+        return len(header) + sum(_size(getattr(value, name)) for name in names)
+
+    return cached(value, "plain", size) if keep else size()
 
 
 def _read_value(data: bytes, pos: int, depth: int = 0):
@@ -146,15 +194,15 @@ def _read_value(data: bytes, pos: int, depth: int = 0):
         if cls is None:
             raise DecodeError(f"unknown message tag {tag}")
         arity, pos = encoding.read_uint(data, pos)
-        fields = dataclasses.fields(cls)
-        if arity != len(fields):
-            raise DecodeError(f"{cls.__name__}: field count {arity} != {len(fields)}")
+        names = _LAYOUT[cls][1]
+        if arity != len(names):
+            raise DecodeError(f"{cls.__name__}: field count {arity} != {len(names)}")
         values = []
-        for f in fields:
+        for name in names:
             try:
                 val, pos = _read_value(data, pos, depth + 1)
             except DecodeError as exc:
-                raise DecodeError(f"{cls.__name__}.{f.name}: {exc}") from None
+                raise DecodeError(f"{cls.__name__}.{name}: {exc}") from None
             values.append(val)
         try:
             return cls(*values), pos
@@ -164,9 +212,9 @@ def _read_value(data: bytes, pos: int, depth: int = 0):
 
 
 def encode(msg) -> bytes:
-    out: list = []
+    out = bytearray()
     _write_value(out, msg)
-    return b"".join(out)
+    return bytes(out)
 
 
 def decode(data: bytes):
@@ -177,7 +225,8 @@ def decode(data: bytes):
 
 
 def measure(msg) -> int:
-    return len(encode(msg))
+    """``len(encode(msg))`` without encoding: see "Sizes and digests"."""
+    return _size(msg)
 
 
 def hash_obj(obj) -> bytes:
@@ -1020,7 +1069,7 @@ class PlainCodec:
     name = "plain"
 
     def measure(self, msg) -> int:
-        return cached(msg, "plain", lambda: measure(msg))
+        return measure(msg)
 
     def encode(self, msg) -> bytes:
         return encode(msg)

@@ -6,7 +6,9 @@ import pytest
 from prefixsim import adversaries
 from prefixsim.crypto import MacScheme
 from prefixsim.msc import MscConfig, MscEngine, update_rank
+from prefixsim.nest import Nested
 from prefixsim.simnet import DelayPolicy, Simulation
+from prefixsim.spc import FetchReq
 
 
 def test_update_rank_examples():
@@ -160,3 +162,12 @@ def test_leaderless_suspension_still_commits():
         reference = logs[0]
         assert reference, f"slot {slot} never committed"
         assert all(log == reference for log in logs.values())
+
+
+def test_fetch_request_with_non_bytes_digest_is_dropped():
+    cfg = MscConfig(4, 1, 1, ("t", "msc"), slots=2)
+    engine = MscEngine(cfg, 0, MacScheme(4), lambda s: payload(0, s))
+    engine.on_input(None)
+    req = FetchReq(cfg.instance + ("slot", 1), [1])
+    assert engine.on_message(1, Nested(cfg.instance, 1, req)) == []
+    assert engine.dropped == 1

@@ -3,7 +3,7 @@
 import pytest
 
 from prefixsim import adversaries, crypto
-from prefixsim.crypto import MacScheme
+from prefixsim.crypto import MacScheme, Signature
 from prefixsim.nest import Nested
 from prefixsim.pc import PcConfig, PcEngine, Variant, Vote, verify_vote
 from prefixsim.prefixes import BOT, is_prefix, mcp
@@ -11,6 +11,7 @@ from prefixsim.simnet import DelayPolicy, Simulation
 from prefixsim.spc import (
     DirectCert,
     EmptyView,
+    FetchReq,
     FetchResp,
     NewView,
     SkipCert,
@@ -358,3 +359,26 @@ def test_unencodable_fetch_response_is_dropped(obj):
     engine = SpcEngine(cfg, 0, MacScheme(4))
     assert engine.on_message(1, FetchResp(cfg.instance, b"d", obj)) == []
     assert engine.dropped == 1 and engine.store == {}
+
+
+def test_fetch_request_with_non_bytes_digest_is_dropped():
+    cfg = SpcConfig(4, 1, 4, 1, ("t", "spc"))
+    engine = SpcEngine(cfg, 0, MacScheme(4))
+    assert engine.on_message(1, FetchReq(cfg.instance, [1])) == []
+    assert engine.dropped == 1
+
+
+_EV_SIG = MacScheme(4).sign_vector(1, crypto.EMPTY_VIEW, ("t", "spc"), skip_statement(2, 1))
+
+
+@pytest.mark.parametrize(
+    "ref_view, ref_value, sig",
+    [("x", (), _EV_SIG), (None, (), _EV_SIG), (1, [a], _EV_SIG), (1, (), (1, 2)), (1, (), None),
+     (1, (), Signature(1, [1]))],
+    ids=["str-ref-view", "none-ref-view", "list-ref-value", "tuple-sig", "none-sig", "list-blob"],
+)
+def test_empty_view_with_bad_shape_is_dropped(ref_view, ref_value, sig):
+    cfg = SpcConfig(4, 1, 4, 1, ("t", "spc"))
+    engine = SpcEngine(cfg, 0, MacScheme(4))
+    assert engine.on_message(1, EmptyView(cfg.instance, 2, ref_view, ref_value, None, sig)) == []
+    assert engine.dropped == 1 and engine.empty_votes == {}

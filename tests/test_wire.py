@@ -1,16 +1,21 @@
 """Codec round trips, compact-certificate verification rules, and
 plain/compact behavioural equivalence."""
 
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prefixsim import crypto, wire
-from prefixsim.crypto import MacScheme
+from prefixsim.crypto import MacScheme, Signature
 from prefixsim.encoding import DecodeError
 from prefixsim.pc import PcConfig, PcEngine, QC, Variant, Vote, qc1_certify, qc2_certify
+from prefixsim.nest import Nested
 from prefixsim.prefixes import BOT, mcp
 from prefixsim.simnet import DelayPolicy, Simulation
+from prefixsim.spc import DirectCert, NewView, SpcConfig
+from test_spc import make_view1_high
 
 a, b, c, d = b"a", b"b", b"c", b"d"
 
@@ -254,3 +259,88 @@ def test_hexdump_and_describe():
     assert "00000000" in dump
     text = wire.describe(vote)
     assert "Vote" in text and "sender" in text
+
+
+# ---------------------------------------------------------------------------
+# sizes without encoding, and the encoding itself
+
+
+_UINTS = st.integers(0, 2**70 - 1)  # the longest uvarint decode accepts
+_LEAVES = st.one_of(
+    st.none(), st.just(BOT), st.booleans(), _UINTS, st.binary(max_size=8), st.text(max_size=8),
+    st.builds(Signature, _UINTS, st.binary(max_size=8)),
+    # cheap to draw, long enough for multi-byte lengths and counts
+    st.integers(120, 300).map(bytes), st.integers(120, 300).map(lambda n: tuple(range(n))),
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4).map(tuple),
+        st.builds(Vote, kids, kids, kids, kids, kids, kids),
+        st.builds(QC, kids, kids),
+        st.builds(Nested, kids, kids, kids),
+        st.builds(NewView, kids, kids, kids),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_VALUES)
+def test_measure_is_encoded_length_and_roundtrips(value):
+    blob = wire.encode(value)
+    assert wire.measure(value) == len(blob)
+    assert wire.measure(value) == len(blob)  # again, from cached lengths
+    assert wire.decode(blob) == value
+
+
+_SIG = SCHEME.sign_vector(0, crypto.VOTE1, CFG.instance, (a,))
+
+
+@pytest.mark.parametrize(
+    "bad, exc",
+    [([1], TypeError), (object(), TypeError), (-1, ValueError), ((a, -5, [1]), ValueError)],
+    ids=["list", "object", "negative", "negative-before-list"],
+)
+@pytest.mark.parametrize("inside_vote", [False, True], ids=["bare", "in-vote"])
+def test_unencodable_values_raise_alike(bad, exc, inside_vote):
+    vote = Vote(CFG.instance, 1, 0, (a,), _SIG, (QC(1, ()), bad))
+    envelope = Nested(("t",), 1, vote)
+    value = envelope if inside_vote else bad
+    for fn in (wire.encode, wire.measure, wire.hash_obj, wire.PlainCodec().measure):
+        with pytest.raises(exc):
+            fn(value)
+    for obj in (vote, envelope):
+        assert "plain" not in vars(obj).get("_cached", {})
+    if inside_vote:  # the valid part keeps its length
+        assert "plain" in vars(vote.qcs[0])["_cached"]
+
+
+def test_lengths_cached_on_composites_not_signatures():
+    vote = make_vote1(0, (a, b, c, d))
+    assert wire.measure(vote) == len(wire.encode(vote))
+    assert vars(vote)["_cached"]["plain"] == len(wire.encode(vote))
+    assert "_cached" not in vars(vote.sig)
+
+
+# Literal encodings recorded before the one-pass encoder replaced the
+# list-of-chunks one: the layout and every digest must not move.
+_VOTE_HEX = (
+    "0603060302050177050370633301010102030302016102016202016306010201020210"
+    "076275656b7e7a371779e66648323b090300"
+)
+
+
+def test_encoding_and_digest_pins():
+    inst = ("w", "pc3")
+    vote = Vote(inst, 1, 2, (a, b, c), SCHEME.sign_vector(2, crypto.VOTE1, inst, (a, b, c)))
+    assert wire.encode(vote).hex() == _VOTE_HEX
+    assert wire.hash_obj(vote).hex() == "302aefd70e6a10aa610dc9d2d51222fb"
+
+    cfg = SpcConfig(4, 1, 4, 1, ("t", "spc"))
+    value, proof = make_view1_high(cfg, SCHEME, [(a, b, c, d)] * 4)
+    nv = NewView(cfg.instance, 2, DirectCert(1, value, proof))
+    blob = wire.encode(nv)
+    assert len(blob) == wire.measure(nv) == 2621
+    assert hashlib.sha256(blob).hexdigest() == "eb5050979ddcad9930e2225867665ce371adc3de5bc621897d713e4376461e40"
+    assert wire.hash_obj(nv).hex() == "eb5050979ddcad9930e2225867665ce3"
