@@ -15,6 +15,8 @@ seeded generator and signs only with Byzantine keys.
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -22,7 +24,7 @@ from . import crypto, msc, spc
 from .crypto import Scheme
 from .nest import innermost, rewrap
 from .pc import Vote
-from .simnet import Adversary, Time
+from .simnet import Adversary, Time, denominator
 
 
 class Silent(Adversary):
@@ -32,6 +34,13 @@ class Silent(Adversary):
 
     def engine_for(self, party, build):
         return None
+
+
+@functools.lru_cache(maxsize=None)
+def _delay_table(stretch: int, grain: int) -> Tuple[Fraction, ...]:
+    """Every jitter delay ``k/grain`` for ``k <= stretch*grain``, indexed
+    by ``k``, so a draw builds no Fraction."""
+    return tuple(Fraction(k, grain) for k in range(stretch * grain + 1))
 
 
 class JitteredDelays(Adversary):
@@ -49,12 +58,13 @@ class JitteredDelays(Adversary):
         self.stretch = stretch
         self.grain = grain
         self.always = always
+        self._delays = _delay_table(stretch, grain)
 
     def pick_delay(self, rng, sender, receiver, t):
         policy = self.sim.policy
         if not self.always and policy.gst is not None and t >= policy.gst:
             return None
-        return Fraction(rng.randint(self.grain, self.stretch * self.grain), self.grain)
+        return self._delays[rng.randint(self.grain, self.stretch * self.grain)]
 
 
 class Delayer(Adversary):
@@ -86,6 +96,7 @@ class Suspender(Adversary):
     def __init__(self, n: int, byzantine=(), round_len: Time = 1):
         super().__init__(byzantine)
         self.round_len = round_len
+        self.grain = denominator(round_len)
         self.targets = [p for p in range(n) if p not in self.byzantine]
 
     def engine_for(self, party, build):
@@ -288,6 +299,7 @@ class Composite(Adversary):
         super().__init__(behaviour.byzantine)
         self.behaviour = behaviour
         self.jitter = jitter
+        self.grain = math.lcm(behaviour.grain, jitter.grain if jitter is not None else 1)
 
     def attach(self, sim):
         super().attach(sim)

@@ -93,6 +93,11 @@ def validate(scn: dict) -> List[Tuple[str, str]]:
         if isinstance(n, int):
             need("adversary.byzantine", all(isinstance(p, int) and 0 <= p < n for p in members),
                  "party ids out of range")
+        for name, least in (("lag", 0), ("round_len", 1), ("stretch", 1), ("jitter", 1)):
+            if name in adv:
+                val = adv[name]
+                need(f"adversary.{name}", isinstance(val, int) and val >= least,
+                     "non-negative integer required" if least == 0 else "positive integer required")
     if protocol == "msc":
         slots = scn.get("slots", DEFAULTS["slots"])
         need("slots", isinstance(slots, int) and slots >= 1, "positive integer required")
@@ -157,7 +162,7 @@ def build_adversary(scn: dict, scheme: Scheme) -> Adversary:
         raise ScenarioError([("adversary.kind", f"unknown {kind}")])
     jitter = spec.get("jitter")
     if jitter and kind != "fuzz":
-        adv = adversaries.Composite(adv, adversaries.JitteredDelays(stretch=int(jitter)))
+        adv = adversaries.Composite(adv, adversaries.JitteredDelays(stretch=jitter))
     return adv
 
 
@@ -340,7 +345,6 @@ def run_checks(result: RunResult, cfg, scheme) -> list:
         for p, v in outs.items():
             if v is None and result.metrics.output_value(p, "undecided") is None:
                 violations.append(checks.Violation("termination", f"party {p} undecided"))
-    violations += checks.model_soundness(result.sim)
     return violations
 
 

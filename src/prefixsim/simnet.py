@@ -1,22 +1,38 @@
 """Seeded deterministic discrete-event network simulator.
 
-Virtual time is exact (ints or Fractions, never floats).  The event queue
-is ordered by ``(time, sender, receiver, sequence)``; identical
-(scenario, seed) pairs replay bit-identically.  Partial synchrony is a
-:class:`DelayPolicy`: honest-to-honest messages sent at or after GST are
-delivered within the cap, pre-GST delays are adversary-controlled but
-finite.  Byzantine behaviour enters only through an
-:class:`Adversary`'s hooks; strategies can replace, omit, duplicate or
-delay the messages of Byzantine parties and may suspend one party per
-round, but they never hold honest keys.
+Virtual time is exact, never floats.  Each :class:`Simulation` counts it
+in integer *ticks* of ``1/D`` time units, where ``D`` is the least common
+multiple of the denominators of the policy's ``gst``, ``cap`` and
+``default_delay`` and of the adversary's :attr:`Adversary.grain`.  The
+clock, the event queue, delivery bounds and suspension windows are plain
+ints; a delay, timer or resume time that is not a whole number of ticks
+raises :class:`SimulationError` (it is never rounded).
+
+Times leave the simulator as exact :data:`Time` only at its edges: the
+``t`` handed to :meth:`Adversary.pick_delay` and
+:meth:`Adversary.suspended_until`, the output times in
+:attr:`Metrics.outputs` and :attr:`Metrics.end_time`.  An edge time is an
+``int`` when ``D == 1`` and a ``Fraction`` otherwise; either compares
+equal to the same instant and renders as the same text (``7/2``, or ``3``
+when whole), which is also how the trace writes times.
+
+The event queue is ordered by ``(time, sender, receiver, sequence)``;
+identical (scenario, seed) pairs replay bit-identically.  Partial
+synchrony is a :class:`DelayPolicy`: honest-to-honest messages are
+delivered by ``max(send, gst) + cap``, pre-GST delays are
+adversary-controlled but finite.  Byzantine behaviour enters only
+through an :class:`Adversary`'s hooks; strategies can replace, omit,
+duplicate or delay the messages of Byzantine parties and may suspend one
+party per round, but they never hold honest keys.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
@@ -30,18 +46,27 @@ class SimulationError(Exception):
     pass
 
 
+def denominator(t: Time) -> int:
+    """The denominator of an exact time (1 for an int)."""
+    if isinstance(t, int):
+        return 1
+    if isinstance(t, Fraction):
+        return t.denominator
+    raise SimulationError(f"virtual time must be an int or a Fraction, not {type(t).__name__}")
+
+
 @dataclass
 class DelayPolicy:
     """Per-link delivery policy under partial synchrony.
 
     ``gst=None`` models a fully asynchronous run: no delivery bound, only
-    finiteness.  ``base`` gives the default link delay; the adversary may
-    override any link, subject to the post-GST cap on honest traffic.
+    finiteness.  ``default_delay`` is the link delay when the adversary
+    picks none; the adversary may override any link, subject to the
+    post-GST cap on honest traffic.
     """
 
     gst: Optional[Time] = 0
     cap: Time = 1
-    base: Optional[Callable[[int, int, Time], Time]] = None
     default_delay: Time = 1
 
     @classmethod
@@ -49,27 +74,14 @@ class DelayPolicy:
         """Every message takes exactly ``delta``; GST has already passed."""
         return cls(gst=0, cap=delta, default_delay=delta)
 
-    @classmethod
-    def partially_synchronous(cls, gst: Time, cap: Time, delta: Time = 1) -> "DelayPolicy":
-        return cls(gst=gst, cap=cap, default_delay=delta)
-
-    def link_delay(self, sender: int, receiver: int, t: Time) -> Time:
-        if self.base is not None:
-            return self.base(sender, receiver, t)
-        return self.default_delay
-
-    def deliver_bound(self, t: Time) -> Optional[Time]:
-        """Latest permissible honest-to-honest delivery for a send at ``t``."""
-        if self.gst is None:
-            return None
-        start = t if t >= self.gst else self.gst
-        return start + self.cap
-
 
 class Adversary:
     """Honest baseline strategy: no Byzantine parties, no interference."""
 
     name = "none"
+    #: Denominator of every time this adversary hands the simulator
+    #: (delays, overrides, resume times); it sets the tick size.
+    grain = 1
 
     def __init__(self, byzantine=()):
         self.byzantine = frozenset(byzantine)
@@ -109,16 +121,6 @@ class Adversary:
 
 
 @dataclass
-class Envelope:
-    send_time: Time
-    deliver_time: Time
-    sender: int
-    receiver: int
-    msg: Any
-    nbytes: int = 0
-
-
-@dataclass
 class Metrics:
     n: int
     outputs: Dict[int, Dict[str, Tuple[Any, Any, Time]]] = field(default_factory=dict)
@@ -138,10 +140,24 @@ class Metrics:
         return entry[0] if entry else None
 
 
+_SUMMARY_FIELDS = ("inst", "key", "round", "view", "slot", "kind")
+_summary_attrs: Dict[type, Tuple[str, ...]] = {}
+
+
 def _summize(msg) -> str:
-    name = type(msg).__name__
-    bits = [name]
-    for attr in ("inst", "key", "round", "view", "slot", "kind"):
+    """``Name attr=value ...`` for the summary fields a message has that
+    are not None."""
+    cls = type(msg)
+    attrs = _summary_attrs.get(cls)
+    if attrs is None:
+        if is_dataclass(cls):
+            names = {f.name for f in fields(cls)}
+            attrs = tuple(a for a in _SUMMARY_FIELDS if a in names or hasattr(cls, a))
+        else:
+            attrs = _SUMMARY_FIELDS
+        _summary_attrs[cls] = attrs
+    bits = [cls.__name__]
+    for attr in attrs:
         val = getattr(msg, attr, None)
         if val is not None:
             bits.append(f"{attr}={val}")
@@ -175,7 +191,20 @@ class Simulation:
         self.measure = measure
         self.record = record
         self.max_events = max_events
-        self.now: Time = 0
+        gst = self.policy.gst
+        #: Ticks per time unit.
+        self.tick = math.lcm(
+            1 if gst is None else denominator(gst),
+            denominator(self.policy.cap),
+            denominator(self.policy.default_delay),
+            self.adversary.grain,
+        )
+        self._gst = None if gst is None else self._ticks(gst)
+        self._cap = self._ticks(self.policy.cap)
+        self._default_delay = self._ticks(self.policy.default_delay)
+        self._times: Dict[int, Tuple[Time, str]] = {}
+        self._now = 0
+        self._t, self._text = self._at(0)
         self.metrics = Metrics(n=n, outputs={i: {} for i in range(n)})
         self.records: List[str] = []
         self._sha = hashlib.sha256()
@@ -190,51 +219,81 @@ class Simulation:
             else:
                 self.engines[party] = build_engine(party)
 
+    # -- virtual time
+
+    def _ticks(self, t: Time) -> int:
+        """An exact time as a tick count."""
+        if type(t) is int:
+            return t * self.tick
+        whole, rest = divmod(self.tick, denominator(t))
+        if rest:
+            raise SimulationError(
+                f"time {t} is not a multiple of the tick 1/{self.tick}; "
+                "declare its denominator in Adversary.grain"
+            )
+        return t.numerator * whole
+
+    def _at(self, ticks: int) -> Tuple[Time, str]:
+        """The exact time of a tick count and its trace text."""
+        entry = self._times.get(ticks)
+        if entry is None:
+            t = ticks if self.tick == 1 else Fraction(ticks, self.tick)
+            entry = self._times[ticks] = (t, str(t))
+        return entry
+
     # -- scheduling primitives
 
-    def _push(self, time: Time, sender: int, receiver: int, item) -> None:
+    def _push(self, ticks: int, sender: int, receiver: int, item) -> None:
         self._seq += 1
-        heapq.heappush(self._queue, (time, sender, receiver, self._seq, item))
+        heapq.heappush(self._queue, (ticks, sender, receiver, self._seq, item))
 
     def schedule_input(self, party: int, value, at: Time = 0) -> None:
         self.inputs[party] = value
-        self._push(at, party, party, ("input", value))
+        self._push(self._ticks(at), party, party, ("input", value))
 
     def byz_send(self, sender: int, receiver: int, msg, delay: Optional[Time] = None) -> None:
         """Adversary-initiated message from a Byzantine party."""
         if sender not in self.adversary.byzantine:
             raise SimulationError("byz_send from an honest party")
-        self._post(sender, receiver, msg, delay_override=delay)
+        self._post(sender, receiver, msg, self._describe(msg), delay)
 
     # -- message posting
 
-    def _delivery_time(self, sender: int, receiver: int, override: Optional[Time]) -> Time:
-        t = self.now
+    def _delivery_time(self, sender: int, receiver: int, override: Optional[Time]) -> int:
         d = override
         if d is None:
-            d = self.adversary.pick_delay(self.rng, sender, receiver, t)
-        if d is None:
-            d = self.policy.link_delay(sender, receiver, t)
+            d = self.adversary.pick_delay(self.rng, sender, receiver, self._t)
+        d = self._default_delay if d is None else self._ticks(d)
         if d <= 0:
             raise SimulationError("delays must be positive")
-        deliver = t + d
+        now = self._now
+        deliver = now + d
         byz = self.adversary.byzantine
-        if sender not in byz and receiver not in byz:
-            bound = self.policy.deliver_bound(t)
-            if bound is not None and deliver > bound:
+        if self._gst is not None and sender not in byz and receiver not in byz:
+            bound = (now if now >= self._gst else self._gst) + self._cap
+            if deliver > bound:
                 deliver = bound
         return deliver
 
-    def _post(self, sender: int, receiver: int, msg, delay_override: Optional[Time] = None) -> None:
-        deliver = self._delivery_time(sender, receiver, delay_override)
+    def _describe(self, msg) -> Tuple[str, int, bool]:
+        """What the trace and the counters need of a message: its
+        summary, its byte size and whether it is fetch traffic."""
         nbytes = self.measure(msg) if self.measure else 0
-        env = Envelope(self.now, deliver, sender, receiver, msg, nbytes)
-        self.metrics.message_count += 1
-        self.metrics.bytes_total += nbytes
-        if type(innermost(msg)).__name__ in ("FetchReq", "FetchResp"):
-            self.metrics.fetch_messages += 1
-        self._trace(f"@{self.now} send {sender}->{receiver} {_summize(msg)} deliver@{deliver} b={nbytes}")
-        self._push(deliver, sender, receiver, ("msg", env))
+        fetch = type(innermost(msg)).__name__ in ("FetchReq", "FetchResp")
+        return _summize(msg), nbytes, fetch
+
+    def _post(self, sender: int, receiver: int, msg, described, delay_override: Optional[Time] = None) -> None:
+        summary, nbytes, fetch = described
+        deliver = self._delivery_time(sender, receiver, delay_override)
+        metrics = self.metrics
+        metrics.message_count += 1
+        metrics.bytes_total += nbytes
+        if fetch:
+            metrics.fetch_messages += 1
+        self._trace(
+            f"@{self._text} send {sender}->{receiver} {summary} deliver@{self._at(deliver)[1]} b={nbytes}"
+        )
+        self._push(deliver, sender, receiver, ("msg", msg, summary))
 
     def _dispatch_actions(self, party: int, actions) -> None:
         for act in actions:
@@ -245,53 +304,59 @@ class Simulation:
             elif isinstance(act, Output):
                 self._note_output(party, act)
             elif isinstance(act, StartTimer):
-                self._trace(f"@{self.now} timer-set {party} {act.key} +{act.delay}")
-                self._push(self.now + act.delay, party, party, ("timer", act.key))
+                self._trace(f"@{self._text} timer-set {party} {act.key} +{act.delay}")
+                self._push(self._now + self._ticks(act.delay), party, party, ("timer", act.key))
             else:
                 raise SimulationError(f"unknown action {act!r}")
 
     def _handle_send(self, party: int, msg, receivers) -> None:
         if party in self.adversary.byzantine:
+            last = described = None
             for dest, out, delay in self.adversary.on_send(party, msg, receivers):
-                self._post(party, dest, out, delay_override=delay)
+                if out is not last:
+                    last, described = out, self._describe(out)
+                self._post(party, dest, out, described, delay)
         else:
+            described = self._describe(msg)
             for dest in receivers:
-                self._post(party, dest, msg)
+                self._post(party, dest, msg, described)
 
     def _note_output(self, party: int, act: Output) -> None:
         slot = self.metrics.outputs[party]
         if act.kind in slot:
             raise SimulationError(f"duplicate output {act.kind} from {party}")
-        slot[act.kind] = (act.value, act.proof, self.now)
-        self._trace(f"@{self.now} output {party} {act.kind}")
+        slot[act.kind] = (act.value, act.proof, self._t)
+        self._trace(f"@{self._text} output {party} {act.kind}")
 
     def _trace(self, line: str) -> None:
-        self._sha.update(line.encode())
-        self._sha.update(b"\n")
+        self._sha.update((line + "\n").encode())
         if self.record:
             self.records.append(line)
 
     # -- main loop
 
-    def run(self, max_time: Optional[Time] = None) -> Metrics:
+    def run(self) -> Metrics:
+        queue = self._queue
+        suspended_until = self.adversary.suspended_until
         steps = 0
-        while self._queue:
-            time, sender, receiver, _seq, item = self._queue[0]
-            if max_time is not None and time > max_time:
-                break
-            heapq.heappop(self._queue)
-            self.now = time
-            resume = self.adversary.suspended_until(receiver, time)
-            if resume is not None and resume > time:
-                # Suspended parties neither send nor receive; buffered
-                # deliveries resume at the window end.
-                self._push(resume, sender, receiver, item)
-                continue
+        while queue:
+            ticks, sender, receiver, _seq, item = heapq.heappop(queue)
+            if ticks != self._now:
+                self._now = ticks
+                self._t, self._text = self._at(ticks)
+            resume = suspended_until(receiver, self._t)
+            if resume is not None:
+                resume = self._ticks(resume)
+                if resume > ticks:
+                    # Suspended parties neither send nor receive; buffered
+                    # deliveries resume at the window end.
+                    self._push(resume, sender, receiver, item)
+                    continue
             steps += 1
             if steps > self.max_events:
                 raise SimulationError("event budget exceeded (runaway protocol?)")
             self._deliver(receiver, sender, item)
-        self.metrics.end_time = self.now
+        self.metrics.end_time = self._t
         self.metrics.drops = sum(e.dropped for e in self.engines.values() if e is not None)
         self.metrics.transcript_sha = self._sha.hexdigest()
         return self.metrics
@@ -299,26 +364,26 @@ class Simulation:
     def _deliver(self, party: int, sender: int, item) -> None:
         kind = item[0]
         engine = self.engines.get(party)
+        if kind == "msg":
+            _, msg, summary = item
+            self._trace(f"@{self._text} recv {party}<-{sender} {summary}")
+            if party in self.adversary.byzantine:
+                if not self.adversary.on_deliver(party, sender, msg):
+                    return
+            if engine is not None:
+                self._dispatch_actions(party, engine.on_message(sender, msg))
+            return
         if kind == "input":
-            self._trace(f"@{self.now} input {party}")
+            self._trace(f"@{self._text} input {party}")
             if party in self.adversary.byzantine:
                 if not self.adversary.on_input(party, item[1]):
                     return
             if engine is not None:
                 self._dispatch_actions(party, engine.on_input(item[1]))
             return
-        if kind == "timer":
-            self._trace(f"@{self.now} timer-fire {party} {item[1]}")
-            if engine is not None:
-                self._dispatch_actions(party, engine.on_timer(item[1]))
-            return
-        env: Envelope = item[1]
-        self._trace(f"@{self.now} recv {env.receiver}<-{env.sender} {_summize(env.msg)}")
-        if party in self.adversary.byzantine:
-            if not self.adversary.on_deliver(party, env.sender, env.msg):
-                return
+        self._trace(f"@{self._text} timer-fire {party} {item[1]}")
         if engine is not None:
-            self._dispatch_actions(party, engine.on_message(env.sender, env.msg))
+            self._dispatch_actions(party, engine.on_timer(item[1]))
 
     # -- convenience
 

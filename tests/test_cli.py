@@ -66,6 +66,47 @@ def test_validate_collects_paths():
     assert any(path == "adversary.byzantine" for path, _ in errors)
 
 
+MSC_CENSOR = {"version": 1, "protocol": "msc", "n": 4, "f": 1, "slots": 2, "gst": 12, "delta_cap": 2,
+              "adversary": {"kind": "censor", "reveal": {"2": [0]}, "lag_victims": [1, 3], "lag": 6}}
+SPC = {"version": 1, "protocol": "spc", "n": 4, "f": 1, "L": 4}
+
+
+def _adversary_errors(base, **fields):
+    scn = {**base, "adversary": {**base.get("adversary", {}), **fields}}
+    return [(path, msg) for path, msg in validate(scn) if path.startswith("adversary.")]
+
+
+def test_adversary_lag_must_be_a_non_negative_int():
+    # A fractional lag used to finish with a float end_time.
+    for lag in (0.5, -1, "6", None):
+        assert _adversary_errors(MSC_CENSOR, lag=lag) == [
+            ("adversary.lag", "non-negative integer required")], lag
+    assert _adversary_errors(MSC_CENSOR, lag=0) == []
+
+
+def test_adversary_round_len_must_be_a_positive_int():
+    # A fractional round length used to finish with a float end_time.
+    for round_len in (0.5, 0, "1"):
+        assert _adversary_errors(SPC, kind="suspender", round_len=round_len) == [
+            ("adversary.round_len", "positive integer required")], round_len
+    assert _adversary_errors(SPC, kind="suspender", round_len=2) == []
+
+
+def test_adversary_stretch_must_be_a_positive_int():
+    # "3" used to raise TypeError, and a delayer stretch of 0 SimulationError.
+    for kind, stretch in (("fuzz", "3"), ("fuzz", 2.5), ("delayer", 0)):
+        assert _adversary_errors(SPC, kind=kind, stretch=stretch) == [
+            ("adversary.stretch", "positive integer required")], (kind, stretch)
+    assert _adversary_errors(SPC, kind="delayer", stretch=3, links=[[0, 1]]) == []
+
+
+def test_adversary_jitter_must_be_a_positive_int():
+    for jitter in ("3", 0, 1.5):
+        assert _adversary_errors(SPC, kind="silent", byzantine=[0], jitter=jitter) == [
+            ("adversary.jitter", "positive integer required")], jitter
+    assert _adversary_errors(SPC, kind="silent", byzantine=[0], jitter=4) == []
+
+
 def test_cli_determinism_same_artifacts(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):

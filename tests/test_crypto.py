@@ -112,3 +112,23 @@ def test_restricted_signer_blocks_honest_keys():
     ring.sign(3, crypto.VOTE1, INST, b"m")
     with pytest.raises(KeyError_):
         ring.sign(0, crypto.VOTE1, INST, b"m")
+
+
+def test_domain_tag_is_remembered_per_kind_and_instance(scheme):
+    tag = scheme._tag(crypto.VOTE1, INST)
+    assert tag == crypto.tag_bytes(crypto.VOTE1, INST)
+    assert scheme._tag(crypto.VOTE1, ("pc", "instA")) is tag
+    assert scheme._tag(crypto.VOTE2, INST) == crypto.tag_bytes(crypto.VOTE2, INST) != tag
+    assert scheme._tag(crypto.VOTE1, OTHER) == crypto.tag_bytes(crypto.VOTE1, OTHER) != tag
+    assert scheme._tag(crypto.VOTE1, INST) == tag
+
+
+def test_aggregate_with_unhashable_instance_verifies_false(scheme):
+    # The instance of a received aggregate comes off the wire; a list (or a
+    # tuple holding one) is not a valid instance and must not raise.
+    agg = scheme.aggregate(crypto.VOTE2, INST, _entries(scheme, [(b"x",), (b"y",)]))
+    assert scheme.verify_aggregate(agg)
+    for instance in (list(INST), (INST[0], [INST[1]])):
+        bad = crypto.AggregateSignature(agg.kind, instance, agg.signers, agg.messages, agg.blob)
+        assert not scheme.verify_aggregate(bad), instance
+    assert scheme._tag(crypto.VOTE2, ("pc", ["instA"])) != scheme._tag(crypto.VOTE2, INST)

@@ -1,12 +1,17 @@
-"""Simulator semantics: determinism, delivery bounds, suspension."""
+"""Simulator semantics: determinism, delivery bounds, suspension, ticks."""
 
+import os
 from fractions import Fraction
 
 import pytest
 
-from prefixsim import adversaries
+from prefixsim import adversaries, checks
 from prefixsim.actions import Broadcast, Output, Send, StartTimer
+from prefixsim.scenario import load_scenario, run_scenario
 from prefixsim.simnet import Adversary, DelayPolicy, Simulation, SimulationError
+from test_determinism import SAMPLE
+
+SCENARIOS = os.path.join(os.path.dirname(adversaries.__file__), "scenarios")
 
 
 class EchoEngine:
@@ -85,6 +90,9 @@ def test_rational_time_supported():
     sim = build(policy=policy)
     metrics = sim.run()
     assert metrics.end_time == Fraction(6, 5)
+    assert sim.tick == 5
+    # Recorded before virtual time became integer ticks.
+    assert metrics.transcript_sha == "e1a3778402af0c8c8b297d17f152b8fa5d0057791b131d542d2dcf961e2fb03b"
 
 
 def test_suspension_defers_delivery_and_sending():
@@ -139,3 +147,119 @@ def test_event_budget_guards_runaway():
     sim.schedule_input(1, 1)
     with pytest.raises(SimulationError):
         sim.run()
+
+
+# ---------------------------------------------------------------------------
+# integer ticks: the transcript of exact rational time, byte for byte
+
+#: transcript_sha of each test_determinism sample, recorded when the
+#: simulator still kept its clock as Fractions.
+SAMPLE_SHAS = [
+    "b43f56be5d42aa99f64eefc8bda6733fd6ff6cb6c87f4553577bd7cd17ed3aa9",
+    "56319ecee447ddfd296597538edc06b57359d7cddfa789d3b1522f61b4e11181",
+    "2d83ea600393b2792d8ff9851b2f7a49a2493564b92391b3d86af815db62a1f6",
+]
+
+#: Partially synchronous spc under fuzz: its deliveries clamp to gst+cap.
+PSYNC_SPC_FUZZ = {"version": 1, "protocol": "spc", "n": 4, "f": 1, "L": 4, "gst": 12, "delta": 1,
+                  "delta_cap": 2, "seed": 7, "inputs": {"kind": "random", "alphabet": 3},
+                  "adversary": {"kind": "fuzz", "stretch": 5}}
+
+
+def test_transcripts_pinned_across_the_tick_rewrite():
+    assert [run_scenario(scn).metrics.transcript_sha for scn in SAMPLE] == SAMPLE_SHAS
+    leaderless = run_scenario(load_scenario(os.path.join(SCENARIOS, "msc_leaderless_n4.json")))
+    assert leaderless.metrics.transcript_sha == (
+        "0670aead8054c6be785021155039a64d64f09c7c286c3a055f5dd080b64777c0")
+    assert leaderless.metrics.end_time == 23
+    fuzz = run_scenario(PSYNC_SPC_FUZZ, record=True)
+    assert fuzz.metrics.transcript_sha == (
+        "441baa248b5d63953ae11a7846dc67cda2f4065c881247946ee9962995ac2623")
+    assert "@187/16 send 0->1 Nested inst=('scn', 'spc') key=2 deliver@14 b=0" in fuzz.sim.records
+    assert {str(fuzz.metrics.output_time(p, "high")) for p in range(4)} == {
+        "18", "281/16", "143/8"}
+
+
+def test_edge_times_are_int_on_whole_ticks_and_fraction_otherwise():
+    whole = run_scenario({**PSYNC_SPC_FUZZ, "adversary": {"kind": "none"}})
+    assert whole.sim.tick == 1
+    times = [t for outs in whole.metrics.outputs.values() for _v, _p, t in outs.values()]
+    assert times and all(type(t) is int for t in times + [whole.metrics.end_time])
+    fuzz = run_scenario(PSYNC_SPC_FUZZ)
+    assert fuzz.sim.tick == 16
+    times = [t for outs in fuzz.metrics.outputs.values() for _v, _p, t in outs.values()]
+    # Whole instants too (a delivery clamped to gst+cap lands on one).
+    assert Fraction(18) in times
+    assert all(type(t) is Fraction for t in times + [fuzz.metrics.end_time])
+
+
+def test_tick_is_the_lcm_of_every_declared_grain():
+    policy = DelayPolicy(gst=Fraction(1, 2), cap=Fraction(2, 3), default_delay=1)
+    jitter = adversaries.JitteredDelays(stretch=2, grain=5)
+    adv = adversaries.Composite(adversaries.Suspender(3, round_len=Fraction(7, 4)), jitter)
+    assert adv.grain == 20
+    assert build(policy=policy, adversary=adv).tick == 60
+
+
+def test_undeclared_grain_raises_instead_of_rounding():
+    class Thirds(Adversary):
+        def pick_delay(self, rng, sender, receiver, t):
+            return Fraction(1, 3)
+
+    with pytest.raises(SimulationError, match="grain"):
+        build(adversary=Thirds()).run()
+
+    class DeclaredThirds(Thirds):
+        grain = 3
+
+    assert build(adversary=DeclaredThirds()).run().end_time == Fraction(1, 3)
+
+
+def test_float_time_rejected():
+    with pytest.raises(SimulationError, match="int or a Fraction"):
+        build(policy=DelayPolicy(gst=0, cap=0.5, default_delay=1))
+
+
+# ---------------------------------------------------------------------------
+# model soundness: the recorded transcript respects partial synchrony
+
+
+def _psync_fuzz_scenarios():
+    out = []
+    for i in range(60):
+        scn = {"version": 1, "delta": 1, "delta_cap": 2, "gst": (0, 5, 12)[i % 3], "seed": 900 + i,
+               "inputs": {"kind": "random", "alphabet": 2},
+               "adversary": {"kind": "fuzz", "stretch": 5}}
+        if i % 2:
+            scn.update(protocol="msc", n=4, f=1, slots=2)
+        else:
+            scn.update(protocol="spc", n=4, f=1, L=4)
+        out.append(scn)
+    return out
+
+
+def test_model_soundness_holds_on_fuzzed_partially_synchronous_runs():
+    clamped = 0
+    for scn in _psync_fuzz_scenarios():
+        result = run_scenario(scn, record=True)
+        assert checks.model_soundness(result.sim) == [], scn["seed"]
+        gst_cap = f"deliver@{scn['gst'] + 2} "
+        clamped += sum(" send " in line and gst_cap in line for line in result.sim.records)
+    assert clamped > 0  # the cap was exercised, not just met by short delays
+
+
+def test_model_soundness_reports_a_late_honest_delivery():
+    sim = build(policy=DelayPolicy(gst=4, cap=2, default_delay=1), record=True)
+    sim.run()
+    assert checks.model_soundness(sim) == []
+    sim.records.append("@5 send 0->1 tuple deliver@15/2 b=0")
+    sim.records.append("@1 send 1->2 tuple deliver@6 b=0")  # max(1, 4) + 2: on time
+    [bad] = checks.model_soundness(sim)
+    assert bad.invariant == "model" and "0->1" in str(bad)
+
+
+def test_model_soundness_needs_a_recorded_run():
+    sim = build()
+    sim.run()
+    with pytest.raises(ValueError):
+        checks.model_soundness(sim)

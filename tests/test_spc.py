@@ -315,6 +315,19 @@ def test_skip_cert_with_malformed_statement_is_dropped():
         assert engine.dropped == 1 and engine.view == 1, bad
 
 
+def test_skip_cert_with_list_instance_is_dropped():
+    cfg = SpcConfig(4, 1, 4, 1, ("t", "spc"))
+    scheme = MacScheme(4)
+    value, proof = make_view1_high(cfg, scheme, [(a, b, c, d)] * 4)
+    stmt = skip_statement(2, 1)
+    entries = [(p, stmt, scheme.sign_vector(p, crypto.EMPTY_VIEW, cfg.instance, stmt)) for p in (1, 3)]
+    agg = scheme.aggregate(crypto.EMPTY_VIEW, cfg.instance, entries)
+    listed = crypto.AggregateSignature(agg.kind, list(agg.instance), agg.signers, agg.messages, agg.blob)
+    engine = SpcEngine(cfg, 0, scheme)
+    assert engine.on_message(3, NewView(cfg.instance, 3, SkipCert(2, 1, value, proof, listed))) == []
+    assert engine.dropped == 1 and engine.view == 1
+
+
 # ---------------------------------------------------------------------------
 # a certificate is evidence only for the instance it was built in
 
