@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Tuple
 
 from . import encoding
-from .prefixes import Vector
+from .prefixes import Vector, _Bot
 
 # Message kinds (domain-separation tags).
 VOTE1 = "vote-1"
@@ -88,6 +88,22 @@ class AggregateSignature:
     signers: Tuple[int, ...]
     messages: Tuple[Vector, ...]
     blob: bytes
+
+    def well_formed(self) -> bool:
+        """Whether every field has the shape verification reads.  An
+        aggregate comes off the wire, so any field may be any value."""
+        return (
+            isinstance(self.kind, str)
+            and isinstance(self.instance, tuple)
+            and isinstance(self.signers, tuple)
+            and all(isinstance(party, int) for party in self.signers)
+            and isinstance(self.messages, tuple)
+            and all(
+                isinstance(vec, tuple) and all(isinstance(e, (bytes, _Bot)) for e in vec)
+                for vec in self.messages
+            )
+            and isinstance(self.blob, bytes)
+        )
 
 
 class AggregationError(Exception):
@@ -170,7 +186,7 @@ class Scheme:
         return AggregateSignature(kind, instance, signers, messages, blob)
 
     def verify_aggregate(self, agg: AggregateSignature) -> bool:
-        if not isinstance(agg.instance, tuple):
+        if not agg.well_formed():
             return False
         if len(set(agg.signers)) != len(agg.signers):
             return False

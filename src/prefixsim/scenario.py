@@ -84,8 +84,14 @@ def validate(scn: dict) -> List[Tuple[str, str]]:
         kind = adv.get("kind", "none")
         need("adversary.kind", kind in ADVERSARIES, f"one of {ADVERSARIES}")
         byz = adv.get("byzantine", [])
-        reveal = adv.get("reveal", {})
-        members = set(byz) | {int(k) for k in reveal} if isinstance(reveal, dict) else set(byz)
+        if not _party_ids(byz):
+            errors.append(("adversary.byzantine", "list of party ids required"))
+            byz = []
+        revealers = _reveal_parties(adv.get("reveal", {}))
+        if revealers is None:
+            errors.append(("adversary.reveal", "object mapping party ids to lists of party ids required"))
+            revealers = set()
+        members = set(byz) | revealers
         if isinstance(f, int) and kind not in ("none", "fuzz", "delayer"):
             limit = f - 1 if kind == "suspender" else f
             need("adversary.byzantine", len(members) <= limit,
@@ -98,13 +104,34 @@ def validate(scn: dict) -> List[Tuple[str, str]]:
                 val = adv[name]
                 need(f"adversary.{name}", isinstance(val, int) and val >= least,
                      "non-negative integer required" if least == 0 else "positive integer required")
+        need("adversary.lag_victims", _party_ids(adv.get("lag_victims", [])), "list of party ids required")
+        links = adv.get("links", [])
+        need("adversary.links",
+             isinstance(links, (list, tuple)) and all(_party_ids(link) and len(link) == 2 for link in links),
+             "list of [sender, receiver] pairs required")
     if protocol == "msc":
         slots = scn.get("slots", DEFAULTS["slots"])
         need("slots", isinstance(slots, int) and slots >= 1, "positive integer required")
     rank0 = scn.get("rank0")
     if rank0 is not None and isinstance(n, int):
-        need("rank0", sorted(rank0) == list(range(n)), "must be a permutation of the parties")
+        need("rank0", _party_ids(rank0) and sorted(rank0) == list(range(n)), "must be a permutation of the parties")
     return errors
+
+
+def _party_ids(value) -> bool:
+    """Whether ``value`` is a list of integer party ids."""
+    return isinstance(value, (list, tuple)) and all(isinstance(p, int) for p in value)
+
+
+def _reveal_parties(reveal):
+    """The party ids keying a ``reveal`` object (JSON keys are strings), or
+    None unless it maps party ids to lists of party ids."""
+    if not isinstance(reveal, dict) or not all(_party_ids(r) for r in reveal.values()):
+        return None
+    try:
+        return {int(k) for k in reveal}
+    except (TypeError, ValueError):
+        return None
 
 
 class ScenarioError(ValueError):

@@ -336,7 +336,7 @@ class SpcEngine:
             if cert.prev_view != view - 1 or cert.prev_view < 1:
                 return False
             agg = cert.agg
-            if not isinstance(agg, AggregateSignature):
+            if not isinstance(agg, AggregateSignature) or not agg.well_formed():
                 return False
             if agg.kind != crypto.EMPTY_VIEW or agg.instance != self.cfg.instance:
                 return False

@@ -107,6 +107,28 @@ def test_adversary_jitter_must_be_a_positive_int():
     assert _adversary_errors(SPC, kind="silent", byzantine=[0], jitter=4) == []
 
 
+@pytest.mark.parametrize("fields, path", [
+    ({"adversary": {"kind": "censor", "reveal": {"x": [0]}}}, "adversary.reveal"),
+    ({"adversary": {"kind": "silent", "byzantine": [[1]]}}, "adversary.byzantine"),
+    ({"adversary": {"kind": "silent", "byzantine": 5}}, "adversary.byzantine"),
+    ({"rank0": 5}, "rank0"),
+    ({"rank0": ["a", 1, 2, 3]}, "rank0"),
+    ({"adversary": {**MSC_CENSOR["adversary"], "lag_victims": 5}}, "adversary.lag_victims"),
+    ({"adversary": {**MSC_CENSOR["adversary"], "lag_victims": [[1]]}}, "adversary.lag_victims"),
+    ({"adversary": {"kind": "delayer", "links": 5}}, "adversary.links"),
+    ({"adversary": {"kind": "delayer", "links": [[0, [1]]]}}, "adversary.links"),
+], ids=["reveal-key", "byzantine-nested", "byzantine-int", "rank0-int", "rank0-mixed",
+        "lag-victims-int", "lag-victims-nested", "links-int", "links-nested"])
+def test_malformed_party_sets_are_schema_errors(tmp_path, capsys, fields, path):
+    scn = {**MSC_CENSOR, **fields}
+    assert [p for p, _ in validate(scn)] == [path]
+    scn_path = tmp_path / "bad.json"
+    scn_path.write_text(json.dumps(scn))
+    assert cli.main(["run", "--scenario", str(scn_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert path in err and "Traceback" not in err
+
+
 def test_cli_determinism_same_artifacts(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):

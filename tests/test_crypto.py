@@ -1,5 +1,7 @@
 """Cross-backend conformance for the signing/aggregation/hashing layer."""
 
+import dataclasses
+
 import pytest
 
 from prefixsim import crypto
@@ -132,3 +134,20 @@ def test_aggregate_with_unhashable_instance_verifies_false(scheme):
         bad = crypto.AggregateSignature(agg.kind, instance, agg.signers, agg.messages, agg.blob)
         assert not scheme.verify_aggregate(bad), instance
     assert scheme._tag(crypto.VOTE2, ("pc", ["instA"])) != scheme._tag(crypto.VOTE2, INST)
+
+
+_MALFORMED_AGGREGATE_FIELDS = [
+    ("signers", ((1,), (3,))), ("signers", ("x", "y")), ("signers", 5),
+    ("messages", 5), ("messages", ((1,), (2,))), ("blob", 5), ("kind", 5),
+]
+
+
+@pytest.mark.parametrize("field, bad", _MALFORMED_AGGREGATE_FIELDS,
+                         ids=[f"{name}={bad!r}" for name, bad in _MALFORMED_AGGREGATE_FIELDS])
+def test_aggregate_with_malformed_fields_verifies_false(scheme, field, bad):
+    # Every field of a received aggregate comes off the wire.
+    agg = scheme.aggregate(crypto.VOTE2, INST, _entries(scheme, [(b"x",), (b"y",)]))
+    assert agg.well_formed() and scheme.verify_aggregate(agg)
+    bad_agg = dataclasses.replace(agg, **{field: bad})
+    assert not bad_agg.well_formed()
+    assert not scheme.verify_aggregate(bad_agg)

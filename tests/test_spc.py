@@ -1,5 +1,7 @@
 """Strong-agreement engine: rankings, certificates, view change, commits."""
 
+import dataclasses
+
 import pytest
 
 from prefixsim import adversaries, crypto
@@ -325,6 +327,22 @@ def test_skip_cert_with_list_instance_is_dropped():
     listed = crypto.AggregateSignature(agg.kind, list(agg.instance), agg.signers, agg.messages, agg.blob)
     engine = SpcEngine(cfg, 0, scheme)
     assert engine.on_message(3, NewView(cfg.instance, 3, SkipCert(2, 1, value, proof, listed))) == []
+    assert engine.dropped == 1 and engine.view == 1
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("signers", ((1,), (3,))), ("signers", ("x", "y")), ("signers", 5),
+    ("messages", 5), ("messages", ((1,), (2,))), ("blob", 5),
+], ids=["tuple-signers", "str-signers", "int-signers", "int-messages", "int-elements", "int-blob"])
+def test_skip_cert_with_malformed_aggregate_is_dropped(field, bad):
+    cfg = SpcConfig(4, 1, 4, 1, ("t", "spc"))
+    scheme = MacScheme(4)
+    value, proof = make_view1_high(cfg, scheme, [(a, b, c, d)] * 4)
+    stmt = skip_statement(2, 1)
+    entries = [(p, stmt, scheme.sign_vector(p, crypto.EMPTY_VIEW, cfg.instance, stmt)) for p in (1, 3)]
+    agg = dataclasses.replace(scheme.aggregate(crypto.EMPTY_VIEW, cfg.instance, entries), **{field: bad})
+    engine = SpcEngine(cfg, 0, scheme)
+    assert engine.on_message(3, NewView(cfg.instance, 3, SkipCert(2, 1, value, proof, agg))) == []
     assert engine.dropped == 1 and engine.view == 1
 
 

@@ -344,3 +344,98 @@ def test_encoding_and_digest_pins():
     assert len(blob) == wire.measure(nv) == 2621
     assert hashlib.sha256(blob).hexdigest() == "eb5050979ddcad9930e2225867665ce371adc3de5bc621897d713e4376461e40"
     assert wire.hash_obj(nv).hex() == "eb5050979ddcad9930e2225867665ce3"
+
+
+# ---------------------------------------------------------------------------
+# each vote encoded once: digests splice cached vote bytes
+
+
+def _objects(value, seen=None):
+    """Every distinct registered object reachable from ``value``."""
+    seen = {} if seen is None else seen
+    if isinstance(value, tuple):
+        for item in value:
+            _objects(item, seen)
+    elif type(value) in wire._LAYOUT and id(value) not in seen:
+        seen[id(value)] = value
+        for name in wire._LAYOUT[type(value)][1]:
+            _objects(getattr(value, name), seen)
+    return list(seen.values())
+
+
+_N7 = SpcConfig(7, 2, 7, 1, ("t", "spc"))
+_N7_INPUTS = [(a, b, c, d, a, b, c), (a, b, c, d, a, b, d), (a, b, c, c, a, b, c), (a, b, d, d, a, b, c),
+              (a, c, d, a, b, c, d), (a, b, c, d, a, b, c), (b, a, c, d, a, b, c)]
+
+
+def _n7_new_view():
+    value, proof = make_view1_high(_N7, MacScheme(7), _N7_INPUTS)
+    return NewView(_N7.instance, 2, DirectCert(1, value, proof))
+
+
+def test_shared_vote_digest_pin():
+    # Recorded before votes were spliced: 125 round-1 leaves of the
+    # certificate are 5 shared vote objects, and the bytes must not move.
+    nv = _n7_new_view()
+    round1 = [o for o in _objects(nv) if isinstance(o, Vote) and o.round == 1]
+    assert len(round1) == 5
+    for _ in range(2):  # cold, then from cached vote bytes
+        blob = wire.encode(nv)
+        assert len(blob) == wire.measure(nv) == 11203
+        assert hashlib.sha256(blob).hexdigest() == "a49e3a2b0520d7c0c0dbd23f471752276f435ad7b7effba8001ec02eaca524a5"
+        assert wire.hash_obj(nv).hex() == "a49e3a2b0520d7c0c0dbd23f47175227"
+
+
+def test_encoding_survives_decoding_with_warm_and_fresh_caches():
+    # Two pipelines with the same senders and rounds but other values: a
+    # vote's bytes must come from that vote, not from a look-alike.
+    for values in (DIVERGENT, [(a, a, a, a)] * 4):
+        qc1, qc2, qc3 = pipeline(values)
+        nv = NewView(("t", "spc"), 2, DirectCert(1, qc3.votes[0].value, qc3))
+        for obj in (qc3.votes[0], qc2.votes[1], qc3, nv, Nested(("t",), 2, nv)):
+            blob = wire.encode(obj)
+            fresh = wire.decode(blob)
+            assert fresh == obj
+            assert all("_cached" not in vars(o) for o in _objects(fresh))
+            assert wire.encode(fresh) == blob  # fresh, undecorated objects
+            assert wire.encode(obj) == wire.encode(fresh) == blob  # both warm
+            assert wire.hash_obj(fresh) == wire.hash_obj(obj)
+
+
+def test_encoded_bytes_cached_on_votes_with_certificates_only():
+    nv = Nested(("t",), 2, _n7_new_view())
+    blob = wire.encode(nv)
+    objects = _objects(nv)
+    assert {type(o).__name__ for o in objects} == {"Nested", "NewView", "DirectCert", "QC", "Vote", "Signature"}
+    assert {o.round for o in objects if isinstance(o, Vote)} == {1, 2, 3}
+    for obj in objects:
+        kept = vars(obj).get("_cached", {})
+        if isinstance(obj, Vote) and obj.qcs:
+            assert kept["bytes"] == wire.encode(obj)
+            assert kept["bytes"] in blob
+        else:  # round-1 votes, certificates, envelopes, signatures
+            assert not any(isinstance(v, (bytes, bytearray)) for v in kept.values()), obj
+    assert all("_cached" not in vars(o) for o in objects if isinstance(o, Signature))
+
+
+@pytest.mark.parametrize("bad, exc", [([1], TypeError), (-1, ValueError)], ids=["list", "negative"])
+def test_unencodable_vote_raises_alike_and_caches_no_bytes(bad, exc):
+    good = pipeline(DIVERGENT)[1].votes[0]  # a round-2 vote, with its qc1
+    inner = Vote(CFG.instance, 1, 0, (a,), _SIG, (bad,))
+    outer = Vote(CFG.instance, 3, 0, (a,), _SIG, (QC(2, (good, inner)),))
+    for value in (inner, outer, Nested(("t",), 1, outer)):
+        for fn in (wire.encode, wire.measure, wire.hash_obj):
+            for _ in range(2):
+                with pytest.raises(exc):
+                    fn(value)
+    for vote in (inner, outer):
+        assert "bytes" not in vars(vote).get("_cached", {})
+    assert vars(good)["_cached"]["bytes"] == wire.encode(good)  # encoded before the bad sibling
+
+
+@settings(max_examples=200, deadline=None)
+@given(_VALUES)
+def test_encoding_is_the_same_from_warm_and_fresh_objects(value):
+    blob = wire.encode(value)
+    assert wire.encode(value) == blob
+    assert wire.encode(wire.decode(blob)) == blob
