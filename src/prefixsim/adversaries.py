@@ -61,9 +61,10 @@ class JitteredDelays(Adversary):
         self._delays = _delay_table(stretch, grain)
 
     def pick_delay(self, rng, sender, receiver, t):
-        policy = self.sim.policy
-        if not self.always and policy.gst is not None and t >= policy.gst:
-            return None
+        if not self.always:
+            gst = self.sim.policy.gst
+            if gst is not None and t >= gst:
+                return None
         return self._delays[rng.randint(self.grain, self.stretch * self.grain)]
 
 

@@ -22,10 +22,20 @@ def cached(obj, key: Hashable, compute: Callable[[], Any]) -> Any:
 
     Results live on ``obj`` in one non-field attribute (fields, equality
     and wire form are untouched): every holder shares them and they die
-    with the object.  ``key`` carries all else a result depends on, e.g.
-    ``(cfg, scheme)`` for verification, so a verdict is never reused for
-    another view, slot or scheme.  Objects without a ``__dict__`` are
-    not cached; a ``compute`` that raises stores nothing.
+    with the object.  ``key`` carries all else a result depends on, so a
+    result is never reused for another view, slot or scheme:
+
+    * a vote or certificate keeps its verdict under ``(cfg, scheme)``;
+    * a certificate (``QC``) keeps what it certifies under
+      ``("qc1", cfg)`` ... ``("qc4", cfg)``; certification reads no
+      signature, so the scheme is not part of that key;
+    * a vote that carries certificates keeps its encoding (``"bytes"``),
+      a registered object its plain size (``"plain"``), a view-entry
+      object its digest (``"digest"``) and a strong-agreement config one
+      prefix-consensus config per view (``("vpc", view)``).
+
+    Objects without a ``__dict__`` are not cached; a ``compute`` that
+    raises stores nothing.
     """
     attrs = getattr(obj, "__dict__", None)
     if type(attrs) is not dict:
@@ -99,10 +109,27 @@ def write_element(out: list, elem: Element) -> None:
         write_bytes(out, elem)
 
 
+_UINTS = [bytes((v,)) for v in range(0x80)]
+_ELEM_HEADS = [bytes((_ELEM_BYTES, n)) for n in range(0x80)]
+
+
 def encode_vector(vec: Sequence[Element]) -> bytes:
-    out: list = []
-    write_uint(out, len(vec))
+    """The signed and verified form of a vector, written in one pass.
+
+    A byte-string element shorter than 128 bytes gets a precomputed
+    head; BOT, longer and malformed elements go through
+    :func:`write_element`, so every value encodes (or raises) exactly as
+    with the chunk writer.
+    """
+    count = len(vec)
+    out = bytearray(_UINTS[count] if count < 0x80 else encode_uint(count))
     for elem in vec:
-        write_element(out, elem)
-    return b"".join(out)
+        if type(elem) is bytes and len(elem) < 0x80:
+            out += _ELEM_HEADS[len(elem)]
+            out += elem
+        else:
+            chunks: list = []
+            write_element(chunks, elem)
+            out += b"".join(chunks)
+    return bytes(out)
 

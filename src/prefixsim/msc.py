@@ -104,17 +104,18 @@ class MscEngine:
         self.own_dropped = 0
         # One strong-agreement instance per slot, started by RunSPC; slot
         # traffic that races ahead of our own slot start waits for it.
-        self.slots = Host(
-            cfg.instance,
-            lambda slot: SpcEngine(cfg.spc_cfg(slot, self.ranks[slot]), party, scheme, store=self.object_store),
-            self._slot_output,
-            first=1,
-            buffer=lambda slot: slot >= self.slot and not (cfg.slots and slot > cfg.slots),
-        )
+        self.slots = Host(cfg.instance, self._build_slot, self._slot_output, first=1, buffer=self._buffers_slot)
 
     @property
     def dropped(self) -> int:
         return self.own_dropped + self.slots.dropped
+
+    def _build_slot(self, slot: int) -> SpcEngine:
+        return SpcEngine(self.cfg.spc_cfg(slot, self.ranks[slot]), self.party, self.scheme, store=self.object_store)
+
+    def _buffers_slot(self, slot: int) -> bool:
+        """Whether traffic for a slot not started yet waits for it."""
+        return slot >= self.slot and not (self.cfg.slots and slot > self.cfg.slots)
 
     # ------------------------------------------------------------------
 

@@ -10,6 +10,8 @@ incoming envelopes back to the child for that key.
 
 from __future__ import annotations
 
+import types
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
@@ -41,6 +43,14 @@ def rewrap(msg, new_inner):
     return new_inner
 
 
+def _weak(callback: Callable) -> Callable[[], Callable]:
+    """A getter for ``callback`` that keeps a bound method's owner alive
+    only through its other references."""
+    if isinstance(callback, types.MethodType):
+        return weakref.WeakMethod(callback)
+    return lambda: callback
+
+
 class Host:
     """Child engines keyed by ints ``first <= key < stop`` (no upper
     bound when ``stop`` is None).
@@ -50,6 +60,12 @@ class Host:
     traffic for a key not started yet waits when ``buffer(key)`` holds
     and is ignored otherwise.  Child outputs go to ``on_output(key,
     output)``, which returns the host's actions.
+
+    The callbacks are usually methods of the engine that owns this host.
+    A host holds them weakly (``weakref.WeakMethod``), so owner and host
+    form no reference cycle and a finished run is freed by reference
+    counting, not by the cyclic collector.  A callback must therefore
+    not be a closure over its owner: make it a method.
     """
 
     def __init__(
@@ -62,11 +78,11 @@ class Host:
         buffer: Optional[Callable[[int], bool]] = None,
     ):
         self.inst = inst
-        self.build = build
-        self.on_output = on_output
+        self.build = _weak(build)
+        self.on_output = _weak(on_output)
         self.first = first
         self.stop = stop
-        self.buffer = buffer
+        self.buffer = None if buffer is None else _weak(buffer)
         self.children: Dict[int, Any] = {}
         self.waiting: Dict[int, list] = {}
         self.own_dropped = 0
@@ -92,10 +108,10 @@ class Host:
         child = self.children.get(key)
         if child is None:
             if self.buffer is not None:
-                if self.buffer(key):
+                if self.buffer()(key):
                     self.waiting.setdefault(key, []).append((sender, inner))
                 return []
-            child = self.children[key] = self.build(key)
+            child = self.children[key] = self.build()(key)
         return self.wrap(key, child.on_message(sender, inner))
 
     def start(self, key: int, value) -> list:
@@ -103,7 +119,7 @@ class Host:
         raced ahead of it."""
         child = self.children.get(key)
         if child is None:
-            child = self.children[key] = self.build(key)
+            child = self.children[key] = self.build()(key)
         actions = self.wrap(key, child.on_input(value))
         for sender, inner in self.waiting.pop(key, []):
             actions.extend(self.deliver(key, sender, inner))
@@ -124,5 +140,5 @@ class Host:
             elif isinstance(act, StartTimer):
                 out.append(StartTimer(("sub", key) + act.key, act.delay))
             else:
-                out.extend(self.on_output(key, act))
+                out.extend(self.on_output()(key, act))
         return out

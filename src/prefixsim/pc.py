@@ -16,7 +16,10 @@ predicates at the bottom of this module.
 Verification accepts any field shape (a malformed vote is just invalid)
 and caches its verdict on the vote or certificate under the key
 ``(cfg, scheme)`` (:func:`encoding.cached`): all parties share it, and
-no other view or slot reuses it.
+no other view or slot reuses it.  A certificate likewise keeps what it
+certifies (``qc1_certify`` ... ``qc4_certify``) under ``("qc<r>",
+cfg)``, so its creator, every verifier, both predicates and the
+invariant checks derive it once.
 """
 
 from __future__ import annotations
@@ -74,6 +77,12 @@ class PcConfig:
                 raise ConfigError(f"{self.variant.value} requires n >= 5f+1, got n={self.n} f={self.f}")
         elif self.n < 3 * self.f + 1:
             raise ConfigError(f"{self.variant.value} requires n >= 3f+1, got n={self.n} f={self.f}")
+        # Every verdict and certification lookup hashes its config; the
+        # generated hash would rehash each field, the variant in Python.
+        object.__setattr__(self, "_hash", hash((self.n, self.f, self.L, self.variant, self.instance)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def quorum(self) -> int:
@@ -113,8 +122,6 @@ class QC:
 
 
 def _values(votes) -> List[Vector]:
-    if isinstance(votes, QC):
-        return list(votes.values())
     out = []
     for item in votes:
         out.append(item.value if isinstance(item, Vote) else tuple(item))
@@ -128,6 +135,12 @@ def _mce_or_fault(values, where: str) -> Vector:
     return ext
 
 
+# Each ``qc<r>_certify`` takes a ``QC`` or a list of votes or vectors.  A
+# ``QC`` is immutable, so its result is kept on it under ``("qc<r>",
+# cfg)``; a list is certified afresh.  A ``ProtocolViolation`` (or
+# ``ConfigError``) raises on every call and keeps nothing.
+
+
 def qc1_certify(votes, cfg: PcConfig):
     """Round-1 certification.
 
@@ -135,6 +148,8 @@ def qc1_certify(votes, cfg: PcConfig):
     support threshold; OPTIMISTIC additionally returns the common prefix
     of the whole quorum.
     """
+    if isinstance(votes, QC):
+        return cached(votes, ("qc1", cfg), lambda: qc1_certify(votes.values(), cfg))
     values = _values(votes)
     supported = longest_supported_prefix(values, cfg.support)
     if cfg.variant is Variant.OPTIMISTIC:
@@ -145,6 +160,8 @@ def qc1_certify(votes, cfg: PcConfig):
 def qc2_certify(votes, cfg: PcConfig):
     """Round-2 certification: mcp for THREE_ROUND, (mcp, mce) pairs for
     the variants whose round-2 values are guaranteed mutually consistent."""
+    if isinstance(votes, QC):
+        return cached(votes, ("qc2", cfg), lambda: qc2_certify(votes.values(), cfg))
     values = _values(votes)
     if cfg.variant is Variant.THREE_ROUND:
         return mcp(values)
@@ -161,6 +178,8 @@ def combined_certify(qc1_votes, qc2_votes, cfg: PcConfig) -> Vector:
 
 
 def qc3_certify(votes, cfg: PcConfig):
+    if isinstance(votes, QC):
+        return cached(votes, ("qc3", cfg), lambda: qc3_certify(votes.values(), cfg))
     values = _values(votes)
     if cfg.variant is Variant.THREE_ROUND:
         return mcp(values), _mce_or_fault(values, "qc3")
@@ -172,6 +191,8 @@ def qc3_certify(votes, cfg: PcConfig):
 def qc4_certify(votes, cfg: PcConfig):
     if cfg.variant is not Variant.OPTIMISTIC:
         raise ConfigError("no round 4 in this variant")
+    if isinstance(votes, QC):
+        return cached(votes, ("qc4", cfg), lambda: qc4_certify(votes.values(), cfg))
     values = _values(votes)
     return mcp(values), _mce_or_fault(values, "qc4")
 

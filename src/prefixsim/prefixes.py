@@ -88,63 +88,43 @@ def mce(vectors: Iterable[Sequence]) -> Optional[Vector]:
     return tuple(longest)
 
 
-class _TrieNode:
-    __slots__ = ("children", "count")
-
-    def __init__(self) -> None:
-        self.children: dict = {}
-        self.count = 0
-
-
-def _element_sort_key(elem: Element):
-    if isinstance(elem, _Bot):
-        return (0, b"")
-    return (1, elem)
+def _vector_sort_key(vec: Sequence) -> tuple:
+    """Lexicographic order with BOT before every byte string."""
+    return tuple((0, b"") if isinstance(elem, _Bot) else (1, elem) for elem in vec)
 
 
 def longest_supported_prefix(vectors: Sequence[Sequence], support: int) -> Vector:
     """Deepest prefix extended by at least ``support`` of the given vectors.
 
     Equals the longest vector among the maximum common prefixes of all
-    size-``support`` sub-multisets, computed in time linear in the total
-    input size via a counting trie.  Whenever ``2*support`` exceeds the
-    ballot count (every quorum-certification call site) the result is
-    unique because any two supporting subsets share a vector; for smaller
-    support values equally deep candidates are broken lexicographically.
+    size-``support`` sub-multisets.  Sorted lexicographically (BOT
+    before every byte string), the vectors extending any prefix form one
+    run, so the answer is the longest common prefix of some window of
+    ``support`` neighbours, and a window's common prefix is that of its
+    first and last vectors.  Whenever ``2*support`` exceeds the ballot
+    count (every quorum-certification call site) the result is unique
+    because any two supporting subsets share a vector; for smaller
+    support values equally deep candidates are broken lexicographically,
+    which is what taking the first deepest window does.
     """
     vecs = list(vectors)
     if support <= 0:
         raise ValueError("support must be positive")
     if support > len(vecs):
         raise ValueError(f"support {support} exceeds vector count {len(vecs)}")
-
-    root = _TrieNode()
-    for vec in vecs:
-        node = root
-        node.count += 1
-        for elem in vec:
-            child = node.children.get(elem)
-            if child is None:
-                child = _TrieNode()
-                node.children[elem] = child
-            child.count += 1
-            node = child
-
-    majority = 2 * support > len(vecs)
-    best: Vector = ()
-    # Depth-first over the supported skeleton only: counts are monotone
-    # along paths, so subtrees below an unsupported node are dead.
-    stack: list = [(root, ())]
-    while stack:
-        node, path = stack.pop()
-        if len(path) > len(best):
-            best = path
-        candidates = [
-            (elem, child) for elem, child in node.children.items() if child.count >= support
-        ]
-        assert not (majority and len(candidates) > 1), "supported prefix not unique"
-        # Reverse-sorted push so the lexicographically least branch is
-        # explored (and wins depth ties) first.
-        for elem, child in sorted(candidates, key=lambda ec: _element_sort_key(ec[0]), reverse=True):
-            stack.append((child, path + (elem,)))
-    return best
+    try:
+        vecs.sort()
+    except TypeError:  # BOT meets a byte string: order by the explicit key
+        vecs.sort(key=_vector_sort_key)
+    best: Sequence = ()
+    depth = 0
+    for first, last in zip(vecs, vecs[support - 1 :]):
+        # Only a window that beats the current depth matters.
+        if len(first) <= depth or len(last) <= depth or first[: depth + 1] != last[: depth + 1]:
+            continue
+        limit = min(len(first), len(last))
+        depth += 1
+        while depth < limit and first[depth] == last[depth]:
+            depth += 1
+        best = first
+    return tuple(best[:depth])

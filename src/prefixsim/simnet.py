@@ -32,6 +32,7 @@ import hashlib
 import heapq
 import math
 import random
+import weakref
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
@@ -88,7 +89,11 @@ class Adversary:
         self.sim: "Simulation" = None  # set at attach
 
     def attach(self, sim: "Simulation") -> None:
-        self.sim = sim
+        """Bind to the simulation that runs this adversary.  The
+        simulation holds its adversary, so ``sim`` is kept as a weak
+        proxy: the two form no reference cycle, and a finished run is
+        freed by reference counting, not by the cyclic collector."""
+        self.sim = weakref.proxy(sim)
 
     def engine_for(self, party: int, build: Callable[[int], Any]):
         """Engine run for a Byzantine party; None means fully scripted."""

@@ -71,8 +71,12 @@ class SpcConfig:
             raise ValueError("rank0 must be a permutation of the parties")
 
     def vpc_cfg(self, view: int) -> PcConfig:
-        length = self.L if view == 1 else self.n
-        return PcConfig(self.n, self.f, length, Variant.THREE_ROUND, self.instance + ("view", view))
+        """The prefix-consensus config of ``view``: built and validated
+        once per view, so every predicate call keys its verdicts by the
+        same object."""
+        return cached(self, ("vpc", view), lambda: PcConfig(
+            self.n, self.f, self.L if view == 1 else self.n, Variant.THREE_ROUND, self.instance + ("view", view),
+        ))
 
 
 @dataclass(frozen=True)

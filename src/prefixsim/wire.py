@@ -180,8 +180,11 @@ def _size(value) -> int:
         return (2 if n < 0x80 else len(_head(_T_TUPLE, n))) + sum(map(_size, value))
     if kind is int:
         return 2 if 0 <= value < 0x80 else len(_head(_T_INT, value))
+    if kind is str:  # instance names inside every envelope
+        n = len(value) if value.isascii() else len(value.encode())
+        return (2 if n < 0x80 else len(_head(_T_STR, n))) + n
     layout = _LAYOUT.get(kind)
-    if layout is None:  # None, BOT, str, bool and subclasses: small and rare
+    if layout is None:  # None, BOT, bool and subclasses: small and rare
         out = bytearray()
         _write_value(out, value)
         return len(out)

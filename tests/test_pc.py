@@ -334,3 +334,83 @@ def test_determinism_same_seed_same_transcript():
     assert m1.transcript_sha == m2.transcript_sha
     _, m3 = run_pc(Variant.THREE_ROUND, 4, 1, 4, inputs, seed=8)
     assert m1.transcript_sha == m3.transcript_sha  # no randomness in fixed-delay policy
+
+
+# ---------------------------------------------------------------------------
+# What a certificate certifies is derived once and kept on it
+
+
+def test_certify_results_live_on_the_qc_keyed_by_cfg():
+    cfg = PcConfig(4, 1, 4, Variant.THREE_ROUND, ("t", "pc3"))
+    sim, metrics = honest_run_outputs()
+    qc1 = sim.engines[0].own_qcs[1]
+    proof = metrics.outputs[0]["low"][1]
+    # The engine certified both on the way to its outputs.
+    assert ("qc1", cfg) in vars(qc1)["_cached"]
+    assert ("qc3", cfg) in vars(proof)["_cached"]
+    assert qc1_certify(qc1, cfg) == qc1_certify(list(qc1.votes), cfg)
+    assert qc3_certify(proof, cfg) == qc3_certify(list(proof.values()), cfg)
+    # Another config keeps its own result next to it, never the first one.
+    opt = PcConfig(4, 1, 4, Variant.OPTIMISTIC, ("t", "pc3"))
+    assert qc1_certify(qc1, opt) == qc1_certify(list(qc1.values()), opt) != qc1_certify(qc1, cfg)
+    assert vars(qc1)["_cached"][("qc1", opt)] != vars(qc1)["_cached"][("qc1", cfg)]
+    # Nothing derived from a certificate sits on its votes.
+    for vote in qc1.votes + proof.votes:
+        assert not any(isinstance(key, tuple) and key[0] in ("qc1", "qc2", "qc3") for key in vars(vote).get("_cached", {}))
+
+
+def test_conflicting_qc_raises_every_time_and_caches_nothing():
+    from prefixsim.pc import ProtocolViolation
+
+    cfg = cfg3()
+    scheme = MacScheme(4)
+    votes = tuple(
+        Vote(cfg.instance, 3, p, vec, scheme.sign_vector(p, crypto.VOTE3, cfg.instance, vec))
+        for p, vec in enumerate([(a, b), (a, c), (a,)])
+    )
+    qc = QC(3, votes)
+    for _ in range(2):
+        with pytest.raises(ProtocolViolation):
+            qc3_certify(qc, cfg)
+    assert ("qc3", cfg) not in vars(qc).get("_cached", {})
+    assert not predicate_high((a, b), qc, cfg, scheme)
+
+
+def test_equal_configs_hash_equal():
+    one = PcConfig(4, 1, 4, Variant.THREE_ROUND, ("x", "view", 2))
+    two = PcConfig(4, 1, 4, Variant.THREE_ROUND, ("x",) + ("view", 2))
+    assert one == two and one is not two and hash(one) == hash(two)
+    assert {one: "verdict"}[two] == "verdict"
+    assert one != PcConfig(4, 1, 4, Variant.OPTIMISTIC, ("x", "view", 2))
+    assert one != PcConfig(4, 1, 3, Variant.THREE_ROUND, ("x", "view", 2))
+    spc = SpcConfig(4, 1, 3, 1, ("x",))
+    assert spc.vpc_cfg(2) is spc.vpc_cfg(2)
+    assert spc.vpc_cfg(2) == one
+    assert spc.vpc_cfg(1) == PcConfig(4, 1, 3, Variant.THREE_ROUND, ("x", "view", 1))
+
+
+class _ShortLowEngine(PcEngine):
+    """Outputs a low one element shorter than its proof certifies."""
+
+    def _output(self, kind, value, proof):
+        if kind == "low":
+            value = value[:-1]
+        return super()._output(kind, value, proof)
+
+
+def test_mutant_low_is_a_verifiability_violation_with_warm_caches():
+    from prefixsim import checks
+
+    cfg = cfg3()
+    scheme = MacScheme(4)
+    inputs = [(a, b, c, d)] * 4
+    sim = Simulation(4, lambda p: _ShortLowEngine(cfg, p, scheme), policy=DelayPolicy.synchronized(1))
+    for party, vec in enumerate(inputs):
+        sim.schedule_input(party, vec)
+    metrics = sim.run()
+    for p in range(4):
+        low, proof, _ = metrics.outputs[p]["low"]
+        assert low == (a, b, c)
+        assert vars(proof)["_cached"][("qc3", cfg)] == ((a, b, c, d), (a, b, c, d))
+    violations = checks.pc_violations(cfg, scheme, inputs, range(4), metrics)
+    assert sum(v.invariant == "verifiability" for v in violations) == 4

@@ -90,6 +90,34 @@ def test_supported_prefix_matches_oracle_seeded():
         assert longest_supported_prefix(vectors, k) == brute_force_supported(vectors, k)
 
 
+def _lexicographic(vec):
+    return tuple((0, b"") if elem is BOT else (1, elem) for elem in vec)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from([BOT, b"", b"a", b"b"]), max_size=4).map(tuple), min_size=1, max_size=7),
+    st.integers(1, 7),
+)
+def test_supported_prefix_matches_oracle_everywhere(vectors, support):
+    # Any support, BOT, empty elements, mixed lengths and duplicates: the
+    # depth is the oracle's, and equally deep candidates (possible only
+    # without a majority) go to the lexicographically least, BOT first.
+    support = min(support, len(vectors))
+    got = longest_supported_prefix(vectors, support)
+    want = brute_force_supported(vectors, support)
+    assert len(got) == len(want)
+    assert sum(is_prefix(got, vec) for vec in vectors) >= support
+    deepest = {
+        cand
+        for subset in itertools.combinations(vectors, support)
+        if len(cand := mcp(subset)) == len(want)
+    }
+    assert got == min(deepest, key=_lexicographic)
+    if 2 * support > len(vectors):
+        assert got == want
+
+
 @pytest.mark.parametrize("f", [1, 2])
 def test_subset_mcps_pairwise_consistent(f):
     # Any two (f+1)-subsets of 2f+1 ballots share a ballot, so their

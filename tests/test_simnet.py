@@ -1,6 +1,9 @@
-"""Simulator semantics: determinism, delivery bounds, suspension, ticks."""
+"""Simulator semantics: determinism, delivery bounds, suspension, ticks,
+and the lifetime of a finished run."""
 
+import gc
 import os
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -263,3 +266,46 @@ def test_model_soundness_needs_a_recorded_run():
     sim.run()
     with pytest.raises(ValueError):
         checks.model_soundness(sim)
+
+
+# ---------------------------------------------------------------------------
+# A finished run is freed by reference counting alone
+
+_BASE = {"version": 1, "delta": 1, "seed": 4}
+_PSYNC = {**_BASE, "gst": 12, "delta_cap": 2}
+LIFETIME = {
+    "pc3": {**_BASE, "protocol": "pc3", "n": 4, "f": 1, "L": 4, "gst": None,
+            "adversary": {"kind": "fuzz", "stretch": 5}},
+    "pc_opt": {**_BASE, "protocol": "pc_opt", "n": 4, "f": 1, "L": 4},
+    "pc_5f1": {**_BASE, "protocol": "pc_5f1", "n": 6, "f": 1, "L": 6},
+    "graded": {**_BASE, "protocol": "graded", "n": 4, "f": 1},
+    "spc": {**_PSYNC, "protocol": "spc", "n": 4, "f": 1, "L": 4,
+            "adversary": {"kind": "doctored", "byzantine": [3], "jitter": 4}},
+    "msc": {**_PSYNC, "protocol": "msc", "n": 4, "f": 1, "slots": 2,
+            "adversary": {"kind": "censor", "reveal": {"2": [0]}, "lag_victims": [1, 3], "lag": 6}},
+    "binary": {**_PSYNC, "protocol": "binary", "n": 4, "f": 1},
+    "validated": {**_PSYNC, "protocol": "validated", "n": 4, "f": 1},
+    "equivocate": {**_PSYNC, "protocol": "msc", "n": 4, "f": 1, "slots": 2,
+                   "adversary": {"kind": "equivocate", "byzantine": [3], "jitter": 4}},
+    "split_view": {**_PSYNC, "protocol": "spc", "n": 4, "f": 1, "L": 4,
+                   "adversary": {"kind": "split_view", "byzantine": [0], "jitter": 4}},
+}
+
+
+@pytest.mark.parametrize("name", list(LIFETIME))
+def test_finished_run_is_freed_without_the_cyclic_collector(name):
+    # Engines, hosts and the adversary hold their owners weakly, so
+    # dropping the result frees the whole run at once.
+    run_scenario(LIFETIME[name])  # warm the process-wide tables first
+    gc.disable()
+    try:
+        gc.collect()
+        result = run_scenario(LIFETIME[name])
+        assert result.violations == []
+        assert result.sim.engines[1].dropped >= 0  # engines stay readable
+        sim = weakref.ref(result.sim)
+        del result
+        assert sim() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prefixsim import crypto, wire
+from prefixsim import crypto, encoding, wire
 from prefixsim.crypto import MacScheme, Signature
 from prefixsim.encoding import DecodeError
 from prefixsim.pc import PcConfig, PcEngine, QC, Variant, Vote, qc1_certify, qc2_certify
@@ -271,6 +271,10 @@ _LEAVES = st.one_of(
     st.builds(Signature, _UINTS, st.binary(max_size=8)),
     # cheap to draw, long enough for multi-byte lengths and counts
     st.integers(120, 300).map(bytes), st.integers(120, 300).map(lambda n: tuple(range(n))),
+    # strings are sized without encoding: non-ASCII ones, and ones whose
+    # UTF-8 form reaches a two-byte length
+    st.text(st.characters(min_codepoint=0x80), max_size=8),
+    st.integers(60, 200).map(lambda n: "é" * n), st.integers(120, 300).map(lambda n: "a" * n),
 )
 _VALUES = st.recursive(
     _LEAVES,
@@ -329,6 +333,20 @@ _VOTE_HEX = (
     "0603060302050177050370633301010102030302016102016202016306010201020210"
     "076275656b7e7a371779e66648323b090300"
 )
+
+
+def test_signed_vector_payload_pins():
+    # Recorded with the list-of-chunks writer: signatures must not move.
+    assert encoding.encode_vector(()).hex() == "00"
+    assert encoding.encode_vector((BOT,)).hex() == "0100"
+    assert encoding.encode_vector((b"x" * 300,)).hex() == "0101ac02" + "78" * 300
+    assert encoding.encode_vector((b"ab",) * 130).hex() == "8201" + "01026162" * 130
+    mixed = (b"", BOT, b"q" * 127, b"r" * 128, b"s") * 26
+    assert hashlib.sha256(encoding.encode_vector(mixed)).hexdigest() == (
+        "24d0cba99a498d7568c2cb6cac9b5db1b4ecb2d726f5eb2457a8fdc4e2a83373"
+    )
+    with pytest.raises(TypeError):
+        encoding.encode_vector((b"a", 5))
 
 
 def test_encoding_and_digest_pins():
