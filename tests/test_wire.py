@@ -457,3 +457,88 @@ def test_encoding_is_the_same_from_warm_and_fresh_objects(value):
     blob = wire.encode(value)
     assert wire.encode(value) == blob
     assert wire.encode(wire.decode(blob)) == blob
+
+
+# ---------------------------------------------------------------------------
+# compact encodings: every builder's bytes are pinned
+
+
+_COMPACT_BUILDERS = {
+    "pc3": {"votes": {1: wire.build_cvote1, 2: wire.build_cvote2, 3: wire.build_cvote3},
+            "qcs": {1: wire.build_cqc1, 2: wire.build_cqc2, 3: wire.build_cqc3}},
+    "pc_opt": {"votes": {1: wire.build_cvote1, 2: wire.build_ovote2, 3: wire.build_ovote3, 4: wire.build_ovote4},
+               "qcs": {1: wire.build_oqc1, 2: wire.build_oqc2, 3: wire.build_oqc3, 4: wire.build_oqc4}},
+}
+
+# SHA-256 over the encodings of one builder's outputs, recorded before the
+# chain, common-prefix and prefix-signature builders were merged.
+_COMPACT_PINS = {
+    ("pc3", 4): {
+        "build_cqc1": "5fc2bf8826359d107678970bdcff2b075e12ee1c3b1455fe9a7948bfe2e82f36",
+        "build_cqc2": "a0eb2e60262dbda45ff8110bd098cd96292b241194f335f74049e6a7ef9baf3f",
+        "build_cqc3": "b6e764216d1cc3f8acbf8b5dcdc6c7e77c8449a0bc5ef5233eeb67ea6645dd84",
+        "build_cvote1": "8013b45a3adc05e52b6a3c27afaf34b0ef65d80ee3b6c1f5f4a97d4874e7cc26",
+        "build_cvote2": "bf9dae74c3fd0098ae96910d2880c3c269eccc4062b53ca6cb7ecc2909dd3e03",
+        "build_cvote3": "2af0896ad99315154ec092f4da4bf151ae353efd815a7d7f8ab7a02a5c9e0f95",
+    },
+    ("pc3", 7): {
+        "build_cqc1": "f840f1a022f31da56f3f8210ca03de6d26cdee3db0fbae4668cce2dc508ba731",
+        "build_cqc2": "b263d49b479069ae00d87e8845e253d856af112af5615be0d5a5c23dd72af500",
+        "build_cqc3": "83dca0112c49e8fa61485ee8c1faec581f70777bc3976bfd92c215cbd8bd01db",
+        "build_cvote1": "746b5f390f6ab07ff79d551124ac24837e2503d57f507b94c047692b0d2a0e6d",
+        "build_cvote2": "ac6aee65dd1a9a546e2199696df70a08945ea4b22208bb40e515cf36f2b07625",
+        "build_cvote3": "bb433251f7e637fdeff240f7dca17c47948694af5e25307c744ac64dbcb05905",
+    },
+    ("pc_opt", 4): {
+        "build_cvote1": "a0b3db6b2213cdb7fee63492e86b1fec343e7526fc6c54fa6aa974db06c0f4f9",
+        "build_oqc1": "5cc3dac2c6077151b9c44c46e871ca686bd14313d67db92b42514c0fcd4d823c",
+        "build_oqc2": "f4be482c4d4263d4b0744122a120aebc6c73a6a43691a8777e3ecd2a7a172c19",
+        "build_oqc3": "ba4bf66ccf84e364dd308339079a1511e8b025dc8e6f1ebfe4153cf1f2514721",
+        "build_oqc4": "420e09d0918d5ab03b7366cd2b0ed204c2580b34df18443f8bc58f215a45dbd9",
+        "build_ovote2": "6645f8275b3c347b2640eec12d20847ef886f8fead7b0473d84e008fa044a08e",
+        "build_ovote3": "1a5c76a3c5358c95f1fdf17b39e80973a76c978e49158c7343666d764329c0cc",
+        "build_ovote4": "1f75ec578a8c7683a4d6eeea91e7bdc8da6c297f2a11f1c04fd8966cfb78d2fd",
+    },
+    ("pc_opt", 7): {
+        "build_cvote1": "4141b99c3e3c84d38c30989de9519b9a05508ef5919e7567a672a2ad10e56101",
+        "build_oqc1": "bfe7ab8e6c97f2c3a8a9851445852ab16969cfed9341694b5e0a4a5e46ba1966",
+        "build_oqc2": "a5de7dac93d2bfce8b7288f1a91e47bc9e8c34059bd91ac1aa4f2fe8d211ca92",
+        "build_oqc3": "6ce8885a47939066eeae8f3456c3ceb80edd389950faf25ab2e8cd2aa426bfb6",
+        "build_oqc4": "83d593d703cdc39a10758fabb087dc7fa1f9100eac64e373a6f7223f003a4752",
+        "build_ovote2": "c24346f2c9122ad2607ffe459616b08f52ad26f2b461336d537bc006cda445e4",
+        "build_ovote3": "47324af2cdd12692296d8396fd20a4344c71375bda6953740d078073fc143f6f",
+        "build_ovote4": "d6dad7dad89f84fa85722d758726b9874f0dd41ad6fbfe4e5adf1d279369cf00",
+    },
+}
+
+
+def _compact_digests(protocol, n):
+    """Per builder, SHA-256 over ``wire.encode`` of its output for every
+    certificate the honest parties formed and every vote in it.  Two
+    jittered runs with an equivocating party reach divergence witnesses
+    and chains whose shortest and longest votes differ; a unanimous run
+    reaches full-length anchors and common prefixes."""
+    from prefixsim.scenario import VARIANTS, run_scenario
+
+    f = (n - 1) // 3
+    cfg = PcConfig(n, f, n, VARIANTS[protocol], ("scn", protocol))
+    scheme = MacScheme(n)
+    builders = _COMPACT_BUILDERS[protocol]
+    hashes = {}
+    for seed, inputs in ((5, "random"), (8, "random"), (1, "unanimous")):
+        result = run_scenario({
+            "version": 1, "protocol": protocol, "n": n, "f": f, "L": n, "gst": None, "seed": seed,
+            "inputs": {"kind": inputs}, "adversary": {"kind": "equivocate", "byzantine": [n - 1], "jitter": 5},
+        })
+        for party in result.honest:
+            for r, qc in sorted(result.sim.engines[party].own_qcs.items()):
+                for fn, objs in ((builders["qcs"][r], (qc,)), (builders["votes"][r], qc.votes)):
+                    h = hashes.setdefault(fn.__name__, hashlib.sha256())
+                    for obj in objs:
+                        h.update(wire.encode(fn(obj, cfg, scheme)))
+    return {name: h.hexdigest() for name, h in hashes.items()}
+
+
+@pytest.mark.parametrize("protocol, n", sorted(_COMPACT_PINS))
+def test_compact_encoding_pins(protocol, n):
+    assert _compact_digests(protocol, n) == _COMPACT_PINS[(protocol, n)]
