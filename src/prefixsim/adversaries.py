@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
 from . import crypto, msc, spc
 from .crypto import Scheme
@@ -44,27 +44,23 @@ def _delay_table(stretch: int, grain: int) -> Tuple[Fraction, ...]:
 
 
 class JitteredDelays(Adversary):
-    """Random finite link delays pre-GST (the schedule-fuzzing mode).
+    """Random finite link delays (the schedule-fuzzing mode).
 
-    Post-GST (or when the policy has no GST) honest links fall back to
-    the policy, which caps them; pre-GST every link gets a fractional
-    delay drawn from ``[1, stretch]``, randomizing delivery order.
+    Every link, before and after GST, gets a delay drawn from
+    ``[1, stretch]`` in steps of ``1/grain``, randomizing delivery order.
+    After GST the simulator caps honest links at the policy's bound
+    (``max(send, gst) + cap``), so a long draw there is cut short.
     """
 
     name = "fuzz"
 
-    def __init__(self, byzantine=(), stretch: int = 6, grain: int = 16, always: bool = True):
+    def __init__(self, byzantine=(), stretch: int = 6, grain: int = 16):
         super().__init__(byzantine)
         self.stretch = stretch
         self.grain = grain
-        self.always = always
         self._delays = _delay_table(stretch, grain)
 
     def pick_delay(self, rng, sender, receiver, t):
-        if not self.always:
-            gst = self.sim.policy.gst
-            if gst is not None and t >= gst:
-                return None
         return self._delays[rng.randint(self.grain, self.stretch * self.grain)]
 
 
@@ -111,13 +107,13 @@ class Suspender(Adversary):
 
 
 class Censor(Adversary):
-    """Engine-backed: reveal selected message kinds to a subset only.
+    """Engine-backed: reveal slot proposals to a subset only.
 
     ``reveal[party]`` is the receiver set that still gets the party's
-    proposals (or new-view objects); everyone else is starved.  This is
-    the canonical censorship strategy: the starved parties disagree with
-    the fed ones at the censor's coordinate, the agreed prefix stops
-    there, and the ranking update demotes the censor.
+    proposals; everyone else is starved.  This is the canonical
+    censorship strategy: the starved parties disagree with the fed ones
+    at the censor's coordinate, the agreed prefix stops there, and the
+    ranking update demotes the censor.
     """
 
     name = "censor"
@@ -125,27 +121,19 @@ class Censor(Adversary):
     def __init__(
         self,
         reveal: Dict[int, Iterable[int]],
-        kinds=(msc.Proposal,),
-        from_slot: int = 1,
         lag_victims: Iterable[int] = (),
         lag: Time = 0,
     ):
         super().__init__(reveal.keys())
         self.reveal = {p: frozenset(r) for p, r in reveal.items()}
-        self.kinds = tuple(kinds)
-        self.from_slot = from_slot
         # Lagging the censor's protocol votes toward the starved parties
         # lets their quorums form from honest votes first, which is what
         # actually shortens the agreed prefix and triggers the demotion.
         self.lag_victims = frozenset(lag_victims)
         self.lag = lag
 
-    def _applies(self, msg) -> bool:
-        inner = innermost(msg)
-        return isinstance(inner, self.kinds) and getattr(inner, "slot", self.from_slot) >= self.from_slot
-
     def on_send(self, party, msg, receivers):
-        if self._applies(msg):
+        if isinstance(innermost(msg), msc.Proposal):
             allowed = self.reveal[party]
             return [(dest, msg, None) for dest in receivers if dest in allowed]
         return [
@@ -161,18 +149,11 @@ class Equivocate(Adversary):
 
     name = "equivocate"
 
-    def __init__(self, byzantine, scheme: Scheme, split=None, lag_victims: Iterable[int] = (), lag: Time = 0):
+    def __init__(self, byzantine, scheme: Scheme, lag_victims: Iterable[int] = (), lag: Time = 0):
         super().__init__(byzantine)
         self.ring = scheme.restricted(self.byzantine)
-        self.split = split  # receivers -> (groupA, groupB)
         self.lag_victims = frozenset(lag_victims)
         self.lag = lag
-
-    def _groups(self, receivers):
-        if self.split is not None:
-            return self.split(receivers)
-        half = len(receivers) // 2
-        return receivers[:half], receivers[half:]
 
     def on_send(self, party, msg, receivers):
         alt = self._variant(party, msg)
@@ -181,8 +162,8 @@ class Equivocate(Adversary):
                 (dest, msg, self.lag if self.lag and dest in self.lag_victims else None)
                 for dest in receivers
             ]
-        group_a, group_b = self._groups(receivers)
-        return [(dest, msg, None) for dest in group_a] + [(dest, alt, None) for dest in group_b]
+        half = len(receivers) // 2
+        return [(dest, msg, None) for dest in receivers[:half]] + [(dest, alt, None) for dest in receivers[half:]]
 
     def _variant(self, party, msg):
         if isinstance(msg, msc.Proposal):
@@ -199,17 +180,17 @@ class Equivocate(Adversary):
 class SplitView(Adversary):
     """Scripted strong-consensus attack: the Byzantine party withholds
     its own view-entry object, then relays two different valid
-    certificates to two victims and nothing to the rest.  With the
-    Byzantine party ranked first, the victims' instance inputs conflict
-    at position one, the view agrees on the empty prefix, and the
-    protocol advances by skip certificates instead."""
+    certificates to two victims (the first two honest parties) and
+    nothing to the rest.  With the Byzantine party ranked first, the
+    victims' instance inputs conflict at position one, the view agrees
+    on the empty prefix, and the protocol advances by skip certificates
+    instead."""
 
     name = "split-view"
 
-    def __init__(self, byzantine, view: int = 2, targets: Optional[Tuple[int, int]] = None):
+    def __init__(self, byzantine, view: int = 2):
         super().__init__(byzantine)
         self.view = view
-        self.targets = targets
         self._seen: Dict[int, list] = {p: [] for p in self.byzantine}
         self._done: set = set()
 
@@ -226,9 +207,8 @@ class SplitView(Adversary):
         if len(seen) >= 2:
             self._done.add(party)
             honest = [p for p in range(self.sim.n) if p not in self.byzantine]
-            t1, t2 = self.targets or (honest[0], honest[1])
-            self.sim.byz_send(party, t1, rewrap(msg, seen[0]))
-            self.sim.byz_send(party, t2, rewrap(msg, seen[1]))
+            self.sim.byz_send(party, honest[0], rewrap(msg, seen[0]))
+            self.sim.byz_send(party, honest[1], rewrap(msg, seen[1]))
         return False
 
 
@@ -260,13 +240,14 @@ class DoctoredProofs(Adversary):
     """Engine-backed: behaves honestly, additionally floods honest
     parties with corrupted commit/skip evidence -- wrong values under a
     valid proof, proofs with a flipped signature byte, and swapped
-    low/high claims.  Honest predicates must reject every one."""
+    low/high claims.  Honest predicates must reject every one.  The
+    first ``LIMIT`` commits it sees are doctored."""
 
     name = "doctored-proofs"
+    LIMIT = 4
 
-    def __init__(self, byzantine, limit: int = 4):
+    def __init__(self, byzantine):
         super().__init__(byzantine)
-        self.limit = limit
         self.injected = 0
 
     def _corrupt_qc(self, proof):
@@ -279,7 +260,7 @@ class DoctoredProofs(Adversary):
 
     def on_deliver(self, party, sender, msg):
         inner = innermost(msg)
-        if isinstance(inner, spc.NewCommit) and self.injected < self.limit:
+        if isinstance(inner, spc.NewCommit) and self.injected < self.LIMIT:
             self.injected += 1
             wrong_value = spc.NewCommit(inner.inst, inner.view, inner.value + (b"forged",), inner.proof)
             bad_proof = spc.NewCommit(inner.inst, inner.view, inner.value, self._corrupt_qc(inner.proof))
@@ -296,17 +277,16 @@ class Composite(Adversary):
 
     name = "composite"
 
-    def __init__(self, behaviour: Adversary, jitter: Optional[JitteredDelays] = None):
+    def __init__(self, behaviour: Adversary, jitter: JitteredDelays):
         super().__init__(behaviour.byzantine)
         self.behaviour = behaviour
         self.jitter = jitter
-        self.grain = math.lcm(behaviour.grain, jitter.grain if jitter is not None else 1)
+        self.grain = math.lcm(behaviour.grain, jitter.grain)
 
     def attach(self, sim):
         super().attach(sim)
         self.behaviour.attach(sim)
-        if self.jitter is not None:
-            self.jitter.attach(sim)
+        self.jitter.attach(sim)
 
     def engine_for(self, party, build):
         return self.behaviour.engine_for(party, build)
@@ -321,9 +301,7 @@ class Composite(Adversary):
         return self.behaviour.on_deliver(party, sender, msg)
 
     def pick_delay(self, rng, sender, receiver, t):
-        if self.jitter is not None:
-            return self.jitter.pick_delay(rng, sender, receiver, t)
-        return self.behaviour.pick_delay(rng, sender, receiver, t)
+        return self.jitter.pick_delay(rng, sender, receiver, t)
 
     def suspended_until(self, party, t):
         return self.behaviour.suspended_until(party, t)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List
 
-from . import crypto
 from .msc import update_rank
 from .pc import PcConfig, Variant, predicate_high, predicate_low
 from .prefixes import consistent, is_prefix, mcp
@@ -37,7 +36,29 @@ def _outputs(metrics, honest, kind):
     return out
 
 
-def pc_violations(cfg: PcConfig, scheme, inputs, honest, metrics, check_consistency=None) -> List[Violation]:
+def _prefix_violations(inputs, honest, lows, highs, groups) -> List[Violation]:
+    """Validity and upper bound of the honest lows, and availability of
+    each ``(name, outputs)`` group: every element of an output is some
+    honest input's element at the same index."""
+    bad: List[Violation] = []
+    honest_inputs = [tuple(inputs[p]) for p in honest]
+    common = mcp(honest_inputs)
+    for i, (low, _, _) in lows.items():
+        if not is_prefix(common, low):
+            bad.append(Violation("validity", f"low of {i} does not extend the honest common prefix"))
+        for j, (high, _, _) in highs.items():
+            if not is_prefix(low, high):
+                bad.append(Violation("upper-bound", f"low of {i} not a prefix of high of {j}"))
+    for name, group in groups:
+        for p, (value, _, _) in group.items():
+            for k in range(len(value)):
+                if not any(len(vec) > k and vec[k] == value[k] for vec in honest_inputs):
+                    bad.append(Violation("availability", f"{name} of {p} index {k} matches no honest input"))
+                    break
+    return bad
+
+
+def pc_violations(cfg: PcConfig, scheme, inputs, honest, metrics) -> List[Violation]:
     """Core prefix-consensus invariants plus verifiable-proof soundness."""
     bad: List[Violation] = []
     lows = _outputs(metrics, honest, "low")
@@ -48,30 +69,13 @@ def pc_violations(cfg: PcConfig, scheme, inputs, honest, metrics, check_consiste
             bad.append(Violation("termination", f"party {p} missing outputs"))
     if not lows or not highs:
         return bad
-    honest_inputs = [tuple(inputs[p]) for p in honest]
-    common = mcp(honest_inputs)
-    for i, (low, _, _) in lows.items():
-        if not is_prefix(common, low):
-            bad.append(Violation("validity", f"low of {i} does not extend the honest common prefix"))
-        for j, (high, _, _) in highs.items():
-            if not is_prefix(low, high):
-                bad.append(Violation("upper-bound", f"low of {i} not a prefix of high of {j}"))
-    if check_consistency is None:
-        check_consistency = cfg.variant is not Variant.OPTIMISTIC
-    if check_consistency:
+    bad += _prefix_violations(inputs, honest, lows, highs, (("low", lows), ("high", highs), ("opt", opts)))
+    if cfg.variant is not Variant.OPTIMISTIC:
         items = list(highs.items())
         for a in range(len(items)):
             for b in range(a + 1, len(items)):
                 if not consistent(items[a][1][0], items[b][1][0]):
                     bad.append(Violation("consistency", f"highs of {items[a][0]} and {items[b][0]} conflict"))
-    for name, group in (("low", lows), ("high", highs), ("opt", opts)):
-        for p, (value, _, _) in group.items():
-            for k in range(len(value)):
-                if not any(len(vec) > k and vec[k] == value[k] for vec in honest_inputs):
-                    bad.append(
-                        Violation("availability", f"{name} of {p} index {k} matches no honest input")
-                    )
-                    break
     if cfg.variant is Variant.OPTIMISTIC:
         for p, (opt, _, _) in opts.items():
             if p in lows and not is_prefix(opt, lows[p][0]):
@@ -109,20 +113,7 @@ def spc_violations(sim, inputs, honest, metrics) -> List[Violation]:
     values = {v for v, _, _ in highs.values()}
     if len(values) > 1:
         bad.append(Violation("agreement", f"{len(values)} distinct high outputs"))
-    honest_inputs = [tuple(inputs[p]) for p in honest]
-    common = mcp(honest_inputs)
-    for i, (low, _, _) in lows.items():
-        if not is_prefix(common, low):
-            bad.append(Violation("validity", f"low of {i} does not extend the honest common prefix"))
-        for j, (high, _, _) in highs.items():
-            if not is_prefix(low, high):
-                bad.append(Violation("upper-bound", f"low of {i} not a prefix of high of {j}"))
-    for name, group in (("low", lows), ("high", highs)):
-        for p, (value, _, _) in group.items():
-            for k in range(len(value)):
-                if not any(len(vec) > k and vec[k] == value[k] for vec in honest_inputs):
-                    bad.append(Violation("availability", f"{name} of {p} index {k} unsupported"))
-                    break
+    bad += _prefix_violations(inputs, honest, lows, highs, (("low", lows), ("high", highs)))
     bad.extend(spc_skip_conservatism(sim, honest))
     return bad
 

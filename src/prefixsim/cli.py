@@ -102,13 +102,22 @@ def _fit_exponent(ns: List[int], ys: List[float]) -> float:
     return num / den
 
 
-def sweep_rows(template: dict, ns: List[int], scale_L: bool = True) -> List[dict]:
+def _n_values(text: str) -> List[int]:
+    """``--ns``: comma-separated integers, two distinct ones at least so
+    that the exponents can be fitted (a bad value is a usage error)."""
+    ns = [int(x) for x in text.split(",")]
+    if len(set(ns)) < 2:
+        raise argparse.ArgumentTypeError("at least two distinct n values required")
+    return ns
+
+
+def sweep_rows(template: dict, ns: List[int]) -> List[dict]:
     rows = []
     for n in ns:
         scn = dict(template)
         scn["n"] = n
         scn["f"] = (n - 1) // 3
-        if scale_L and "L" in scn:
+        if "L" in scn:
             scn["L"] = n
         result = run_scenario(scn)
         if result.violations:
@@ -130,15 +139,16 @@ def cmd_sweep(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"scenario: unreadable ({exc})", file=sys.stderr)
         return EXIT_SCHEMA
-    ns = [int(x) for x in args.ns.split(",")]
+    ns = args.ns
     if args.codec is not None:
         template["codec"] = args.codec
     template["measure_bytes"] = True
-    errors = scn_mod.validate(scn_mod._with_defaults({**template, "n": ns[0], "f": (ns[0] - 1) // 3}))
-    if errors:
+    for n in ns:
+        errors = scn_mod.validate(scn_mod._with_defaults({**template, "n": n, "f": (n - 1) // 3}))
         for path, msg in errors:
-            print(f"scenario.{path}: {msg}", file=sys.stderr)
-        return EXIT_SCHEMA
+            print(f"scenario.{path}: {msg} (n={n})", file=sys.stderr)
+        if errors:
+            return EXIT_SCHEMA
     try:
         rows = sweep_rows(template, ns)
     except ScenarioError as exc:
@@ -325,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run a template across n values")
     p_sweep.add_argument("--scenario", required=True)
-    p_sweep.add_argument("--ns", default="4,7,10")
+    p_sweep.add_argument("--ns", type=_n_values, default="4,7,10")
     p_sweep.add_argument("--codec", choices=["plain", "compact"])
     p_sweep.add_argument("--out")
     p_sweep.set_defaults(fn=cmd_sweep)

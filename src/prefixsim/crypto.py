@@ -31,12 +31,7 @@ VOTE1 = "vote-1"
 VOTE2 = "vote-2"
 VOTE3 = "vote-3"
 VOTE4 = "vote-4"
-NEW_VIEW = "new-view"
 EMPTY_VIEW = "empty-view"
-NEW_COMMIT = "new-commit"
-PROPOSAL = "proposal"
-
-KINDS = (VOTE1, VOTE2, VOTE3, VOTE4, NEW_VIEW, EMPTY_VIEW, NEW_COMMIT, PROPOSAL)
 
 DIGEST_SIZE = 16
 

@@ -91,11 +91,11 @@ class GradedEngine:
 class PcFromGradedEngine:
     """Consistent prefix consensus rebuilt from L parallel graded lanes."""
 
-    def __init__(self, n: int, f: int, L: int, party: int, scheme: Scheme, instance: tuple = ("pcg",)):
+    def __init__(self, n: int, f: int, L: int, party: int, scheme: Scheme):
         self.L = L
         self.lanes = Host(
-            instance,
-            lambda k: GradedEngine(n, f, party, scheme, instance + ("lane", k)),
+            ("pcg",),
+            lambda k: GradedEngine(n, f, party, scheme, ("pcg", "lane", k)),
             self._lane_output,
             stop=L,
         )
@@ -129,8 +129,8 @@ class PcFromGradedEngine:
 class BinaryEngine:
     """Binary consensus: the strong layer on a one-bit vector."""
 
-    def __init__(self, n: int, f: int, delta_cap, party: int, scheme: Scheme, instance: tuple = ("binary",)):
-        self.inner = SpcEngine(SpcConfig(n, f, 1, delta_cap, instance), party, scheme)
+    def __init__(self, n: int, f: int, delta_cap, party: int, scheme: Scheme):
+        self.inner = SpcEngine(SpcConfig(n, f, 1, delta_cap, ("binary",)), party, scheme)
         self.decided = False
 
     @property
@@ -166,6 +166,8 @@ class ValidatedEngine:
     """Validated consensus: disseminate inputs, agree on the collected
     vector, decide the first entry the predicate accepts."""
 
+    instance = ("validated",)
+
     def __init__(
         self,
         n: int,
@@ -174,13 +176,11 @@ class ValidatedEngine:
         party: int,
         scheme: Scheme,
         validator: Optional[Callable[[bytes], bool]] = None,
-        instance: tuple = ("validated",),
     ):
         self.n = n
-        self.instance = instance
         self.party = party
         self.validator = validator or (lambda payload: len(payload) > 0)
-        self.inner = SpcEngine(SpcConfig(n, f, n, delta_cap, instance + ("spc",)), party, scheme)
+        self.inner = SpcEngine(SpcConfig(n, f, n, delta_cap, self.instance + ("spc",)), party, scheme)
         self.delta_cap = delta_cap
         self.buffer: Dict[int, bytes] = {}
         self.started = False

@@ -43,10 +43,6 @@ def is_prefix(shorter: Sequence, longer: Sequence) -> bool:
     return tuple(longer[: len(shorter)]) == tuple(shorter)
 
 
-def is_strict_prefix(shorter: Sequence, longer: Sequence) -> bool:
-    return len(shorter) < len(longer) and is_prefix(shorter, longer)
-
-
 def consistent(a: Sequence, b: Sequence) -> bool:
     """True iff one vector is a prefix of the other."""
     if len(a) <= len(b):

@@ -99,7 +99,7 @@ def validate(scn: dict) -> List[Tuple[str, str]]:
         if isinstance(n, int):
             need("adversary.byzantine", all(isinstance(p, int) and 0 <= p < n for p in members),
                  "party ids out of range")
-        for name, least in (("lag", 0), ("round_len", 1), ("stretch", 1), ("jitter", 1)):
+        for name, least in (("lag", 0), ("round_len", 1), ("stretch", 1), ("jitter", 1), ("view", 1)):
             if name in adv:
                 val = adv[name]
                 need(f"adversary.{name}", isinstance(val, int) and val >= least,
@@ -115,7 +115,44 @@ def validate(scn: dict) -> List[Tuple[str, str]]:
     rank0 = scn.get("rank0")
     if rank0 is not None and isinstance(n, int):
         need("rank0", _party_ids(rank0) and sorted(rank0) == list(range(n)), "must be a permutation of the parties")
-    return errors
+    need("seed", isinstance(scn.get("seed", DEFAULTS["seed"]), int), "integer required")
+    return errors + _input_errors(scn.get("inputs", DEFAULTS["inputs"]), protocol, n, scn.get("L"))
+
+
+def _input_errors(spec, protocol, n, L) -> List[Tuple[str, str]]:
+    """Schema errors of an ``inputs`` spec, for each field that
+    ``make_inputs`` or ``msc_payload_fn`` reads."""
+    if not isinstance(spec, dict):
+        return [("inputs", "object required")]
+    kind = spec.get("kind", "random")
+    alphabet = spec.get("alphabet", 1)
+    payloads = spec.get("payloads", [])
+    checks = [
+        ("kind", kind in ("random", "unanimous", "explicit"), "random, unanimous or explicit"),
+        ("seed", isinstance(spec.get("seed", 0), int), "integer required"),
+        ("alphabet", isinstance(alphabet, int) and 1 <= alphabet <= 26, "integer from 1 to 26 required"),
+        ("payloads", protocol != "msc" or (isinstance(payloads, list) and all(isinstance(r, list) for r in payloads)),
+         "list of per-slot lists required"),
+    ]
+    # Per protocol: the explicit-input field, the check of one of its
+    # entries, and the check of a unanimous value.
+    text = lambda v: isinstance(v, str)
+    bit = lambda v: isinstance(v, int) and v in (0, 1)
+    vector = lambda v: isinstance(v, list) and len(v) == L and all(map(text, v))
+    shape = {
+        "graded": ("values", text, "strings", text, "string"),
+        "binary": ("bits", bit, "bits (0 or 1)", bit, "0 or 1"),
+        "vector": ("vectors", vector, f"lists of {L} strings", text, "string"),
+    }.get("vector" if protocol in VARIANTS or protocol == "spc" else protocol)
+    if shape is not None:
+        field, entry_ok, entries_what, value_ok, value_what = shape
+        entries = spec.get(field)
+        checks += [
+            ("value", kind != "unanimous" or "value" not in spec or value_ok(spec["value"]), f"{value_what} required"),
+            (field, kind != "explicit" or (isinstance(entries, list) and len(entries) == n and all(map(entry_ok, entries))),
+             f"list of {n} {entries_what} required, one per party"),
+        ]
+    return [(f"inputs.{path}", msg) for path, ok, msg in checks if not ok]
 
 
 def _party_ids(value) -> bool:
@@ -154,12 +191,12 @@ def build_adversary(scn: dict, scheme: Scheme) -> Adversary:
     spec = scn["adversary"]
     kind = spec.get("kind", "none")
     byz = spec.get("byzantine", [])
+    reveal = {int(p): set(r) for p, r in spec.get("reveal", {}).items()}
     if kind == "none":
         adv = Adversary()
     elif kind == "silent":
         adv = adversaries.Silent(byzantine=byz)
     elif kind == "censor":
-        reveal = {int(p): set(r) for p, r in spec.get("reveal", {}).items()}
         adv = adversaries.Censor(
             reveal,
             lag_victims=spec.get("lag_victims", ()),
@@ -174,7 +211,6 @@ def build_adversary(scn: dict, scheme: Scheme) -> Adversary:
     elif kind == "split_view":
         adv = adversaries.SplitView(byzantine=byz, view=spec.get("view", 2))
     elif kind == "withhold_body":
-        reveal = {int(p): set(r) for p, r in spec.get("reveal", {}).items()}
         adv = adversaries.WithholdBody(reveal)
     elif kind == "doctored":
         adv = adversaries.DoctoredProofs(byzantine=byz)
@@ -183,10 +219,8 @@ def build_adversary(scn: dict, scheme: Scheme) -> Adversary:
     elif kind == "delayer":
         links = [tuple(l) for l in spec.get("links", [])]
         adv = adversaries.Delayer(links, stretch=spec.get("stretch", 8), byzantine=byz)
-    elif kind == "fuzz":
+    else:  # fuzz: validate admits no other kind
         adv = adversaries.JitteredDelays(byzantine=byz, stretch=spec.get("stretch", 6))
-    else:
-        raise ScenarioError([("adversary.kind", f"unknown {kind}")])
     jitter = spec.get("jitter")
     if jitter and kind != "fuzz":
         adv = adversaries.Composite(adv, adversaries.JitteredDelays(stretch=jitter))
@@ -227,9 +261,7 @@ def make_inputs(scn: dict) -> list:
         return [rng.randrange(2) for _ in range(n)]
     if protocol == "validated":
         return [b"payload-%d-%d" % (p, scn["seed"]) for p in range(n)]
-    if protocol == "msc":
-        return [None] * n
-    raise ScenarioError([("protocol", "unhandled input kind")])
+    return [None] * n  # msc: payloads come from msc_payload_fn
 
 
 def msc_payload_fn(scn: dict) -> Callable[[int, int], bytes]:
@@ -323,10 +355,8 @@ def run_scenario(scn: dict, record: bool = False) -> RunResult:
         build = lambda p: GradedEngine(n, f, p, scheme)
     elif protocol == "binary":
         build = lambda p: BinaryEngine(n, f, scn["delta_cap"], p, scheme)
-    elif protocol == "validated":
+    else:  # validated: validate admits no other protocol
         build = lambda p: ValidatedEngine(n, f, scn["delta_cap"], p, scheme)
-    else:
-        raise ScenarioError([("protocol", "unreachable")])
 
     sim = Simulation(
         n, build, adversary=adversary, policy=policy, seed=seed,

@@ -71,12 +71,21 @@ with aggregated signatures plus compressed per-signer descriptors:
   shortest and longest values with their evidence plus per-signer
   logical lengths.
 
+Three constructions are shared: prefix-signature votes (``CVote1``,
+``CVote2``, ``OVote2``), a quorum's common prefix with its
+multi-signature and divergence witnesses (``CQC2``, the common part of
+``OQC1``), and the ``ChainQC`` of pc3 round 3 and optimistic rounds 2
+and 4.
+
 Vectors inside compact structures are padded with BOT to the instance
-capacity ``L``; logical values ignore the padding.  Every verifier
-returns ``(ok, reason)`` and re-derives the certified values from the
-signed material, so a compact certificate certifies exactly what the
-plain vote-set certification computes (checked end-to-end by
-:func:`equivalence_harness`).
+capacity ``L``; logical values ignore the padding.  Every certificate
+verifier returns ``(ok, reason)`` and re-derives the certified values
+from the signed material, so a compact certificate certifies exactly
+what the plain vote-set certification computes (checked end-to-end by
+:func:`equivalence_harness`).  Compact forms are only measured
+(``CompactCodec``); engines receive plain votes, so compact votes have
+no receive path and no verifier, except ``verify_cvote1`` for the
+round-1 prefix signatures.
 """
 
 from __future__ import annotations
@@ -488,10 +497,16 @@ class OVote4:
 # Builders (plain -> compact)
 
 
-def build_cvote1(vote: Vote, cfg: PcConfig, scheme: Scheme) -> CVote1:
+def _prefix_sig_vote(cls, kind: str, vote: Vote, cfg: PcConfig, scheme: Scheme, *rest):
+    """A ``cls`` vote carrying the sender's ``kind`` signatures on every
+    prefix of its padded value, followed by ``rest``."""
     padded = pad(vote.value, cfg.L)
-    sigs = prefix_signatures(scheme, vote.sender, crypto.VOTE1, cfg.instance, padded)
-    return CVote1(cfg.instance, vote.sender, padded, sigs)
+    sigs = prefix_signatures(scheme, vote.sender, kind, cfg.instance, padded)
+    return cls(cfg.instance, vote.sender, padded, sigs, *rest)
+
+
+def build_cvote1(vote: Vote, cfg: PcConfig, scheme: Scheme) -> CVote1:
+    return _prefix_sig_vote(CVote1, crypto.VOTE1, vote, cfg, scheme)
 
 
 def _desc_for(vote_padded: Vector, certified_padded: Vector, L: int):
@@ -525,54 +540,67 @@ def _multi_blob(scheme: Scheme, kind: str, instance: tuple, signers, message: Ve
     return b"".join(scheme.sign_vector(party, kind, instance, message).blob for party in signers)
 
 
-def build_cqc2(qc: QC, cfg: PcConfig, scheme: Scheme) -> CQC2:
+def _common_prefix(qc: QC, cfg: PcConfig, scheme: Scheme, kind: str, witness_qc: Callable):
+    """A quorum's padded common prefix, its signers, their ``kind``
+    multi-signature over it and, unless the prefix fills the capacity,
+    two ``Witness2`` whose certificate is ``witness_qc(vote)``."""
     padded = [pad(v.value, cfg.L) for v in qc.votes]
-    first = padded[0]
-    cut = min((_pmcp_len(first, p) for p in padded), default=cfg.L)
-    common = first[:cut]
+    cut = min(_pmcp_len(padded[0], p) for p in padded)
+    common = padded[0][:cut] + (BOT,) * (cfg.L - cut)
     signers = tuple(sorted(v.sender for v in qc.votes))
-    blob = _multi_blob(scheme, crypto.VOTE2, cfg.instance, signers, strip(common))
+    blob = _multi_blob(scheme, kind, cfg.instance, signers, strip(common))
     if cut == cfg.L:
-        return CQC2(cfg.instance, common, signers, blob, build_cqc1(qc.votes[0].qcs[0], cfg, scheme), None)
+        return common, signers, blob, None
     by_elem: Dict[object, Vote] = {}
     for vote, vpad in zip(qc.votes, padded):
         by_elem.setdefault(vpad[cut], vote)
-    (e1, v1), (e2, v2) = list(by_elem.items())[:2]
     wits = []
-    for elem, vote in ((e1, v1), (e2, v2)):
-        vpad = pad(vote.value, cfg.L)
-        sig = scheme.sign_vector(vote.sender, crypto.VOTE2, cfg.instance, _prefix_msg(vpad, cut + 1))
-        wits.append(Witness2(vote.sender, elem, sig, build_cqc1(vote.qcs[0], cfg, scheme)))
-    return CQC2(cfg.instance, common + (BOT,) * (cfg.L - cut), signers, blob, None, tuple(wits))
+    for elem, vote in list(by_elem.items())[:2]:
+        sig = scheme.sign_vector(vote.sender, kind, cfg.instance, _prefix_msg(pad(vote.value, cfg.L), cut + 1))
+        wits.append(Witness2(vote.sender, elem, sig, witness_qc(vote)))
+    return common, signers, blob, tuple(wits)
+
+
+def build_cqc2(qc: QC, cfg: PcConfig, scheme: Scheme) -> CQC2:
+    common, signers, blob, wits = _common_prefix(
+        qc, cfg, scheme, crypto.VOTE2, lambda vote: build_cqc1(vote.qcs[0], cfg, scheme)
+    )
+    anchor = build_cqc1(qc.votes[0].qcs[0], cfg, scheme) if wits is None else None
+    return CQC2(cfg.instance, common, signers, blob, anchor, wits)
 
 
 def build_cvote2(vote: Vote, cfg: PcConfig, scheme: Scheme) -> CVote2:
-    padded = pad(vote.value, cfg.L)
-    sigs = prefix_signatures(scheme, vote.sender, crypto.VOTE2, cfg.instance, padded)
-    return CVote2(cfg.instance, vote.sender, padded, sigs, build_cqc1(vote.qcs[0], cfg, scheme))
+    return _prefix_sig_vote(CVote2, crypto.VOTE2, vote, cfg, scheme, build_cqc1(vote.qcs[0], cfg, scheme))
 
 
-def _chain_parts(qc: QC, cfg: PcConfig):
+def _extremes(qc: QC):
+    """A quorum's shortest and longest votes, and its votes by sender."""
     shortest = min(qc.votes, key=lambda v: len(v.value))
     longest = max(qc.votes, key=lambda v: len(v.value))
-    entries = sorted(qc.votes, key=lambda v: v.sender)
-    return shortest, longest, entries
+    return shortest, longest, sorted(qc.votes, key=lambda v: v.sender)
 
 
-def build_cqc3(qc: QC, cfg: PcConfig, scheme: Scheme) -> ChainQC:
-    shortest, longest, entries = _chain_parts(qc, cfg)
+def _build_chain(qc: QC, cfg: PcConfig, scheme: Scheme, kind: str, build_ev: Callable) -> ChainQC:
+    """The ``ChainQC`` of a quorum of ``kind`` votes whose values are
+    mutually consistent; ``build_ev`` builds each extreme's evidence from
+    its vote's certificate."""
+    shortest, longest, entries = _extremes(qc)
     return ChainQC(
         cfg.instance,
-        3,
-        crypto.VOTE3,
+        qc.round,
+        kind,
         pad(shortest.value, cfg.L),
-        build_cqc2(shortest.qcs[0], cfg, scheme),
+        build_ev(shortest.qcs[0], cfg, scheme),
         pad(longest.value, cfg.L),
-        build_cqc2(longest.qcs[0], cfg, scheme),
+        build_ev(longest.qcs[0], cfg, scheme),
         tuple(v.sender for v in entries),
         tuple(len(v.value) for v in entries),
         b"".join(v.sig.blob for v in entries),
     )
+
+
+def build_cqc3(qc: QC, cfg: PcConfig, scheme: Scheme) -> ChainQC:
+    return _build_chain(qc, cfg, scheme, crypto.VOTE3, build_cqc2)
 
 
 def build_cvote3(vote: Vote, cfg: PcConfig, scheme: Scheme) -> CVote3:
@@ -584,45 +612,16 @@ def build_cvote3(vote: Vote, cfg: PcConfig, scheme: Scheme) -> CVote3:
 
 def build_oqc1(qc: QC, cfg: PcConfig, scheme: Scheme) -> OQC1:
     xpart = build_cqc1(qc, cfg, scheme)
-    padded = [pad(v.value, cfg.L) for v in qc.votes]
-    cut = min(_pmcp_len(padded[0], p) for p in padded)
-    common = padded[0][:cut] + (BOT,) * (cfg.L - cut)
-    signers = tuple(sorted(v.sender for v in qc.votes))
-    blob = _multi_blob(scheme, crypto.VOTE1, cfg.instance, signers, strip(common))
-    wits = None
-    if cut < cfg.L:
-        by_elem: Dict[object, Vote] = {}
-        for vote, vpad in zip(qc.votes, padded):
-            by_elem.setdefault(vpad[cut], vote)
-        pair = []
-        for elem, vote in list(by_elem.items())[:2]:
-            vpad = pad(vote.value, cfg.L)
-            sig = scheme.sign_vector(vote.sender, crypto.VOTE1, cfg.instance, _prefix_msg(vpad, cut + 1))
-            pair.append(Witness2(vote.sender, elem, sig, None))
-        wits = tuple(pair)
+    common, signers, blob, wits = _common_prefix(qc, cfg, scheme, crypto.VOTE1, lambda vote: None)
     return OQC1(cfg.instance, xpart, common, signers, blob, wits)
 
 
 def build_ovote2(vote: Vote, cfg: PcConfig, scheme: Scheme) -> OVote2:
-    padded = pad(vote.value, cfg.L)
-    sigs = prefix_signatures(scheme, vote.sender, crypto.VOTE2, cfg.instance, padded)
-    return OVote2(cfg.instance, vote.sender, padded, sigs, build_oqc1(vote.qcs[0], cfg, scheme))
+    return _prefix_sig_vote(OVote2, crypto.VOTE2, vote, cfg, scheme, build_oqc1(vote.qcs[0], cfg, scheme))
 
 
 def build_oqc2(qc: QC, cfg: PcConfig, scheme: Scheme) -> ChainQC:
-    shortest, longest, entries = _chain_parts(qc, cfg)
-    return ChainQC(
-        cfg.instance,
-        2,
-        crypto.VOTE2,
-        pad(shortest.value, cfg.L),
-        build_oqc1(shortest.qcs[0], cfg, scheme),
-        pad(longest.value, cfg.L),
-        build_oqc1(longest.qcs[0], cfg, scheme),
-        tuple(v.sender for v in entries),
-        tuple(len(v.value) for v in entries),
-        b"".join(v.sig.blob for v in entries),
-    )
+    return _build_chain(qc, cfg, scheme, crypto.VOTE2, build_oqc1)
 
 
 def build_ovote3(vote: Vote, cfg: PcConfig, scheme: Scheme) -> OVote3:
@@ -639,9 +638,7 @@ def build_ovote3(vote: Vote, cfg: PcConfig, scheme: Scheme) -> OVote3:
 
 def build_oqc3(qc: QC, cfg: PcConfig, scheme: Scheme) -> StemQC:
     stem = mcp(qc.values())
-    shortest = min(qc.votes, key=lambda v: len(v.value))
-    longest = max(qc.votes, key=lambda v: len(v.value))
-    entries = sorted(qc.votes, key=lambda v: v.sender)
+    shortest, longest, entries = _extremes(qc)
 
     def evidence(vote: Vote):
         qc1, qc2 = vote.qcs
@@ -663,19 +660,7 @@ def build_ovote4(vote: Vote, cfg: PcConfig, scheme: Scheme) -> OVote4:
 
 
 def build_oqc4(qc: QC, cfg: PcConfig, scheme: Scheme) -> ChainQC:
-    shortest, longest, entries = _chain_parts(qc, cfg)
-    return ChainQC(
-        cfg.instance,
-        4,
-        crypto.VOTE4,
-        pad(shortest.value, cfg.L),
-        build_oqc3(shortest.qcs[0], cfg, scheme),
-        pad(longest.value, cfg.L),
-        build_oqc3(longest.qcs[0], cfg, scheme),
-        tuple(v.sender for v in entries),
-        tuple(len(v.value) for v in entries),
-        b"".join(v.sig.blob for v in entries),
-    )
+    return _build_chain(qc, cfg, scheme, crypto.VOTE4, build_oqc3)
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +692,7 @@ def verify_cvote1(v: CVote1, cfg: PcConfig, scheme: Scheme):
     return True, ""
 
 
-def verify_cqc1(q: CQC1, cfg: PcConfig, scheme: Scheme, kind: str = crypto.VOTE1):
+def verify_cqc1(q: CQC1, cfg: PcConfig, scheme: Scheme):
     if q.inst != cfg.instance:
         return False, "instance"
     if not _padded_ok(q.value, cfg.L):
@@ -733,7 +718,7 @@ def verify_cqc1(q: CQC1, cfg: PcConfig, scheme: Scheme, kind: str = crypto.VOTE1
                 return False, f"descriptor {idx}: cut beyond certified prefix"
             truncated = strip(base + (elem,))
         sig = Signature(party, q.blob[idx * scheme.sig_size : (idx + 1) * scheme.sig_size])
-        if not scheme.verify_vector(party, kind, cfg.instance, truncated, sig):
+        if not scheme.verify_vector(party, crypto.VOTE1, cfg.instance, truncated, sig):
             return False, f"truncated-vote signature of {party}"
         reconstructed.append(truncated)
     if longest_supported_prefix(reconstructed, cfg.support) != strip(q.value):
@@ -741,9 +726,12 @@ def verify_cqc1(q: CQC1, cfg: PcConfig, scheme: Scheme, kind: str = crypto.VOTE1
     return True, ""
 
 
-def _verify_witnesses(q_value: Vector, witnesses, cfg: PcConfig, scheme: Scheme, kind: str, anchor_kind: str):
+def _verify_witnesses(q_value: Vector, witnesses, cfg: PcConfig, scheme: Scheme, kind: str,
+                      verify_qc: Optional[Callable], qc_value: Optional[Callable]):
     """Common divergence-proof checks; witnesses must extend the claimed
-    common prefix with two different next elements."""
+    common prefix with two different next elements.  ``verify_qc`` checks
+    each witness's certificate and ``qc_value`` reads the padded value it
+    certifies; without them the witness signatures alone suffice."""
     if len(witnesses) != 2:
         return False, "witness arity"
     w1, w2 = witnesses
@@ -758,19 +746,13 @@ def _verify_witnesses(q_value: Vector, witnesses, cfg: PcConfig, scheme: Scheme,
         claimed = strip(q_value[:cut] + (w.elem,))
         if not scheme.verify_vector(w.party, kind, cfg.instance, claimed, w.sig):
             return False, f"witness signature of {w.party}"
-        if anchor_kind == "cqc1":
-            ok, why = verify_cqc1(w.qc1, cfg, scheme)
-            if not ok:
-                return False, f"witness qc1: {why}"
-            if w.qc1.value[: cut + 1] != q_value[:cut] + (w.elem,):
-                return False, "witness qc1 does not certify the extension"
-        elif anchor_kind == "oqc1":
-            ok, why = verify_oqc1(w.qc1, cfg, scheme)
-            if not ok:
-                return False, f"witness qc1: {why}"
-            if w.qc1.common[: cut + 1] != q_value[:cut] + (w.elem,):
-                return False, "witness qc1 does not certify the extension"
-        # anchor_kind None: round-1 prefix signatures alone suffice.
+        if verify_qc is None:
+            continue
+        ok, why = verify_qc(w.qc1)
+        if not ok:
+            return False, f"witness qc1: {why}"
+        if qc_value(w.qc1)[: cut + 1] != q_value[:cut] + (w.elem,):
+            return False, "witness qc1 does not certify the extension"
     return True, ""
 
 
@@ -797,28 +779,20 @@ def verify_cqc2(q: CQC2, cfg: PcConfig, scheme: Scheme):
         if q.anchor.value != q.value:
             return False, "anchor does not certify the prefix"
         return True, ""
-    return _verify_witnesses(q.value, q.witnesses, cfg, scheme, crypto.VOTE2, "cqc1")
+    return _verify_witnesses(
+        q.value, q.witnesses, cfg, scheme, crypto.VOTE2,
+        lambda qc1: verify_cqc1(qc1, cfg, scheme) if isinstance(qc1, CQC1) else (False, "type"),
+        lambda qc1: qc1.value,
+    )
 
 
-def verify_cvote2(v: CVote2, cfg: PcConfig, scheme: Scheme):
-    if v.inst != cfg.instance:
-        return False, "instance"
-    if not _padded_ok(v.value, cfg.L):
-        return False, "value malformed"
-    if len(v.prefix_sigs) != cfg.L + 1:
-        return False, "prefix signature count"
-    for k, sig in enumerate(v.prefix_sigs):
-        if not scheme.verify_vector(v.sender, crypto.VOTE2, cfg.instance, _prefix_msg(v.value, k), sig):
-            return False, f"prefix signature {k}"
-    ok, why = verify_cqc1(v.qc1, cfg, scheme)
-    if not ok:
-        return False, f"qc1: {why}"
-    if v.qc1.value != v.value:
-        return False, "vote value not certified by qc1"
-    return True, ""
-
-
-def _verify_chain(q: ChainQC, cfg: PcConfig, scheme: Scheme, verify_ev: Callable, ev_value: Callable):
+def _verify_chain(q: ChainQC, cfg: PcConfig, scheme: Scheme, r: int, ev_type: type,
+                  verify_ev: Callable, ev_value: Callable):
+    """Check a round-``r`` ``ChainQC`` whose extremes' evidence is an
+    ``ev_type`` certificate, checked by ``verify_ev`` and read by
+    ``ev_value``."""
+    if q.round != r or q.kind != pc.VOTE_KIND[r]:
+        return False, "wrong round"
     if q.inst != cfg.instance:
         return False, "instance"
     if not _padded_ok(q.short, cfg.L) or not _padded_ok(q.long, cfg.L):
@@ -843,7 +817,7 @@ def _verify_chain(q: ChainQC, cfg: PcConfig, scheme: Scheme, verify_ev: Callable
     if max(q.lengths) != len(long_logical):
         return False, "claimed longest not maximal"
     for label, ev, expect in (("short", q.short_ev, short_logical), ("long", q.long_ev, long_logical)):
-        ok, why = verify_ev(ev)
+        ok, why = verify_ev(ev, cfg, scheme) if isinstance(ev, ev_type) else (False, "type")
         if not ok:
             return False, f"{label} evidence: {why}"
         if ev_value(ev) != expect:
@@ -852,28 +826,7 @@ def _verify_chain(q: ChainQC, cfg: PcConfig, scheme: Scheme, verify_ev: Callable
 
 
 def verify_cqc3(q: ChainQC, cfg: PcConfig, scheme: Scheme):
-    if q.round != 3 or q.kind != crypto.VOTE3:
-        return False, "wrong round"
-    return _verify_chain(
-        q, cfg, scheme,
-        lambda ev: verify_cqc2(ev, cfg, scheme) if isinstance(ev, CQC2) else (False, "type"),
-        lambda ev: strip(ev.value),
-    )
-
-
-def verify_cvote3(v: CVote3, cfg: PcConfig, scheme: Scheme):
-    if v.inst != cfg.instance:
-        return False, "instance"
-    if not _padded_ok(v.value, cfg.L):
-        return False, "value malformed"
-    if not scheme.verify_vector(v.sender, crypto.VOTE3, cfg.instance, strip(v.value), v.sig):
-        return False, "signature"
-    ok, why = verify_cqc2(v.qc2, cfg, scheme)
-    if not ok:
-        return False, f"qc2: {why}"
-    if strip(v.qc2.value) != strip(v.value):
-        return False, "vote value not certified by qc2"
-    return True, ""
+    return _verify_chain(q, cfg, scheme, 3, CQC2, verify_cqc2, cqc2_value)
 
 
 def verify_oqc1(q: OQC1, cfg: PcConfig, scheme: Scheme):
@@ -895,56 +848,11 @@ def verify_oqc1(q: OQC1, cfg: PcConfig, scheme: Scheme):
         return True, ""
     if q.c_witnesses is None:
         return False, "missing witnesses"
-    return _verify_witnesses(q.common, q.c_witnesses, cfg, scheme, crypto.VOTE1, None)
-
-
-def verify_ovote2(v: OVote2, cfg: PcConfig, scheme: Scheme):
-    if v.inst != cfg.instance:
-        return False, "instance"
-    if not _padded_ok(v.value, cfg.L):
-        return False, "value malformed"
-    if len(v.prefix_sigs) != cfg.L + 1:
-        return False, "prefix signature count"
-    for k, sig in enumerate(v.prefix_sigs):
-        if not scheme.verify_vector(v.sender, crypto.VOTE2, cfg.instance, _prefix_msg(v.value, k), sig):
-            return False, f"prefix signature {k}"
-    ok, why = verify_oqc1(v.qc1, cfg, scheme)
-    if not ok:
-        return False, f"qc1: {why}"
-    if v.qc1.common != v.value:
-        return False, "vote value not certified by qc1"
-    return True, ""
+    return _verify_witnesses(q.common, q.c_witnesses, cfg, scheme, crypto.VOTE1, None, None)
 
 
 def verify_oqc2(q: ChainQC, cfg: PcConfig, scheme: Scheme):
-    if q.round != 2 or q.kind != crypto.VOTE2:
-        return False, "wrong round"
-    return _verify_chain(
-        q, cfg, scheme,
-        lambda ev: verify_oqc1(ev, cfg, scheme) if isinstance(ev, OQC1) else (False, "type"),
-        lambda ev: strip(ev.common),
-    )
-
-
-def verify_ovote3(v: OVote3, cfg: PcConfig, scheme: Scheme):
-    if v.inst != cfg.instance:
-        return False, "instance"
-    if not _padded_ok(v.value, cfg.L):
-        return False, "value malformed"
-    if not scheme.verify_vector(v.sender, crypto.VOTE3, cfg.instance, strip(v.value), v.sig):
-        return False, "signature"
-    ok, why = verify_oqc1(v.qc1, cfg, scheme)
-    if not ok:
-        return False, f"qc1: {why}"
-    ok, why = verify_oqc2(v.qc2, cfg, scheme)
-    if not ok:
-        return False, f"qc2: {why}"
-    supported = strip(v.qc1.xpart.value)
-    extension = strip(v.qc2.long)
-    merged = supported if is_prefix(extension, supported) else extension
-    if merged != strip(v.value):
-        return False, "vote value does not combine qc1/qc2"
-    return True, ""
+    return _verify_chain(q, cfg, scheme, 2, OQC1, verify_oqc1, lambda ev: strip(ev.common))
 
 
 def verify_oqc3(q: StemQC, cfg: PcConfig, scheme: Scheme):
@@ -990,29 +898,8 @@ def verify_oqc3(q: StemQC, cfg: PcConfig, scheme: Scheme):
     return True, ""
 
 
-def verify_ovote4(v: OVote4, cfg: PcConfig, scheme: Scheme):
-    if v.inst != cfg.instance:
-        return False, "instance"
-    if not _padded_ok(v.value, cfg.L):
-        return False, "value malformed"
-    if not scheme.verify_vector(v.sender, crypto.VOTE4, cfg.instance, strip(v.value), v.sig):
-        return False, "signature"
-    ok, why = verify_oqc3(v.qc3, cfg, scheme)
-    if not ok:
-        return False, f"qc3: {why}"
-    if stemqc_common(v.qc3) != strip(v.value):
-        return False, "vote value not the qc3 common prefix"
-    return True, ""
-
-
 def verify_oqc4(q: ChainQC, cfg: PcConfig, scheme: Scheme):
-    if q.round != 4 or q.kind != crypto.VOTE4:
-        return False, "wrong round"
-    return _verify_chain(
-        q, cfg, scheme,
-        lambda ev: verify_oqc3(ev, cfg, scheme) if isinstance(ev, StemQC) else (False, "type"),
-        lambda ev: stemqc_common(ev),
-    )
+    return _verify_chain(q, cfg, scheme, 4, StemQC, verify_oqc3, stemqc_common)
 
 
 # -- certified-value accessors
@@ -1052,39 +939,33 @@ def equivalence_harness(vote1_values: Sequence[Vector], cfg: PcConfig, scheme: S
     if cfg.variant is not Variant.THREE_ROUND:
         raise ValueError("harness covers the three-round protocol")
     n = cfg.n
-    vote1s = []
+    votes = []
     for party, value in enumerate(vote1_values):
         sig = scheme.sign_vector(party, crypto.VOTE1, cfg.instance, tuple(value))
-        vote1s.append(Vote(cfg.instance, 1, party, tuple(value), sig))
+        votes.append(Vote(cfg.instance, 1, party, tuple(value), sig))
 
     def quorum(pool):
         return tuple(sorted(rng.sample(pool, cfg.quorum), key=lambda v: v.sender))
 
-    vote2s = []
-    for party in range(n):
-        qc1 = QC(1, quorum(vote1s))
-        certified = pc.qc1_certify(qc1, cfg)
-        compact = build_cqc1(qc1, cfg, scheme)
-        ok, why = verify_cqc1(compact, cfg, scheme)
-        assert ok, f"compact qc1 rejected: {why}"
-        assert cqc1_value(compact) == certified, "qc1 certification mismatch"
-        sig = scheme.sign_vector(party, crypto.VOTE2, cfg.instance, certified)
-        vote2s.append(Vote(cfg.instance, 2, party, certified, sig, (qc1,)))
-
-    vote3s = []
-    for party in range(n):
-        qc2 = QC(2, quorum(vote2s))
-        certified = pc.qc2_certify(qc2, cfg)
-        compact = build_cqc2(qc2, cfg, scheme)
-        ok, why = verify_cqc2(compact, cfg, scheme)
-        assert ok, f"compact qc2 rejected: {why}"
-        assert cqc2_value(compact) == certified, "qc2 certification mismatch"
-        sig = scheme.sign_vector(party, crypto.VOTE3, cfg.instance, certified)
-        vote3s.append(Vote(cfg.instance, 3, party, certified, sig, (qc2,)))
+    for r, certify, build, verify, read, kind in (
+        (1, pc.qc1_certify, build_cqc1, verify_cqc1, cqc1_value, crypto.VOTE2),
+        (2, pc.qc2_certify, build_cqc2, verify_cqc2, cqc2_value, crypto.VOTE3),
+    ):
+        next_votes = []
+        for party in range(n):
+            qc = QC(r, quorum(votes))
+            certified = certify(qc, cfg)
+            compact = build(qc, cfg, scheme)
+            ok, why = verify(compact, cfg, scheme)
+            assert ok, f"compact qc{r} rejected: {why}"
+            assert read(compact) == certified, f"qc{r} certification mismatch"
+            sig = scheme.sign_vector(party, kind, cfg.instance, certified)
+            next_votes.append(Vote(cfg.instance, r + 1, party, certified, sig, (qc,)))
+        votes = next_votes
 
     results = set()
     for party in range(n):
-        qc3 = QC(3, quorum(vote3s))
+        qc3 = QC(3, quorum(votes))
         low, high = pc.qc3_certify(qc3, cfg)
         compact = build_cqc3(qc3, cfg, scheme)
         ok, why = verify_cqc3(compact, cfg, scheme)
@@ -1099,13 +980,8 @@ def equivalence_harness(vote1_values: Sequence[Vector], cfg: PcConfig, scheme: S
 
 
 class PlainCodec:
-    name = "plain"
-
     def measure(self, msg) -> int:
         return measure(msg)
-
-    def encode(self, msg) -> bytes:
-        return encode(msg)
 
 
 _COMPACTORS = {
@@ -1122,8 +998,6 @@ class CompactCodec:
     plain layout.
     """
 
-    name = "compact"
-
     def __init__(self, cfg: PcConfig, scheme: Scheme):
         if cfg.variant not in _COMPACTORS:
             raise ValueError(f"no compact codec for {cfg.variant.value}")
@@ -1139,9 +1013,6 @@ class CompactCodec:
 
     def measure(self, msg) -> int:
         return cached(msg, self, lambda: measure(self.to_compact(msg)))
-
-    def encode(self, msg) -> bytes:
-        return encode(self.to_compact(msg))
 
 
 def hexdump(data: bytes, width: int = 16) -> str:

@@ -69,6 +69,7 @@ def test_validate_collects_paths():
 MSC_CENSOR = {"version": 1, "protocol": "msc", "n": 4, "f": 1, "slots": 2, "gst": 12, "delta_cap": 2,
               "adversary": {"kind": "censor", "reveal": {"2": [0]}, "lag_victims": [1, 3], "lag": 6}}
 SPC = {"version": 1, "protocol": "spc", "n": 4, "f": 1, "L": 4}
+PC3 = {"protocol": "pc3", "L": 4}
 
 
 def _adversary_errors(base, **fields):
@@ -117,8 +118,24 @@ def test_adversary_jitter_must_be_a_positive_int():
     ({"adversary": {**MSC_CENSOR["adversary"], "lag_victims": [[1]]}}, "adversary.lag_victims"),
     ({"adversary": {"kind": "delayer", "links": 5}}, "adversary.links"),
     ({"adversary": {"kind": "delayer", "links": [[0, [1]]]}}, "adversary.links"),
+    ({"adversary": {"kind": "split_view", "byzantine": [0], "view": "x"}}, "adversary.view"),
+    ({"seed": "x"}, "seed"),
+    ({"inputs": 5}, "inputs"),
+    ({"inputs": {"kind": "explicit", "payloads": 5}}, "inputs.payloads"),
+    ({**PC3, "inputs": {"kind": "explicit"}}, "inputs.vectors"),
+    ({**PC3, "inputs": {"kind": "explicit", "vectors": [["a"] * 4] * 3}}, "inputs.vectors"),
+    ({**PC3, "protocol": "spc", "inputs": {"kind": "explicit", "vectors": [["a"] * 3] * 4}}, "inputs.vectors"),
+    ({**PC3, "inputs": {"alphabet": 0}}, "inputs.alphabet"),
+    ({**PC3, "inputs": {"alphabet": 300}}, "inputs.alphabet"),
+    ({**PC3, "inputs": {"seed": [1]}}, "inputs.seed"),
+    ({**PC3, "inputs": {"kind": "unanimous", "value": 5}}, "inputs.value"),
+    ({"protocol": "graded", "inputs": {"kind": "explicit", "values": ["a"] * 3}}, "inputs.values"),
+    ({"protocol": "binary", "inputs": {"kind": "explicit", "bits": [1, 0, 1, "x"]}}, "inputs.bits"),
 ], ids=["reveal-key", "byzantine-nested", "byzantine-int", "rank0-int", "rank0-mixed",
-        "lag-victims-int", "lag-victims-nested", "links-int", "links-nested"])
+        "lag-victims-int", "lag-victims-nested", "links-int", "links-nested", "view-str",
+        "seed-str", "inputs-int", "payloads-int", "vectors-missing", "vectors-too-few",
+        "vectors-too-short", "alphabet-0", "alphabet-300", "inputs-seed-list", "unanimous-int",
+        "graded-too-few", "bits-str"])
 def test_malformed_party_sets_are_schema_errors(tmp_path, capsys, fields, path):
     scn = {**MSC_CENSOR, **fields}
     assert [p for p, _ in validate(scn)] == [path]
@@ -150,6 +167,26 @@ def test_sweep_reports_exponents(tmp_path):
     doc = json.loads((tmp_path / "sweep.json").read_text())
     assert len(doc["rows"]) == 2
     assert doc["rows"][0]["messages"] == 36
+
+
+@pytest.mark.parametrize("ns, inputs, where", [
+    ("4", None, "--ns"),
+    ("4,x", None, "--ns"),
+    ("4,7", {"kind": "explicit", "vectors": [["a"] * 4] * 4}, "inputs.vectors"),
+], ids=["one-size", "non-integer", "inputs-for-n4-only"])
+def test_sweep_rejects_bad_sizes(tmp_path, capsys, ns, inputs, where):
+    scn = json.load(open(scenario_path("sweep_pc3.json")))
+    if inputs is not None:
+        scn["inputs"] = inputs
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(scn))
+    try:
+        rc = cli.main(["--quiet", "sweep", "--scenario", str(path), "--ns", ns])
+    except SystemExit as exc:  # argparse's usage error
+        rc = exc.code
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert where in err and "Traceback" not in err
 
 
 def test_check_suite_passes():

@@ -1,6 +1,7 @@
 """Codec round trips, compact-certificate verification rules, and
 plain/compact behavioural equivalence."""
 
+import dataclasses
 import hashlib
 import random
 
@@ -239,6 +240,47 @@ def test_optimistic_compact_roundtrip_and_verify():
     assert ok, why
     blob = wire.encode(oqc4)
     assert wire.decode(blob) == oqc4
+
+
+OPT_CFG = PcConfig(4, 1, 4, Variant.OPTIMISTIC, ("scn", "pc_opt"))
+
+
+def _opt_qcs(seed):
+    """The honest parties' certificates, by round, of a jittered pc_opt
+    run with an equivocating party."""
+    from prefixsim.scenario import run_scenario
+
+    result = run_scenario({"version": 1, "protocol": "pc_opt", "n": 4, "f": 1, "L": 4, "gst": None, "seed": seed,
+                           "adversary": {"kind": "equivocate", "byzantine": [3], "jitter": 5}})
+    return [result.sim.engines[p].own_qcs for p in result.honest]
+
+
+def test_optimistic_qc1_witness_forgeries():
+    oqc1 = next(q for q in (wire.build_oqc1(qcs[1], OPT_CFG, SCHEME) for qcs in _opt_qcs(5)) if q.c_witnesses)
+    ok, why = wire.verify_oqc1(oqc1, OPT_CFG, SCHEME)
+    assert ok, why
+    w1, w2 = oqc1.c_witnesses
+    # One signer cannot witness a divergence with itself.
+    ok, why = wire.verify_oqc1(dataclasses.replace(oqc1, c_witnesses=(w1, w1)), OPT_CFG, SCHEME)
+    assert not ok and "equal" in why
+    bad_sig = Signature(w2.sig.signer, bytes([w2.sig.blob[0] ^ 1]) + w2.sig.blob[1:])
+    flipped = dataclasses.replace(oqc1, c_witnesses=(w1, dataclasses.replace(w2, sig=bad_sig)))
+    ok, why = wire.verify_oqc1(flipped, OPT_CFG, SCHEME)
+    assert not ok and "witness signature" in why
+
+
+@pytest.mark.parametrize("r, build, verify, seed", [
+    (2, wire.build_oqc2, wire.verify_oqc2, 8),
+    (4, wire.build_oqc4, wire.verify_oqc4, 5),
+], ids=["oqc2", "oqc4"])
+def test_optimistic_chain_shortest_must_be_minimal(r, build, verify, seed):
+    chain = next(c for c in (build(qcs[r], OPT_CFG, SCHEME) for qcs in _opt_qcs(seed)) if c.short != c.long)
+    ok, why = verify(chain, OPT_CFG, SCHEME)
+    assert ok, why
+    # The longest vote and its evidence, claimed as the shortest too.
+    forged = dataclasses.replace(chain, short=chain.long, short_ev=chain.long_ev)
+    ok, why = verify(forged, OPT_CFG, SCHEME)
+    assert not ok and "shortest not minimal" in why
 
 
 def test_compact_codec_measures_votes():
