@@ -7,7 +7,13 @@ Strategies fall into three shapes:
   doctored-proof injection);
 * fully scripted: no engine at all (silent, split-view);
 * schedule-only: no Byzantine parties, just delivery-order control
-  (delay stretching, random pre-GST fuzzing, round-robin suspension).
+  (:class:`Delayer` stretches chosen links, :class:`Suspender` suspends
+  one party per round).
+
+Random link delays, the schedule fuzzer, are not an adversary: they are
+the ``jitter`` of the simulation's :class:`~prefixsim.simnet.DelayPolicy`,
+drawn on every link whose delay no strategy picks.  So a strategy models
+only Byzantine behaviour and per-link overrides.
 
 Every strategy draws randomness exclusively from the simulation's
 seeded generator and signs only with Byzantine keys.
@@ -15,9 +21,6 @@ seeded generator and signs only with Byzantine keys.
 
 from __future__ import annotations
 
-import functools
-import math
-from fractions import Fraction
 from typing import Dict, Iterable, Tuple
 
 from . import crypto, msc, spc
@@ -30,44 +33,12 @@ from .simnet import Adversary, Time, denominator
 class Silent(Adversary):
     """Byzantine parties never send anything (they keep no engine)."""
 
-    name = "silent"
-
     def engine_for(self, party, build):
         return None
 
 
-@functools.lru_cache(maxsize=None)
-def _delay_table(stretch: int, grain: int) -> Tuple[Fraction, ...]:
-    """Every jitter delay ``k/grain`` for ``k <= stretch*grain``, indexed
-    by ``k``, so a draw builds no Fraction."""
-    return tuple(Fraction(k, grain) for k in range(stretch * grain + 1))
-
-
-class JitteredDelays(Adversary):
-    """Random finite link delays (the schedule-fuzzing mode).
-
-    Every link, before and after GST, gets a delay drawn from
-    ``[1, stretch]`` in steps of ``1/grain``, randomizing delivery order.
-    After GST the simulator caps honest links at the policy's bound
-    (``max(send, gst) + cap``), so a long draw there is cut short.
-    """
-
-    name = "fuzz"
-
-    def __init__(self, byzantine=(), stretch: int = 6, grain: int = 16):
-        super().__init__(byzantine)
-        self.stretch = stretch
-        self.grain = grain
-        self._delays = _delay_table(stretch, grain)
-
-    def pick_delay(self, rng, sender, receiver, t):
-        return self._delays[rng.randint(self.grain, self.stretch * self.grain)]
-
-
 class Delayer(Adversary):
     """Stretch chosen links by a fixed factor before GST."""
-
-    name = "delayer"
 
     def __init__(self, links: Iterable[Tuple[int, int]], stretch: int = 8, byzantine=()):
         super().__init__(byzantine)
@@ -87,8 +58,6 @@ class Suspender(Adversary):
     """Round-robin suspension: one (honest) party per round window, the
     leaderless-termination adversary.  Combine with ``byzantine`` for the
     f-1 silent parties variant."""
-
-    name = "suspender"
 
     def __init__(self, n: int, byzantine=(), round_len: Time = 1):
         super().__init__(byzantine)
@@ -115,8 +84,6 @@ class Censor(Adversary):
     at the censor's coordinate, the agreed prefix stops there, and the
     ranking update demotes the censor.
     """
-
-    name = "censor"
 
     def __init__(
         self,
@@ -146,8 +113,6 @@ class Equivocate(Adversary):
     """Engine-backed: send different proposal payloads to the two halves
     of the receiver set (multi-slot), or different round-1 votes (prefix
     consensus), re-signed with the Byzantine party's own key."""
-
-    name = "equivocate"
 
     def __init__(self, byzantine, scheme: Scheme, lag_victims: Iterable[int] = (), lag: Time = 0):
         super().__init__(byzantine)
@@ -186,8 +151,6 @@ class SplitView(Adversary):
     on the empty prefix, and the protocol advances by skip certificates
     instead."""
 
-    name = "split-view"
-
     def __init__(self, byzantine, view: int = 2):
         super().__init__(byzantine)
         self.view = view
@@ -217,8 +180,6 @@ class WithholdBody(Adversary):
     subset only, and incoming fetch requests are ignored, forcing honest
     parties onto the pull-based fetch path against honest holders."""
 
-    name = "withhold-body"
-
     def __init__(self, reveal: Dict[int, Iterable[int]]):
         super().__init__(reveal.keys())
         self.reveal = {p: frozenset(r) for p, r in reveal.items()}
@@ -243,7 +204,6 @@ class DoctoredProofs(Adversary):
     low/high claims.  Honest predicates must reject every one.  The
     first ``LIMIT`` commits it sees are doctored."""
 
-    name = "doctored-proofs"
     LIMIT = 4
 
     def __init__(self, byzantine):
@@ -269,39 +229,3 @@ class DoctoredProofs(Adversary):
                 for dest in self.sim.honest:
                     self.sim.byz_send(party, dest, out)
         return True
-
-
-class Composite(Adversary):
-    """Schedule control plus Byzantine behaviour: jitter from one
-    strategy, message control from another."""
-
-    name = "composite"
-
-    def __init__(self, behaviour: Adversary, jitter: JitteredDelays):
-        super().__init__(behaviour.byzantine)
-        self.behaviour = behaviour
-        self.jitter = jitter
-        self.grain = math.lcm(behaviour.grain, jitter.grain)
-
-    def attach(self, sim):
-        super().attach(sim)
-        self.behaviour.attach(sim)
-        self.jitter.attach(sim)
-
-    def engine_for(self, party, build):
-        return self.behaviour.engine_for(party, build)
-
-    def on_input(self, party, value):
-        return self.behaviour.on_input(party, value)
-
-    def on_send(self, party, msg, receivers):
-        return self.behaviour.on_send(party, msg, receivers)
-
-    def on_deliver(self, party, sender, msg):
-        return self.behaviour.on_deliver(party, sender, msg)
-
-    def pick_delay(self, rng, sender, receiver, t):
-        return self.jitter.pick_delay(rng, sender, receiver, t)
-
-    def suspended_until(self, party, t):
-        return self.behaviour.suspended_until(party, t)

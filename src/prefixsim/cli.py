@@ -305,11 +305,15 @@ def cmd_check(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    if args.hex:
-        data = bytes.fromhex(args.hex)
-    else:
-        with open(args.file, "rb") as fh:
-            data = fh.read()
+    try:
+        if args.hex:
+            data = bytes.fromhex(args.hex)
+        else:
+            with open(args.file, "rb") as fh:
+                data = fh.read()
+    except (OSError, ValueError) as exc:
+        print(f"decode input: unreadable ({exc})", file=sys.stderr)
+        return EXIT_SCHEMA
     try:
         msg = wire.decode(data)
     except wire.DecodeError as exc:
@@ -355,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--runs", type=int, default=100)
     p_check.add_argument("--slots", type=int, default=20)
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--out")
     p_check.set_defaults(fn=cmd_check)
 
     p_dec = sub.add_parser("decode", help="decode and hex-dump a wire message")

@@ -108,7 +108,6 @@ class AggregationError(Exception):
 class Scheme:
     """Common signing interface; subclasses provide the primitives."""
 
-    name = "abstract"
     sig_size = 0
 
     def __init__(self, n: int):
@@ -225,7 +224,6 @@ class RestrictedSigner:
 class MacScheme(Scheme):
     """HMAC-SHA256 test scheme with a shared verifier-side key registry."""
 
-    name = "mac"
     sig_size = 16
 
     def __init__(self, n: int, seed: bytes = b"prefixsim-mac"):
@@ -242,7 +240,6 @@ class MacScheme(Scheme):
 class Ed25519Scheme(Scheme):
     """Ed25519 signatures with deterministic per-party keys."""
 
-    name = "ed25519"
     sig_size = 64
 
     def __init__(self, n: int, seed: bytes = b"prefixsim-ed25519"):

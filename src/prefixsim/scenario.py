@@ -67,6 +67,10 @@ def validate(scn: dict) -> List[Tuple[str, str]]:
     if protocol in VARIANTS or protocol == "spc":
         L = scn.get("L")
         need("L", isinstance(L, int) and L >= 1, "positive integer required")
+        # make_inputs tags each position of a unanimous vector with one byte.
+        inputs = scn.get("inputs", DEFAULTS["inputs"])
+        unanimous = isinstance(inputs, dict) and inputs.get("kind") == "unanimous"
+        need("L", not (unanimous and isinstance(L, int) and L > 256), "at most 256 with unanimous inputs")
     codec = scn.get("codec", DEFAULTS["codec"])
     need("codec", codec in ("plain", "compact"), "plain or compact")
     if codec == "compact":
@@ -184,7 +188,11 @@ def _with_defaults(scn: dict) -> dict:
 
 
 def build_policy(scn: dict) -> DelayPolicy:
-    return DelayPolicy(gst=scn["gst"], cap=scn["delta_cap"], default_delay=scn["delta"])
+    """The scenario's timing model.  Link jitter is the ``fuzz``
+    adversary's ``stretch`` (default 6) or any other kind's ``jitter``."""
+    spec = scn["adversary"]
+    jitter = spec.get("stretch", 6) if spec.get("kind") == "fuzz" else spec.get("jitter")
+    return DelayPolicy(gst=scn["gst"], cap=scn["delta_cap"], default_delay=scn["delta"], jitter=jitter)
 
 
 def build_adversary(scn: dict, scheme: Scheme) -> Adversary:
@@ -193,38 +201,34 @@ def build_adversary(scn: dict, scheme: Scheme) -> Adversary:
     byz = spec.get("byzantine", [])
     reveal = {int(p): set(r) for p, r in spec.get("reveal", {}).items()}
     if kind == "none":
-        adv = Adversary()
-    elif kind == "silent":
-        adv = adversaries.Silent(byzantine=byz)
-    elif kind == "censor":
-        adv = adversaries.Censor(
+        return Adversary()
+    if kind == "fuzz":  # the delays are the policy's jitter
+        return Adversary(byzantine=byz)
+    if kind == "silent":
+        return adversaries.Silent(byzantine=byz)
+    if kind == "censor":
+        return adversaries.Censor(
             reveal,
             lag_victims=spec.get("lag_victims", ()),
             lag=spec.get("lag", 0),
         )
-    elif kind == "equivocate":
-        adv = adversaries.Equivocate(
+    if kind == "equivocate":
+        return adversaries.Equivocate(
             byz, scheme,
             lag_victims=spec.get("lag_victims", ()),
             lag=spec.get("lag", 0),
         )
-    elif kind == "split_view":
-        adv = adversaries.SplitView(byzantine=byz, view=spec.get("view", 2))
-    elif kind == "withhold_body":
-        adv = adversaries.WithholdBody(reveal)
-    elif kind == "doctored":
-        adv = adversaries.DoctoredProofs(byzantine=byz)
-    elif kind == "suspender":
-        adv = adversaries.Suspender(scn["n"], byzantine=byz, round_len=spec.get("round_len", 1))
-    elif kind == "delayer":
-        links = [tuple(l) for l in spec.get("links", [])]
-        adv = adversaries.Delayer(links, stretch=spec.get("stretch", 8), byzantine=byz)
-    else:  # fuzz: validate admits no other kind
-        adv = adversaries.JitteredDelays(byzantine=byz, stretch=spec.get("stretch", 6))
-    jitter = spec.get("jitter")
-    if jitter and kind != "fuzz":
-        adv = adversaries.Composite(adv, adversaries.JitteredDelays(stretch=jitter))
-    return adv
+    if kind == "split_view":
+        return adversaries.SplitView(byzantine=byz, view=spec.get("view", 2))
+    if kind == "withhold_body":
+        return adversaries.WithholdBody(reveal)
+    if kind == "doctored":
+        return adversaries.DoctoredProofs(byzantine=byz)
+    if kind == "suspender":
+        return adversaries.Suspender(scn["n"], byzantine=byz, round_len=spec.get("round_len", 1))
+    # delayer: validate admits no other kind
+    links = [tuple(l) for l in spec.get("links", [])]
+    return adversaries.Delayer(links, stretch=spec.get("stretch", 8), byzantine=byz)
 
 
 def make_inputs(scn: dict) -> list:
@@ -328,35 +332,29 @@ def run_scenario(scn: dict, record: bool = False) -> RunResult:
     adversary = build_adversary(scn, scheme)
     inputs = make_inputs(scn)
 
-    measure = None
     cfg = None
     if protocol in VARIANTS:
         cfg = PcConfig(n, f, scn["L"], VARIANTS[protocol], ("scn", protocol))
         build = lambda p: PcEngine(cfg, p, scheme)
-        if scn["measure_bytes"]:
-            codec = (
-                wire.CompactCodec(cfg, scheme) if scn["codec"] == "compact" else wire.PlainCodec()
-            )
-            measure = codec.measure
     elif protocol == "spc":
         spc_cfg = SpcConfig(n, f, scn["L"], scn["delta_cap"], ("scn", "spc"),
                             tuple(scn.get("rank0", ()) or range(n)))
         build = lambda p: SpcEngine(spc_cfg, p, scheme)
-        if scn["measure_bytes"]:
-            measure = wire.PlainCodec().measure
     elif protocol == "msc":
         msc_cfg = MscConfig(n, f, scn["delta_cap"], ("scn", "msc"),
                             tuple(scn.get("rank0", ()) or range(n)), slots=scn["slots"])
         payload_fn = msc_payload_fn(scn)
         build = lambda p: MscEngine(msc_cfg, p, scheme, lambda s, p=p: payload_fn(p, s))
-        if scn["measure_bytes"]:
-            measure = wire.PlainCodec().measure
     elif protocol == "graded":
         build = lambda p: GradedEngine(n, f, p, scheme)
     elif protocol == "binary":
         build = lambda p: BinaryEngine(n, f, scn["delta_cap"], p, scheme)
     else:  # validated: validate admits no other protocol
         build = lambda p: ValidatedEngine(n, f, scn["delta_cap"], p, scheme)
+    measure = None
+    if scn["measure_bytes"]:  # validate admits the compact codec for pc variants only
+        codec = wire.CompactCodec(cfg, scheme) if scn["codec"] == "compact" else wire.PlainCodec()
+        measure = codec.measure
 
     sim = Simulation(
         n, build, adversary=adversary, policy=policy, seed=seed,

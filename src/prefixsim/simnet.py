@@ -3,7 +3,8 @@
 Virtual time is exact, never floats.  Each :class:`Simulation` counts it
 in integer *ticks* of ``1/D`` time units, where ``D`` is the least common
 multiple of the denominators of the policy's ``gst``, ``cap`` and
-``default_delay`` and of the adversary's :attr:`Adversary.grain`.  The
+``default_delay``, of the adversary's :attr:`Adversary.grain` and, when
+the policy has ``jitter``, of :data:`JITTER_GRAIN`.  The
 clock, the event queue, delivery bounds and suspension windows are plain
 ints; a delay, timer or resume time that is not a whole number of ticks
 raises :class:`SimulationError` (it is never rounded).
@@ -20,10 +21,12 @@ The event queue is ordered by ``(time, sender, receiver, sequence)``;
 identical (scenario, seed) pairs replay bit-identically.  Partial
 synchrony is a :class:`DelayPolicy`: honest-to-honest messages are
 delivered by ``max(send, gst) + cap``, pre-GST delays are
-adversary-controlled but finite.  Byzantine behaviour enters only
-through an :class:`Adversary`'s hooks; strategies can replace, omit,
-duplicate or delay the messages of Byzantine parties and may suspend one
-party per round, but they never hold honest keys.
+adversary-controlled but finite, and the policy's ``jitter`` draws a
+random delay for every link the adversary leaves alone (the schedule
+fuzzer).  Byzantine behaviour enters only through an
+:class:`Adversary`'s hooks; strategies can replace, omit, duplicate or
+delay the messages of Byzantine parties and may suspend one party per
+round, but they never hold honest keys.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ from .actions import Broadcast, Output, Send, StartTimer
 from .nest import innermost
 
 Time = Union[int, Fraction]
+
+#: Jitter delays are whole multiples of ``1/JITTER_GRAIN``.
+JITTER_GRAIN = 16
 
 
 class SimulationError(Exception):
@@ -63,12 +69,17 @@ class DelayPolicy:
     ``gst=None`` models a fully asynchronous run: no delivery bound, only
     finiteness.  ``default_delay`` is the link delay when the adversary
     picks none; the adversary may override any link, subject to the
-    post-GST cap on honest traffic.
+    post-GST cap on honest traffic.  With ``jitter`` set, a link the
+    adversary leaves alone takes a delay drawn from ``[1, jitter]`` in
+    steps of ``1/JITTER_GRAIN`` instead, before and after GST, which
+    randomizes delivery order; the cap still cuts a long draw short on
+    an honest link after GST.
     """
 
     gst: Optional[Time] = 0
     cap: Time = 1
     default_delay: Time = 1
+    jitter: Optional[int] = None
 
     @classmethod
     def synchronized(cls, delta: Time = 1) -> "DelayPolicy":
@@ -79,7 +90,6 @@ class DelayPolicy:
 class Adversary:
     """Honest baseline strategy: no Byzantine parties, no interference."""
 
-    name = "none"
     #: Denominator of every time this adversary hands the simulator
     #: (delays, overrides, resume times); it sets the tick size.
     grain = 1
@@ -203,10 +213,15 @@ class Simulation:
             denominator(self.policy.cap),
             denominator(self.policy.default_delay),
             self.adversary.grain,
+            JITTER_GRAIN if self.policy.jitter else 1,
         )
         self._gst = None if gst is None else self._ticks(gst)
         self._cap = self._ticks(self.policy.cap)
         self._default_delay = self._ticks(self.policy.default_delay)
+        # A jitter draw counts 1/JITTER_GRAIN units up to this bound (0:
+        # no jitter); each unit is _jitter_tick ticks.
+        self._jitter = JITTER_GRAIN * (self.policy.jitter or 0)
+        self._jitter_tick = self.tick // JITTER_GRAIN
         self._times: Dict[int, Tuple[Time, str]] = {}
         self._now = 0
         self._t, self._text = self._at(0)
@@ -268,7 +283,12 @@ class Simulation:
         d = override
         if d is None:
             d = self.adversary.pick_delay(self.rng, sender, receiver, self._t)
-        d = self._default_delay if d is None else self._ticks(d)
+        if d is not None:
+            d = self._ticks(d)
+        elif self._jitter:
+            d = self.rng.randint(JITTER_GRAIN, self._jitter) * self._jitter_tick
+        else:
+            d = self._default_delay
         if d <= 0:
             raise SimulationError("delays must be positive")
         now = self._now

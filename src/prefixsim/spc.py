@@ -155,6 +155,17 @@ def _statement_ref(view: int, stmt) -> Optional[int]:
     return ref if stmt == skip_statement(view, ref) else None
 
 
+def cert_parent(cert) -> Optional[tuple]:
+    """The ``(view, value, proof)`` high a view-entry certificate builds
+    on: a DirectCert's previous view, a SkipCert's reference; None for
+    anything else."""
+    if isinstance(cert, DirectCert):
+        return (cert.prev_view, cert.value, cert.proof)
+    if isinstance(cert, SkipCert):
+        return (cert.ref_view, cert.ref_value, cert.ref_proof)
+    return None
+
+
 def proposal_digest(nv: NewView) -> bytes:
     """Content digest of a view-entry object, cached on the object."""
     return cached(nv, "digest", lambda: wire.hash_obj(nv))
@@ -295,15 +306,11 @@ class SpcEngine:
     # ------------------------------------------------------------------
     # certificates and parents
 
-    def _predicate_high(self, view: int, value, proof) -> bool:
+    def _predicate(self, predicate, view: int, value, proof) -> bool:
+        """``predicate_high`` or ``predicate_low`` of the view's instance."""
         if not isinstance(view, int) or view < 1:
             return False
-        return predicate_high(value, proof, self.cfg.vpc_cfg(view), self.scheme)
-
-    def _predicate_low(self, view: int, value, proof) -> bool:
-        if not isinstance(view, int) or view < 1:
-            return False
-        return predicate_low(value, proof, self.cfg.vpc_cfg(view), self.scheme)
+        return predicate(value, proof, self.cfg.vpc_cfg(view), self.scheme)
 
     def _parent_of(self, vector: Vector):
         """Parent (view, value) named by the first non-placeholder entry,
@@ -315,12 +322,9 @@ class SpcEngine:
             obj = self.store.get(digest)
             if obj is None:
                 raise _Missing(digest)
-            cert = obj.cert if isinstance(obj, NewView) else None
-            if isinstance(cert, DirectCert):
-                return (cert.prev_view, cert.value)
-            if isinstance(cert, SkipCert):
-                return (cert.ref_view, cert.ref_value)
-            return None  # unrecognized preimage: treat as parentless
+            parent = cert_parent(obj.cert) if isinstance(obj, NewView) else None
+            # An unrecognized preimage counts as parentless.
+            return None if parent is None else parent[:2]
         return None
 
     def _has_parent(self, view: int, value: Vector) -> bool:
@@ -328,17 +332,17 @@ class SpcEngine:
             return True
         return self._parent_of(value) is not None
 
+    def _parented_high(self, view: int, value, proof) -> bool:
+        """A valid high of ``view`` whose parent is known; raises
+        _Missing when the parent's preimage is not."""
+        return self._predicate(predicate_high, view, value, proof) and self._has_parent(view, value)
+
     def _valid_cert(self, view: int, cert) -> bool:
         """Exactly the view-entry checks; raises _Missing on fetch needs."""
-        if isinstance(cert, DirectCert):
-            if cert.prev_view != view - 1 or cert.prev_view < 1:
-                return False
-            if not self._predicate_high(cert.prev_view, cert.value, cert.proof):
-                return False
-            return self._has_parent(cert.prev_view, cert.value)
+        parent = cert_parent(cert)
+        if parent is None or cert.prev_view != view - 1 or cert.prev_view < 1:
+            return False
         if isinstance(cert, SkipCert):
-            if cert.prev_view != view - 1 or cert.prev_view < 1:
-                return False
             agg = cert.agg
             if not isinstance(agg, AggregateSignature) or not agg.well_formed():
                 return False
@@ -353,10 +357,7 @@ class SpcEngine:
                 return False  # a statement is malformed or names a different view
             if cert.ref_view != max(reported):
                 return False
-            if not self._predicate_high(cert.ref_view, cert.ref_value, cert.ref_proof):
-                return False
-            return self._has_parent(cert.ref_view, cert.ref_value)
-        return False
+        return self._parented_high(*parent)
 
     # ------------------------------------------------------------------
     # message handlers
@@ -401,13 +402,8 @@ class SpcEngine:
         self.store.setdefault(proposal_digest(nv), nv)
 
     def _update_best(self, cert) -> None:
-        if isinstance(cert, DirectCert):
-            candidate = (cert.prev_view, cert.value, cert.proof)
-        elif isinstance(cert, SkipCert):
-            candidate = (cert.ref_view, cert.ref_value, cert.ref_proof)
-        else:
-            return
-        if candidate[0] > self.best_high[0]:
+        candidate = cert_parent(cert)
+        if candidate is not None and candidate[0] > self.best_high[0]:
             self.best_high = candidate
 
     def _handle_empty_view(self, sender: int, ev: EmptyView) -> list:
@@ -424,11 +420,8 @@ class SpcEngine:
         ) or ev.sig.signer != sender:
             self.own_dropped += 1
             return []
-        if not self._predicate_high(ev.ref_view, ev.ref_value, ev.ref_proof):
-            self.own_dropped += 1
-            return []
         try:
-            if not self._has_parent(ev.ref_view, ev.ref_value):
+            if not self._parented_high(ev.ref_view, ev.ref_value, ev.ref_proof):
                 self.own_dropped += 1
                 return []
         except _Missing as miss:
@@ -455,7 +448,7 @@ class SpcEngine:
         if nc.inst != self.cfg.instance or not isinstance(nc.view, int):
             self.own_dropped += 1
             return []
-        if not self._predicate_low(nc.view, nc.value, nc.proof):
+        if not self._predicate(predicate_low, nc.view, nc.value, nc.proof):
             self.own_dropped += 1
             return []
         actions: list = []

@@ -129,12 +129,14 @@ def test_adversary_jitter_must_be_a_positive_int():
     ({**PC3, "inputs": {"alphabet": 300}}, "inputs.alphabet"),
     ({**PC3, "inputs": {"seed": [1]}}, "inputs.seed"),
     ({**PC3, "inputs": {"kind": "unanimous", "value": 5}}, "inputs.value"),
+    ({**PC3, "L": 300, "inputs": {"kind": "unanimous"}}, "L"),
     ({"protocol": "graded", "inputs": {"kind": "explicit", "values": ["a"] * 3}}, "inputs.values"),
     ({"protocol": "binary", "inputs": {"kind": "explicit", "bits": [1, 0, 1, "x"]}}, "inputs.bits"),
 ], ids=["reveal-key", "byzantine-nested", "byzantine-int", "rank0-int", "rank0-mixed",
         "lag-victims-int", "lag-victims-nested", "links-int", "links-nested", "view-str",
         "seed-str", "inputs-int", "payloads-int", "vectors-missing", "vectors-too-few",
         "vectors-too-short", "alphabet-0", "alphabet-300", "inputs-seed-list", "unanimous-int",
+        "unanimous-L-300",
         "graded-too-few", "bits-str"])
 def test_malformed_party_sets_are_schema_errors(tmp_path, capsys, fields, path):
     scn = {**MSC_CENSOR, **fields}
@@ -167,6 +169,23 @@ def test_sweep_reports_exponents(tmp_path):
     doc = json.loads((tmp_path / "sweep.json").read_text())
     assert len(doc["rows"]) == 2
     assert doc["rows"][0]["messages"] == 36
+
+
+@pytest.mark.parametrize("name", ["graded_faultfree_n4.json", "binary_mixed_n4.json",
+                                  "validated_faultfree_n4.json"])
+def test_byte_accounting_covers_derived_protocols(name):
+    scn = json.load(open(scenario_path(name)))
+    assert run_scenario({**scn, "measure_bytes": True}).metrics.bytes_total > 0
+
+
+def test_sweep_of_a_graded_template(tmp_path):
+    rc = cli.main([
+        "--quiet", "sweep", "--scenario", scenario_path("graded_faultfree_n4.json"),
+        "--ns", "4,7", "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    doc = json.loads((tmp_path / "sweep.json").read_text())
+    assert [row["bytes"] for row in doc["rows"]] == [10572, 77070]
 
 
 @pytest.mark.parametrize("ns, inputs, where", [
@@ -204,3 +223,12 @@ def test_decode_roundtrip(capsys):
     assert rc == 0
     assert "QC" in captured.out and "00000000" in captured.out
     assert cli.main(["decode", "--hex", "00ff"]) == 2
+
+
+@pytest.mark.parametrize("args", [["--hex", "zz"], ["--file", "missing.bin"]], ids=["bad-hex", "missing-file"])
+def test_decode_of_unreadable_input_is_exit_2(tmp_path, capsys, args):
+    if args[0] == "--file":
+        args = ["--file", str(tmp_path / args[1])]
+    assert cli.main(["decode", *args]) == 2
+    err = capsys.readouterr().err
+    assert "unreadable" in err and "Traceback" not in err

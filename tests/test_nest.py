@@ -1,7 +1,7 @@
 """Sub-instance envelopes and the host helper: wire form, routing, drops,
 early-slot buffering, and pinned behaviour of the three nesting hosts."""
 
-from prefixsim import adversaries, crypto, wire
+from prefixsim import crypto, wire
 from prefixsim.actions import Broadcast, Output
 from prefixsim.crypto import MacScheme
 from prefixsim.derived import PcFromGradedEngine
@@ -114,7 +114,7 @@ def test_pinned_pc_from_graded():
     scheme = MacScheme(4)
     inputs = [(b"a", b"b", b"c"), (b"a", b"b", b"d"), (b"a", b"c", b"c"), (b"a", b"b", b"c")]
     sim = Simulation(4, lambda p: PcFromGradedEngine(4, 1, 3, p, scheme),
-                     adversary=adversaries.JitteredDelays(stretch=3), policy=DelayPolicy(gst=None),
+                     policy=DelayPolicy(gst=None, jitter=3),
                      seed=3, measure=wire.PlainCodec().measure)
     for p, vec in enumerate(inputs):
         sim.schedule_input(p, vec)

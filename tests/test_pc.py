@@ -297,7 +297,6 @@ def test_engine_runs_on_ed25519_backend():
 def test_fast_variant_certified_values_pairwise_consistent():
     # Under n >= 5f+1, any two round-1 certifications agree up to the
     # shorter one, across parties and schedules.
-    from prefixsim.adversaries import JitteredDelays
     from prefixsim.simnet import DelayPolicy as DP
 
     rng = random.Random(5)
@@ -310,8 +309,7 @@ def test_fast_variant_certified_values_pairwise_consistent():
         sim = Simulation(
             6,
             lambda p: PcEngine(cfg, p, scheme),
-            policy=DP(gst=None, default_delay=1),
-            adversary=JitteredDelays(stretch=4),
+            policy=DP(gst=None, default_delay=1, jitter=4),
             seed=seed,
         )
         for party, vec in enumerate(inputs):

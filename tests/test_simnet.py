@@ -55,10 +55,10 @@ def test_messages_delivered_to_all_but_self():
 
 def test_same_seed_same_transcript():
     # Async policy (no cap) so the jittered delays actually vary.
-    policy = DelayPolicy(gst=None, default_delay=1)
-    a = build(adversary=adversaries.JitteredDelays(stretch=5), seed=11, policy=policy)
-    b = build(adversary=adversaries.JitteredDelays(stretch=5), seed=11, policy=policy)
-    c = build(adversary=adversaries.JitteredDelays(stretch=5), seed=12, policy=policy)
+    policy = DelayPolicy(gst=None, default_delay=1, jitter=5)
+    a = build(seed=11, policy=policy)
+    b = build(seed=11, policy=policy)
+    c = build(seed=12, policy=policy)
     assert a.run().transcript_sha == b.run().transcript_sha
     assert a.metrics.transcript_sha != c.run().transcript_sha
 
@@ -86,6 +86,65 @@ def test_pre_gst_delays_unbounded_but_finite():
     metrics = sim.run()
     # Clamped to gst + cap, not to send + cap.
     assert metrics.end_time == 102
+
+
+def _deliveries(sim):
+    """The delivery time text of each recorded send, by (sender, receiver)."""
+    out = {}
+    for line in sim.records:
+        _at, kind, link, *rest = line.split()
+        if kind == "send":
+            sender, receiver = map(int, link.split("->"))
+            out[sender, receiver] = next(w for w in rest if w.startswith("deliver@"))[len("deliver@"):]
+    return out
+
+
+def test_delayer_stretches_listed_links_before_gst_and_keeps_jitter_elsewhere():
+    links = [(0, 1), (2, 0)]
+    # Before GST a listed link takes the stretch, every other link the default.
+    sim = build(policy=DelayPolicy(gst=100, cap=2, default_delay=1),
+                adversary=adversaries.Delayer(links, stretch=8), record=True)
+    sim.run()
+    assert _deliveries(sim) == {(0, 1): "8", (0, 2): "1", (1, 0): "1", (1, 2): "1", (2, 0): "8", (2, 1): "1"}
+
+    # After GST honest links are capped: a pre-GST stretch ends at gst + cap,
+    # and a listed link used after GST takes the default delay, not the cap.
+    sim = Simulation(3, EchoEngine, policy=DelayPolicy(gst=2, cap=2, default_delay=1),
+                     adversary=adversaries.Delayer(links, stretch=8), record=True)
+    sim.schedule_input(0, 0)
+    sim.schedule_input(2, 20, at=5)
+    sim.run()
+    assert _deliveries(sim) == {(0, 1): "4", (0, 2): "1", (2, 0): "6", (2, 1): "6"}
+
+    # With jitter, listed links keep the stretch before GST and every other
+    # link draws from [1, jitter] in sixteenths.
+    sim = build(policy=DelayPolicy(gst=100, cap=2, default_delay=1, jitter=3),
+                adversary=adversaries.Delayer(links, stretch=8), seed=4, record=True)
+    sim.run()
+    assert sim.tick == 16
+    drawn = {link: Fraction(t) for link, t in _deliveries(sim).items()}
+    assert drawn[0, 1] == drawn[2, 0] == 8
+    others = [t for link, t in drawn.items() if link not in links]
+    assert all(1 <= t <= 3 and (16 * t).denominator == 1 for t in others)
+    assert len(set(others)) > 1
+
+
+def test_scenario_jitter_is_a_policy_field():
+    base = {"version": 1, "protocol": "pc3", "n": 4, "f": 1, "L": 4, "gst": None}
+    cases = [
+        ({"kind": "fuzz"}, 6),
+        ({"kind": "fuzz", "stretch": 5}, 5),
+        ({"kind": "silent", "byzantine": [3], "jitter": 4}, 4),
+        ({"kind": "delayer", "links": [[0, 1]], "jitter": 2}, 2),
+        ({"kind": "delayer", "links": [[0, 1]]}, None),
+        ({"kind": "none"}, None),
+    ]
+    for adversary, jitter in cases:
+        result = run_scenario({**base, "adversary": adversary})
+        assert result.sim.policy.jitter == jitter, adversary
+        assert result.sim.tick == (1 if jitter is None else 16), adversary
+    fuzz = run_scenario({**base, "adversary": {"kind": "fuzz", "byzantine": [3]}})
+    assert type(fuzz.sim.adversary) is Adversary and fuzz.sim.adversary.byzantine == {3}
 
 
 def test_rational_time_supported():
@@ -197,11 +256,11 @@ def test_edge_times_are_int_on_whole_ticks_and_fraction_otherwise():
 
 
 def test_tick_is_the_lcm_of_every_declared_grain():
-    policy = DelayPolicy(gst=Fraction(1, 2), cap=Fraction(2, 3), default_delay=1)
-    jitter = adversaries.JitteredDelays(stretch=2, grain=5)
-    adv = adversaries.Composite(adversaries.Suspender(3, round_len=Fraction(7, 4)), jitter)
-    assert adv.grain == 20
-    assert build(policy=policy, adversary=adv).tick == 60
+    policy = DelayPolicy(gst=Fraction(1, 2), cap=Fraction(2, 3), default_delay=1, jitter=2)
+    adv = adversaries.Suspender(3, round_len=Fraction(7, 5))
+    assert adv.grain == 5
+    # 2 (gst), 3 (cap), 5 (the suspender's rounds), 16 (JITTER_GRAIN)
+    assert build(policy=policy, adversary=adv).tick == 240
 
 
 def test_undeclared_grain_raises_instead_of_rounding():

@@ -7,7 +7,7 @@ import pytest
 from prefixsim import adversaries, crypto
 from prefixsim.crypto import MacScheme, Signature
 from prefixsim.nest import Nested
-from prefixsim.pc import PcConfig, PcEngine, Variant, Vote, verify_vote
+from prefixsim.pc import PcConfig, PcEngine, Variant, Vote, predicate_high, verify_vote
 from prefixsim.prefixes import BOT, is_prefix, mcp
 from prefixsim.simnet import DelayPolicy, Simulation
 from prefixsim.spc import (
@@ -370,8 +370,8 @@ def test_view_high_proof_does_not_certify_the_next_view():
     scheme = MacScheme(4)
     engine = SpcEngine(cfg, 0, scheme)
     value, proof = make_view1_high(cfg, scheme, [(a, b, c, d)] * 4, view=2)
-    assert engine._predicate_high(2, value, proof)
-    assert not engine._predicate_high(3, value, proof)
+    assert engine._predicate(predicate_high, 2, value, proof)
+    assert not engine._predicate(predicate_high, 3, value, proof)
 
 
 def test_vote_verdict_is_not_reused_across_schemes():
