@@ -156,21 +156,23 @@ def _fuzz_scenarios():
     return out
 
 
+def criterion4():
+    """The criterion-4 list: the adversary catalogue, then the fuzzed schedules."""
+    return _catalogue_scenarios() + _fuzz_scenarios()
+
+
 def test_criterion_4_safety_sweeps():
     t0 = time.perf_counter()
-    catalogue = _catalogue_scenarios()
-    assert len(catalogue) >= 1000
-    for scn in catalogue:
-        run(scn)
-    fuzz = _fuzz_scenarios()
-    assert len(fuzz) >= 10_000
-    for scn in fuzz:
+    scenarios = criterion4()
+    fuzzed = sum(scn["adversary"]["kind"] == "fuzz" for scn in scenarios)
+    assert len(scenarios) - fuzzed >= 1000 and fuzzed >= 10_000
+    for scn in scenarios:
         run(scn)
     elapsed = time.perf_counter() - t0
     assert elapsed < 300, f"safety sweeps took {elapsed:.0f}s"
     ok(
-        f"criterion-4 safety: {len(catalogue)} adversary-catalogue runs + "
-        f"{len(fuzz)} fuzzed schedules, zero violations in {elapsed:.0f}s"
+        f"criterion-4 safety: {len(scenarios) - fuzzed} adversary-catalogue runs + "
+        f"{fuzzed} fuzzed schedules, zero violations in {elapsed:.0f}s"
     )
 
 
@@ -209,27 +211,28 @@ def test_criterion_5_censorship_resistance():
     ok("criterion-5 censorship: 100-slot runs, censored <= f, demotions all Byzantine")
 
 
-def test_criterion_6_leaderless_termination():
-    count = 0
+def criterion6():
+    """The criterion-6 list: spc then 2-slot msc under one suspension per
+    round, at (4, 1) and (7, 2), with f - 1 silent parties."""
+    out = []
     for n, f in ((4, 1), (7, 2)):
         silent = list(range(n - (f - 1), n)) if f > 1 else []
-        for i in range(50):
-            scn = {**BASE, "protocol": "spc", "n": n, "f": f, "L": n, "delta_cap": 2,
-                   "seed": 300 + i,
-                   "adversary": {"kind": "suspender", "byzantine": silent, "round_len": 1}}
-            result = run(scn)
-            for p in result.honest:
-                assert result.metrics.output_time(p, "high") is not None
-            count += 1
-        for i in range(50):
-            scn = {**BASE, "protocol": "msc", "n": n, "f": f, "slots": 2, "delta_cap": 2,
-                   "seed": 400 + i,
-                   "adversary": {"kind": "suspender", "byzantine": silent, "round_len": 1}}
-            result = run(scn)
-            for p in result.honest:
-                assert result.metrics.output_time(p, "slot2-high") is not None
-            count += 1
-    assert count == 200
+        adversary = {"kind": "suspender", "byzantine": silent, "round_len": 1}
+        out += [{**BASE, "protocol": "spc", "n": n, "f": f, "L": n, "delta_cap": 2,
+                 "seed": 300 + i, "adversary": adversary} for i in range(50)]
+        out += [{**BASE, "protocol": "msc", "n": n, "f": f, "slots": 2, "delta_cap": 2,
+                 "seed": 400 + i, "adversary": adversary} for i in range(50)]
+    return out
+
+
+def test_criterion_6_leaderless_termination():
+    scenarios = criterion6()
+    assert len(scenarios) == 200
+    for scn in scenarios:
+        result = run(scn)
+        last = "high" if scn["protocol"] == "spc" else "slot2-high"
+        for p in result.honest:
+            assert result.metrics.output_time(p, last) is not None
     ok("criterion-6 leaderless termination: 200 suspension runs all decided")
 
 
