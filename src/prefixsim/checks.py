@@ -3,8 +3,8 @@
 Each checker takes the simulation (white-box engine access), the ground
 truth the simulator injected (inputs, Byzantine set), and the collected
 metrics, and returns a list of violations.  Empty list = all invariants
-hold.  The CLI ``check`` command and the acceptance suite drive these
-over seeded batches.
+hold.  The acceptance suite and ``prefixsim check`` drive these over the
+seeded scenarios of ``prefixsim.catalogue``.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Subcommands::
 
     prefixsim run    --scenario file.json [--seed N] [--out DIR] [--codec C]
     prefixsim sweep  --scenario file.json --ns 4,7,10 [--out DIR]
-    prefixsim check  SUITE [--n N] [--f F] [--runs K] [--slots S] [--seed N]
+    prefixsim check  SUITE [--n N] [--runs K] [--seed N]
     prefixsim decode (--hex HEX | --file PATH)
 
 Exit codes: 0 success, 2 scenario/schema error (with the offending field
@@ -19,10 +19,13 @@ import argparse
 import json
 import math
 import os
+import random
 import sys
 from typing import List, Optional
 
-from . import checks, scenario as scn_mod, wire
+from . import catalogue, checks, scenario as scn_mod, wire
+from .crypto import make_scheme
+from .pc import PcConfig, Variant
 from .scenario import ScenarioError, load_scenario, run_scenario
 from .simnet import SimulationError
 
@@ -31,12 +34,8 @@ EXIT_SCHEMA = 2
 EXIT_VIOLATION = 3
 
 
-def _out_dir(args) -> Optional[str]:
-    return args.out or os.environ.get("PREFIXSIM_OUT")
-
-
 def _emit(args, name: str, payload: str) -> Optional[str]:
-    out = _out_dir(args)
+    out = args.out or os.environ.get("PREFIXSIM_OUT")
     if out is None:
         return None
     os.makedirs(out, exist_ok=True)
@@ -111,6 +110,12 @@ def _n_values(text: str) -> List[int]:
     return ns
 
 
+def _positive(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError("at least 1 required")
+    return int(text)
+
+
 def sweep_rows(template: dict, ns: List[int]) -> List[dict]:
     rows = []
     for n in ns:
@@ -171,130 +176,42 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # property suites
 
-
-def _suite_scenarios(name: str, opts) -> List[dict]:
-    n, f = opts.n, opts.f
-    runs = opts.runs
-    base = {
-        "version": 1, "n": n, "f": f, "L": opts.L or n,
-        "gst": 10, "delta": 1, "delta_cap": 2,
-    }
-    out = []
-    if name in ("upperbound", "availability", "safety"):
-        protocol = opts.protocol or "pc3"
-        kinds = [
-            {"kind": "fuzz", "stretch": 5},
-            {"kind": "silent", "byzantine": list(range(n - f, n)), "jitter": 5},
-        ]
-        if protocol != "pc_5f1":
-            kinds.append({"kind": "equivocate", "byzantine": [n - 1], "jitter": 5})
-        for i in range(runs):
-            scn = dict(base)
-            scn.update(
-                protocol=protocol, seed=opts.seed + i, gst=None,
-                adversary=kinds[i % len(kinds)],
-                inputs={"kind": "random", "alphabet": 3},
-            )
-            out.append(scn)
-    elif name == "agreement":
-        for i in range(runs):
-            scn = dict(base)
-            adv = [
-                {"kind": "silent", "byzantine": [0], "jitter": 4},
-                {"kind": "split_view", "byzantine": [0], "jitter": 4},
-                {"kind": "doctored", "byzantine": [n - 1], "jitter": 4},
-                {"kind": "withhold_body", "reveal": {"0": [1]}, "jitter": 4},
-            ][i % 4]
-            scn.update(protocol="spc", seed=opts.seed + i, adversary=adv,
-                       inputs={"kind": "random", "alphabet": 2})
-            out.append(scn)
-    elif name == "censorship":
-        for i in range(runs):
-            scn = dict(base)
-            byz = list(range(n - f, n))
-            reveal = {str(b): [0] for b in byz}
-            victims = [p for p in range(1, n) if p not in byz]
-            adv = (
-                {"kind": "censor", "reveal": reveal, "lag_victims": victims, "lag": 6}
-                if i % 2 == 0
-                else {"kind": "equivocate", "byzantine": byz, "lag_victims": victims, "lag": 6}
-            )
-            scn.update(protocol="msc", slots=opts.slots, seed=opts.seed + i, adversary=adv)
-            scn.pop("L", None)
-            out.append(scn)
-    elif name == "leaderless":
-        for i in range(runs):
-            scn = dict(base)
-            silent = list(range(n - (f - 1), n)) if f > 1 else []
-            scn.update(
-                protocol="msc" if i % 2 else "spc",
-                slots=2, seed=opts.seed + i,
-                adversary={"kind": "suspender", "byzantine": silent, "round_len": 1},
-                inputs={"kind": "random", "alphabet": 2},
-            )
-            out.append(scn)
-    elif name == "verifiability":
-        for i in range(runs):
-            scn = dict(base)
-            scn.update(
-                protocol="spc", seed=opts.seed + i,
-                adversary={"kind": "doctored", "byzantine": [n - 1], "jitter": 4},
-                inputs={"kind": "random", "alphabet": 2},
-            )
-            out.append(scn)
-    else:
-        raise ScenarioError([("suite", f"unknown suite {name}")])
-    return out
+SUITES = tuple(dict.fromkeys(s.tag for s in catalogue.STRATA)) + ("determinism", "equivalence")
 
 
 def run_suite(name: str, opts) -> tuple:
-    """Returns (runs, first_failure | None)."""
-    if name == "determinism":
-        scn = {
-            "version": 1, "protocol": opts.protocol or "pc3", "n": opts.n, "f": opts.f,
-            "L": opts.L or opts.n, "gst": None, "seed": opts.seed,
-            "adversary": {"kind": "fuzz", "stretch": 5},
-            "inputs": {"kind": "random"},
-        }
-        count = 0
-        for i in range(max(1, opts.runs // 10)):
-            scn["seed"] = opts.seed + i
-            first = run_scenario(dict(scn)).metrics.transcript_sha
-            again = run_scenario(dict(scn)).metrics.transcript_sha
-            count += 2
-            if first != again:
-                return count, (scn["seed"], checks.Violation("determinism", "transcripts differ"))
-        return count, None
+    """Returns (runs, first_failure | None).  Raises ValueError, before
+    any run, for an ``--n`` the suite does not have."""
     if name == "equivalence":
-        import random as _random
-
-        from .crypto import make_scheme
-        from .pc import PcConfig, Variant
-
-        cfg = PcConfig(opts.n, opts.f, opts.L or opts.n, Variant.THREE_ROUND, ("chk", "eq"))
-        scheme = make_scheme("mac", opts.n)
-        rng = _random.Random(opts.seed)
+        n = opts.n
+        cfg = PcConfig(n, (n - 1) // 3, n, Variant.THREE_ROUND, ("chk", "eq"))
+        scheme = make_scheme("mac", n)
+        rng = random.Random(opts.seed)
         alphabet = [b"a", b"b", b"c"]
         for i in range(opts.runs):
-            values = [tuple(rng.choice(alphabet) for _ in range(cfg.L)) for _ in range(opts.n)]
+            values = [tuple(rng.choice(alphabet) for _ in range(cfg.L)) for _ in range(n)]
             try:
                 wire.equivalence_harness(values, cfg, scheme, rng)
             except AssertionError as exc:
                 return i + 1, (opts.seed, checks.Violation("equivalence", str(exc)))
         return opts.runs, None
-    scenarios = _suite_scenarios(name, opts)
-    for scn in scenarios:
+    replay = name == "determinism"
+    scenarios = catalogue.suite("fuzz" if replay else name, opts.n, opts.runs, opts.seed)
+    for i, scn in enumerate(scenarios, 1):
         result = run_scenario(scn)
-        if result.violations:
-            return scenarios.index(scn) + 1, (scn["seed"], result.violations[0])
+        violations = result.violations
+        if replay and run_scenario(scn).metrics.transcript_sha != result.metrics.transcript_sha:
+            violations = [checks.Violation("determinism", "transcripts differ")]
+        if violations:
+            return i, (scn["seed"], violations[0])
     return len(scenarios), None
 
 
 def cmd_check(args) -> int:
     try:
         count, failure = run_suite(args.suite, args)
-    except ScenarioError as exc:
-        print(str(exc), file=sys.stderr)
+    except ValueError as exc:
+        print(f"check {args.suite}: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     if failure:
         seed, violation = failure
@@ -345,19 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_check = sub.add_parser("check", help="run a property suite")
-    p_check.add_argument(
-        "suite",
-        choices=[
-            "upperbound", "availability", "safety", "agreement", "censorship",
-            "leaderless", "verifiability", "determinism", "equivalence",
-        ],
-    )
+    p_check.add_argument("suite", choices=SUITES)
     p_check.add_argument("--n", type=int, default=4)
-    p_check.add_argument("--f", type=int, default=1)
-    p_check.add_argument("--L", type=int)
-    p_check.add_argument("--protocol")
-    p_check.add_argument("--runs", type=int, default=100)
-    p_check.add_argument("--slots", type=int, default=20)
+    p_check.add_argument("--runs", type=_positive, default=100)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.set_defaults(fn=cmd_check)
 

@@ -200,9 +200,7 @@ def build_adversary(scn: dict, scheme: Scheme) -> Adversary:
     kind = spec.get("kind", "none")
     byz = spec.get("byzantine", [])
     reveal = {int(p): set(r) for p, r in spec.get("reveal", {}).items()}
-    if kind == "none":
-        return Adversary()
-    if kind == "fuzz":  # the delays are the policy's jitter
+    if kind in ("none", "fuzz"):  # fuzz delays are the policy's jitter
         return Adversary(byzantine=byz)
     if kind == "silent":
         return adversaries.Silent(byzantine=byz)

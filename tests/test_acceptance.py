@@ -15,6 +15,7 @@ import time
 import pytest
 
 from prefixsim import adversaries, checks, wire
+from prefixsim.catalogue import criterion4, criterion6
 from prefixsim.cli import _fit_exponent, sweep_rows
 from prefixsim.crypto import MacScheme
 from prefixsim.derived import PcFromGradedEngine
@@ -89,78 +90,6 @@ def test_criterion_3_multislot_latency():
     ok("criterion-3 multi-slot latency: slot-1 commits@4, slot 2 starts@8")
 
 
-def _catalogue_scenarios():
-    out = []
-    seed = itertools.count(1000)
-
-    def add(count, scn):
-        for _ in range(count):
-            out.append({**scn, "seed": next(seed)})
-
-    async_base = {**BASE, "gst": None}
-    psync = {**BASE, "gst": 12, "delta_cap": 2}
-    for n, f, reps in ((4, 1, 110), (7, 2, 40)):
-        byz = list(range(n - f, n))
-        add(reps, {**async_base, "protocol": "pc3", "n": n, "f": f, "L": n,
-                   "adversary": {"kind": "silent", "byzantine": byz, "jitter": 5}})
-        add(reps, {**async_base, "protocol": "pc3", "n": n, "f": f, "L": n,
-                   "adversary": {"kind": "equivocate", "byzantine": [n - 1], "jitter": 5}})
-    add(110, {**async_base, "protocol": "pc_opt", "n": 4, "f": 1, "L": 4,
-              "adversary": {"kind": "silent", "byzantine": [3], "jitter": 5}})
-    add(110, {**async_base, "protocol": "pc_opt", "n": 4, "f": 1, "L": 4,
-              "adversary": {"kind": "equivocate", "byzantine": [3], "jitter": 5}})
-    add(80, {**async_base, "protocol": "pc_5f1", "n": 6, "f": 1, "L": 6,
-             "adversary": {"kind": "silent", "byzantine": [5], "jitter": 5}})
-    for kind, extra, reps in (
-        ("silent", {"byzantine": [0]}, 60),
-        ("split_view", {"byzantine": [0]}, 60),
-        ("withhold_body", {"reveal": {"0": [1]}}, 60),
-        ("doctored", {"byzantine": [3]}, 60),
-    ):
-        add(reps, {**psync, "protocol": "spc", "n": 4, "f": 1, "L": 4,
-                   "adversary": {"kind": kind, "jitter": 4, **extra}})
-    add(25, {**psync, "protocol": "spc", "n": 7, "f": 2, "L": 7,
-             "adversary": {"kind": "silent", "byzantine": [5, 6], "jitter": 4}})
-    add(25, {**psync, "protocol": "spc", "n": 7, "f": 2, "L": 7,
-             "adversary": {"kind": "doctored", "byzantine": [6], "jitter": 4}})
-    add(50, {**psync, "protocol": "msc", "n": 4, "f": 1, "slots": 2,
-             "adversary": {"kind": "censor", "reveal": {"2": [0]},
-                           "lag_victims": [1, 3], "lag": 6}})
-    add(50, {**psync, "protocol": "msc", "n": 4, "f": 1, "slots": 2,
-             "adversary": {"kind": "equivocate", "byzantine": [2],
-                           "lag_victims": [1, 3], "lag": 6}})
-    add(30, {**psync, "protocol": "msc", "n": 7, "f": 2, "slots": 2,
-             "adversary": {"kind": "censor", "reveal": {"5": [0], "6": [1]},
-                           "lag_victims": [1, 2, 3, 4], "lag": 6}})
-    return out
-
-
-def _fuzz_scenarios():
-    out = []
-    seed = itertools.count(50_000)
-
-    def add(count, scn):
-        for _ in range(count):
-            out.append({**scn, "seed": next(seed), "gst": scn.get("gst"),
-                        "adversary": {"kind": "fuzz", "stretch": 5}})
-
-    async_base = {**BASE, "gst": None}
-    add(4500, {**async_base, "protocol": "pc3", "n": 4, "f": 1, "L": 4})
-    add(1200, {**async_base, "protocol": "pc3", "n": 7, "f": 2, "L": 7})
-    add(1500, {**async_base, "protocol": "pc_opt", "n": 4, "f": 1, "L": 4})
-    add(800, {**async_base, "protocol": "pc_5f1", "n": 6, "f": 1, "L": 6})
-    add(1200, {**BASE, "protocol": "spc", "n": 4, "f": 1, "L": 4, "gst": 12, "delta_cap": 2})
-    add(300, {**BASE, "protocol": "spc", "n": 7, "f": 2, "L": 7, "gst": 12, "delta_cap": 2})
-    add(400, {**BASE, "protocol": "msc", "n": 4, "f": 1, "slots": 2, "gst": 12, "delta_cap": 2})
-    add(100, {**BASE, "protocol": "msc", "n": 7, "f": 2, "slots": 2, "gst": 12, "delta_cap": 2})
-    return out
-
-
-def criterion4():
-    """The criterion-4 list: the adversary catalogue, then the fuzzed schedules."""
-    return _catalogue_scenarios() + _fuzz_scenarios()
-
-
 def test_criterion_4_safety_sweeps():
     t0 = time.perf_counter()
     scenarios = criterion4()
@@ -209,20 +138,6 @@ def test_criterion_5_censorship_resistance():
     _run_censorship(7, 2, [5, 6], {"5": [0], "6": [1]}, [1, 2, 3, 4])
     _run_censorship(7, 2, [5, 6], None, [1, 2, 3, 4], kind="equivocate")
     ok("criterion-5 censorship: 100-slot runs, censored <= f, demotions all Byzantine")
-
-
-def criterion6():
-    """The criterion-6 list: spc then 2-slot msc under one suspension per
-    round, at (4, 1) and (7, 2), with f - 1 silent parties."""
-    out = []
-    for n, f in ((4, 1), (7, 2)):
-        silent = list(range(n - (f - 1), n)) if f > 1 else []
-        adversary = {"kind": "suspender", "byzantine": silent, "round_len": 1}
-        out += [{**BASE, "protocol": "spc", "n": n, "f": f, "L": n, "delta_cap": 2,
-                 "seed": 300 + i, "adversary": adversary} for i in range(50)]
-        out += [{**BASE, "protocol": "msc", "n": n, "f": f, "slots": 2, "delta_cap": 2,
-                 "seed": 400 + i, "adversary": adversary} for i in range(50)]
-    return out
 
 
 def test_criterion_6_leaderless_termination():

@@ -209,8 +209,40 @@ def test_sweep_rejects_bad_sizes(tmp_path, capsys, ns, inputs, where):
 
 
 def test_check_suite_passes():
-    assert cli.main(["--quiet", "check", "upperbound", "--n", "4", "--runs", "9"]) == 0
+    assert cli.main(["--quiet", "check", "pc", "--n", "4", "--runs", "9"]) == 0
     assert cli.main(["--quiet", "check", "equivalence", "--n", "4", "--runs", "5"]) == 0
+
+
+@pytest.mark.parametrize("suite", ["pc", "spc", "msc", "fuzz", "leaderless", "determinism"])
+def test_every_scenario_suite_passes(capsys, suite):
+    assert cli.main(["check", suite, "--runs", "4"]) == 0
+    assert capsys.readouterr().out == f"PASS {suite}: 4 runs, no violations\n"
+
+
+@pytest.mark.parametrize("args, where", [
+    (["pc", "--n", "5"], "available n: 4, 6, 7"),
+    (["leaderless", "--n", "10"], "available n: 4, 7"),
+    (["equivalence", "--n", "0"], "n, L must be positive"),
+], ids=["pc-n5", "leaderless-n10", "equivalence-n0"])
+def test_check_of_a_size_no_suite_has_is_exit_2(capsys, args, where):
+    assert cli.main(["check", *args]) == 2
+    err = capsys.readouterr().err
+    assert where in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("runs", ["0", "-3"])
+def test_check_runs_below_one_is_a_usage_error(capsys, runs):
+    # Used to print "PASS equivalence: 0 runs".
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "equivalence", "--runs", runs])
+    assert exc.value.code == 2 and "argument --runs: at least 1 required" in capsys.readouterr().err
+
+
+def test_none_adversary_honours_its_byzantine_list():
+    result = run_scenario({"version": 1, "protocol": "pc3", "n": 4, "f": 1, "L": 4,
+                           "adversary": {"kind": "none", "byzantine": [3]}})
+    assert result.sim.adversary.byzantine == {3}
+    assert result.honest == [0, 1, 2]
 
 
 def test_decode_roundtrip(capsys):

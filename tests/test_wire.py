@@ -313,9 +313,10 @@ _LEAVES = st.one_of(
     st.builds(Signature, _UINTS, st.binary(max_size=8)),
     # cheap to draw, long enough for multi-byte lengths and counts
     st.integers(120, 300).map(bytes), st.integers(120, 300).map(lambda n: tuple(range(n))),
-    # strings are sized without encoding: non-ASCII ones, and ones whose
-    # UTF-8 form reaches a two-byte length
-    st.text(st.characters(min_codepoint=0x80), max_size=8),
+    # strings are sized without encoding: non-ASCII ones (lone surrogates,
+    # which UTF-8 cannot encode, are among the unencodable values below),
+    # and ones whose UTF-8 form reaches a two-byte length
+    st.text(st.characters(min_codepoint=0x80, codec="utf-8"), max_size=8),
     st.integers(60, 200).map(lambda n: "é" * n), st.integers(120, 300).map(lambda n: "a" * n),
 )
 _VALUES = st.recursive(
@@ -345,8 +346,9 @@ _SIG = SCHEME.sign_vector(0, crypto.VOTE1, CFG.instance, (a,))
 
 @pytest.mark.parametrize(
     "bad, exc",
-    [([1], TypeError), (object(), TypeError), (-1, ValueError), ((a, -5, [1]), ValueError)],
-    ids=["list", "object", "negative", "negative-before-list"],
+    [([1], TypeError), (object(), TypeError), (-1, ValueError), ((a, -5, [1]), ValueError),
+     ("\ud800", UnicodeEncodeError)],
+    ids=["list", "object", "negative", "negative-before-list", "lone-surrogate"],
 )
 @pytest.mark.parametrize("inside_vote", [False, True], ids=["bare", "in-vote"])
 def test_unencodable_values_raise_alike(bad, exc, inside_vote):
