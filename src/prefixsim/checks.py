@@ -138,8 +138,9 @@ def msc_violations(sim, honest, byzantine, payload_fn, slots, gst, metrics) -> L
     bad: List[Violation] = []
     engines = {p: sim.engines[p] for p in honest}
     censored = censorship_audit(sim, honest, payload_fn, slots, gst, metrics)
+    commits = {p: e.committed_by_slot() for p, e in engines.items()}
     for slot in range(1, slots + 1):
-        logs = {p: e.committed_for_slot(slot) for p, e in engines.items()}
+        logs = {p: by_slot.get(slot, []) for p, by_slot in commits.items()}
         values = {tuple(log) for log in logs.values()}
         if len(values) > 1:
             bad.append(Violation("slot-agreement", f"slot {slot} logs differ"))
@@ -198,12 +199,13 @@ def censorship_audit(sim, honest, payload_fn, slots, gst, metrics) -> List[int]:
     A slot is classified post-GST by its earliest honest start time; with
     no GST every started slot counts."""
     censored = []
+    commits = {p: sim.engines[p].committed_by_slot() for p in honest}
     for slot in range(1, slots + 1):
         start = _slot_start(metrics, honest, slot)
         if start is None or (gst is not None and start < gst):
             continue
         for p in honest:
-            committed = {payload for _, _, payload in sim.engines[p].committed_for_slot(slot)}
+            committed = {payload for _, _, payload in commits[p].get(slot, [])}
             if not committed:
                 continue  # termination problems are reported elsewhere
             if any(payload_fn(h, slot) not in committed for h in honest):

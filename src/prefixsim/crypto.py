@@ -222,16 +222,27 @@ class RestrictedSigner:
 
 
 class MacScheme(Scheme):
-    """HMAC-SHA256 test scheme with a shared verifier-side key registry."""
+    """HMAC-SHA256 test scheme with a shared verifier-side key registry.
+
+    HMAC runs as RFC 2104 defines it, from each party's inner and outer
+    SHA-256 states, hashed once: a key is a 32-byte digest, so padding it
+    with zeros to the 64-byte block is exact."""
 
     sig_size = 16
 
     def __init__(self, n: int, seed: bytes = b"prefixsim-mac"):
         super().__init__(n)
-        self._keys = [hashlib.sha256(seed + b"|" + str(i).encode()).digest() for i in range(n)]
+        keys = [hashlib.sha256(seed + b"|" + str(i).encode()).digest().ljust(64, b"\0") for i in range(n)]
+        self._pads = [(hashlib.sha256(bytes(b ^ 0x36 for b in key)), hashlib.sha256(bytes(b ^ 0x5C for b in key)))
+                      for key in keys]
 
     def _raw_sign(self, party: int, payload: bytes) -> bytes:
-        return hmac_mod.digest(self._keys[party], payload, "sha256")[: self.sig_size]
+        inner, outer = self._pads[party]
+        inner = inner.copy()
+        inner.update(payload)
+        outer = outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()[: self.sig_size]
 
     def _raw_verify(self, party: int, payload: bytes, blob: bytes) -> bool:
         return hmac_mod.compare_digest(self._raw_sign(party, payload), blob)

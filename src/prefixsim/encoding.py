@@ -17,8 +17,8 @@ class DecodeError(ValueError):
     """Raised when a byte string cannot be parsed as the claimed structure."""
 
 
-def cached(obj, key: Hashable, compute: Callable[[], Any]) -> Any:
-    """``compute()``, run once per immutable ``obj`` and ``key``.
+def cached(obj, key: Hashable, compute: Callable[..., Any], *args) -> Any:
+    """``compute(*args)``, run once per immutable ``obj`` and ``key``.
 
     Results live on ``obj`` in one non-field attribute (fields, equality
     and wire form are untouched): every holder shares them and they die
@@ -31,22 +31,27 @@ def cached(obj, key: Hashable, compute: Callable[[], Any]) -> Any:
       signature, so the scheme is not part of that key;
     * a vote that carries certificates keeps its encoding (``"bytes"``),
       a registered object its plain size (``"plain"``), a view-entry
-      object its digest (``"digest"``) and a strong-agreement config one
-      prefix-consensus config per view (``("vpc", view)``).
+      object its digest (``"digest"``), a strong-agreement config one
+      prefix-consensus config per view (``("vpc", view)``) and a
+      multi-slot config one strong-agreement config per slot and ranking
+      (``("spc", slot, rank)``).
+
+    ``compute`` is a plain function and ``args`` its arguments, so a hit
+    builds no closure.
 
     Objects without a ``__dict__`` are not cached; a ``compute`` that
     raises stores nothing.
     """
     attrs = getattr(obj, "__dict__", None)
     if type(attrs) is not dict:
-        return compute()
+        return compute(*args)
     results = attrs.get("_cached")
     if results is None:
         results = attrs["_cached"] = {}
     try:
         return results[key]
     except KeyError:
-        value = results[key] = compute()
+        value = results[key] = compute(*args)
         return value
 
 

@@ -20,6 +20,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from . import crypto, wire
 from .actions import Broadcast, Output, Send, StartTimer
 from .crypto import Scheme
+from .encoding import cached
 from .nest import Host, Nested
 from .prefixes import Vector
 from .spc import FetchReq, FetchResp, SpcConfig, SpcEngine
@@ -59,10 +60,10 @@ class MscConfig:
             object.__setattr__(self, "rank0", tuple(range(self.n)))
 
     def spc_cfg(self, slot: int, rank: tuple) -> SpcConfig:
-        return SpcConfig(
-            self.n, self.f, self.n, self.delta_cap,
-            self.instance + ("slot", slot), rank,
-        )
+        """One config per slot and ranking, shared by every party's slot
+        engine, so that verdicts cached under it are found by identity."""
+        return cached(self, ("spc", slot, rank), SpcConfig,
+                      self.n, self.f, self.n, self.delta_cap, self.instance + ("slot", slot), rank)
 
 
 def payload_digest(payload: bytes) -> bytes:
@@ -256,12 +257,12 @@ class MscEngine:
 
     # ------------------------------------------------------------------
 
-    def committed_for_slot(self, slot: int) -> List[Tuple[int, int, bytes]]:
-        """Ordered (index, origin, payload) entries committed for a slot."""
-        out = []
-        for s, idx, origin, digest in self.commit_log:
-            if s == slot:
-                out.append((idx, origin, self.payloads[digest]))
+    def committed_by_slot(self) -> Dict[int, List[Tuple[int, int, bytes]]]:
+        """Ordered (index, origin, payload) entries committed per slot, in
+        one pass over the commit log."""
+        out: Dict[int, List[Tuple[int, int, bytes]]] = {}
+        for slot, idx, origin, digest in self.commit_log:
+            out.setdefault(slot, []).append((idx, origin, self.payloads[digest]))
         return out
 
     def export_commit_log(self) -> str:

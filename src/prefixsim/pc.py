@@ -80,13 +80,10 @@ class PcConfig:
         # Every verdict and certification lookup hashes its config; the
         # generated hash would rehash each field, the variant in Python.
         object.__setattr__(self, "_hash", hash((self.n, self.f, self.L, self.variant, self.instance)))
+        object.__setattr__(self, "quorum", self.n - self.f)
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def quorum(self) -> int:
-        return self.n - self.f
 
     @property
     def support(self) -> int:
@@ -149,7 +146,7 @@ def qc1_certify(votes, cfg: PcConfig):
     of the whole quorum.
     """
     if isinstance(votes, QC):
-        return cached(votes, ("qc1", cfg), lambda: qc1_certify(votes.values(), cfg))
+        return cached(votes, ("qc1", cfg), qc1_certify, votes.votes, cfg)
     values = _values(votes)
     supported = longest_supported_prefix(values, cfg.support)
     if cfg.variant is Variant.OPTIMISTIC:
@@ -161,7 +158,7 @@ def qc2_certify(votes, cfg: PcConfig):
     """Round-2 certification: mcp for THREE_ROUND, (mcp, mce) pairs for
     the variants whose round-2 values are guaranteed mutually consistent."""
     if isinstance(votes, QC):
-        return cached(votes, ("qc2", cfg), lambda: qc2_certify(votes.values(), cfg))
+        return cached(votes, ("qc2", cfg), qc2_certify, votes.votes, cfg)
     values = _values(votes)
     if cfg.variant is Variant.THREE_ROUND:
         return mcp(values)
@@ -179,7 +176,7 @@ def combined_certify(qc1_votes, qc2_votes, cfg: PcConfig) -> Vector:
 
 def qc3_certify(votes, cfg: PcConfig):
     if isinstance(votes, QC):
-        return cached(votes, ("qc3", cfg), lambda: qc3_certify(votes.values(), cfg))
+        return cached(votes, ("qc3", cfg), qc3_certify, votes.votes, cfg)
     values = _values(votes)
     if cfg.variant is Variant.THREE_ROUND:
         return mcp(values), _mce_or_fault(values, "qc3")
@@ -192,7 +189,7 @@ def qc4_certify(votes, cfg: PcConfig):
     if cfg.variant is not Variant.OPTIMISTIC:
         raise ConfigError("no round 4 in this variant")
     if isinstance(votes, QC):
-        return cached(votes, ("qc4", cfg), lambda: qc4_certify(votes.values(), cfg))
+        return cached(votes, ("qc4", cfg), qc4_certify, votes.votes, cfg)
     values = _values(votes)
     return mcp(values), _mce_or_fault(values, "qc4")
 
@@ -221,7 +218,12 @@ def _expected_vote_value(vote: Vote, cfg: PcConfig) -> Optional[Vector]:
 
 
 def verify_vote(vote: Vote, cfg: PcConfig, scheme: Scheme) -> bool:
-    return isinstance(vote, Vote) and cached(vote, (cfg, scheme), lambda: _verify_vote_inner(vote, cfg, scheme))
+    if not isinstance(vote, Vote):
+        return False
+    try:  # the cached verdict, looked up without a call
+        return vote._cached[cfg, scheme]
+    except (AttributeError, KeyError):
+        return cached(vote, (cfg, scheme), _verify_vote_inner, vote, cfg, scheme)
 
 
 def _verify_vote_inner(vote: Vote, cfg: PcConfig, scheme: Scheme) -> bool:
@@ -252,7 +254,12 @@ def _verify_vote_inner(vote: Vote, cfg: PcConfig, scheme: Scheme) -> bool:
 
 
 def verify_qc(qc: QC, cfg: PcConfig, scheme: Scheme) -> bool:
-    return isinstance(qc, QC) and cached(qc, (cfg, scheme), lambda: _verify_qc_inner(qc, cfg, scheme))
+    if not isinstance(qc, QC):
+        return False
+    try:
+        return qc._cached[cfg, scheme]
+    except (AttributeError, KeyError):
+        return cached(qc, (cfg, scheme), _verify_qc_inner, qc, cfg, scheme)
 
 
 def _verify_qc_inner(qc: QC, cfg: PcConfig, scheme: Scheme) -> bool:

@@ -96,7 +96,7 @@ def validate(scn: dict) -> List[Tuple[str, str]]:
             errors.append(("adversary.reveal", "object mapping party ids to lists of party ids required"))
             revealers = set()
         members = set(byz) | revealers
-        if isinstance(f, int) and kind not in ("none", "fuzz", "delayer"):
+        if isinstance(f, int):
             limit = f - 1 if kind == "suspender" else f
             need("adversary.byzantine", len(members) <= limit,
                  f"at most {limit} byzantine parties for {kind}")

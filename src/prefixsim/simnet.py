@@ -38,6 +38,7 @@ import random
 import weakref
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from .actions import Broadcast, Output, Send, StartTimer
@@ -218,15 +219,23 @@ class Simulation:
         self._gst = None if gst is None else self._ticks(gst)
         self._cap = self._ticks(self.policy.cap)
         self._default_delay = self._ticks(self.policy.default_delay)
-        # A jitter draw counts 1/JITTER_GRAIN units up to this bound (0:
-        # no jitter); each unit is _jitter_tick ticks.
-        self._jitter = JITTER_GRAIN * (self.policy.jitter or 0)
+        # A jitter draw is randint(JITTER_GRAIN, JITTER_GRAIN * jitter)
+        # units of _jitter_tick ticks: JITTER_GRAIN plus a number below
+        # _jitter_width (0: no jitter), drawn as randrange draws it.
+        self._jitter_width = JITTER_GRAIN * (self.policy.jitter - 1) + 1 if self.policy.jitter else 0
         self._jitter_tick = self.tick // JITTER_GRAIN
-        self._times: Dict[int, Tuple[Time, str]] = {}
+        # Each hook is called only if the adversary's class overrides it.
+        cls = type(self.adversary)
+        self._pick_delay = self.adversary.pick_delay if cls.pick_delay is not Adversary.pick_delay else None
+        self._suspended_until = (
+            self.adversary.suspended_until if cls.suspended_until is not Adversary.suspended_until else None)
+        self._peers = [tuple(p for p in range(n) if p != party) for party in range(n)]
+        self._labels: Dict[int, str] = {}
         self._now = 0
-        self._t, self._text = self._at(0)
+        self._now_label = self._label(0)
         self.metrics = Metrics(n=n, outputs={i: {} for i in range(n)})
         self.records: List[str] = []
+        self._lines: List[str] = []  # trace lines not yet hashed
         self._sha = hashlib.sha256()
         self._queue: list = []
         self._seq = 0
@@ -253,15 +262,20 @@ class Simulation:
             )
         return t.numerator * whole
 
-    def _at(self, ticks: int) -> Tuple[Time, str]:
-        """The exact time of a tick count and its trace text."""
-        entry = self._times.get(ticks)
-        if entry is None:
-            t = ticks if self.tick == 1 else Fraction(ticks, self.tick)
-            entry = self._times[ticks] = (t, str(t))
-        return entry
+    def _time(self, ticks: int) -> Time:
+        """The exact time of a tick count, for the simulator's edges."""
+        return ticks if self.tick == 1 else Fraction(ticks, self.tick)
 
-    # -- scheduling primitives
+    def _label(self, ticks: int) -> str:
+        """The trace text of a tick count (``str`` of its exact time)."""
+        label = self._labels.get(ticks)
+        if label is None:
+            g = math.gcd(ticks, self.tick)
+            label = str(ticks // g) if g == self.tick else f"{ticks // g}/{self.tick // g}"
+            self._labels[ticks] = label
+        return label
+
+    # -- scheduling
 
     def _push(self, ticks: int, sender: int, receiver: int, item) -> None:
         self._seq += 1
@@ -275,140 +289,142 @@ class Simulation:
         """Adversary-initiated message from a Byzantine party."""
         if sender not in self.adversary.byzantine:
             raise SimulationError("byz_send from an honest party")
-        self._post(sender, receiver, msg, self._describe(msg), delay)
+        self._send(sender, ((receiver, msg, delay),))
 
-    # -- message posting
+    def _send(self, sender: int, sends) -> None:
+        """Post every ``(receiver, message, delay override)`` of one send.
 
-    def _delivery_time(self, sender: int, receiver: int, override: Optional[Time]) -> int:
-        d = override
-        if d is None:
-            d = self.adversary.pick_delay(self.rng, sender, receiver, self._t)
-        if d is not None:
-            d = self._ticks(d)
-        elif self._jitter:
-            d = self.rng.randint(JITTER_GRAIN, self._jitter) * self._jitter_tick
-        else:
-            d = self._default_delay
-        if d <= 0:
-            raise SimulationError("delays must be positive")
-        now = self._now
-        deliver = now + d
-        byz = self.adversary.byzantine
-        if self._gst is not None and sender not in byz and receiver not in byz:
+        A message is summarized, sized and classed as fetch traffic once
+        per distinct object, not once per receiver.  A delay is the
+        override, else the adversary's pick, else a jitter draw, else the
+        policy default; after GST the cap bounds honest links."""
+        now, byz, queue, width = self._now, self.adversary.byzantine, self._queue, self._jitter_width
+        pick, measure, labels, write = self._pick_delay, self.measure, self._labels, self._lines.append
+        getrandbits, bits = self.rng.getrandbits, self._jitter_width.bit_length()
+        bound = None
+        if self._gst is not None and sender not in byz:
             bound = (now if now >= self._gst else self._gst) + self._cap
-            if deliver > bound:
+        head = f"@{self._now_label} send {sender}->"
+        seq = self._seq
+        count = nbytes_total = fetches = 0
+        last = None
+        for dest, msg, delay in sends:
+            if msg is not last:
+                last = msg
+                summary = _summize(msg)
+                nbytes = measure(msg) if measure else 0
+                fetch = type(innermost(msg)).__name__ in ("FetchReq", "FetchResp")
+                middle, tail = f" {summary} deliver@", f" b={nbytes}"
+                item = ("msg", msg, f"<-{sender} {summary}")
+            if delay is None and pick is not None:
+                delay = pick(self.rng, sender, dest, self._time(now))
+            if delay is not None:
+                d = self._ticks(delay)
+            elif width:
+                r = getrandbits(bits)
+                while r >= width:
+                    r = getrandbits(bits)
+                d = (JITTER_GRAIN + r) * self._jitter_tick
+            else:
+                d = self._default_delay
+            if d <= 0:
+                raise SimulationError("delays must be positive")
+            deliver = now + d
+            if bound is not None and deliver > bound and dest not in byz:
                 deliver = bound
-        return deliver
-
-    def _describe(self, msg) -> Tuple[str, int, bool]:
-        """What the trace and the counters need of a message: its
-        summary, its byte size and whether it is fetch traffic."""
-        nbytes = self.measure(msg) if self.measure else 0
-        fetch = type(innermost(msg)).__name__ in ("FetchReq", "FetchResp")
-        return _summize(msg), nbytes, fetch
-
-    def _post(self, sender: int, receiver: int, msg, described, delay_override: Optional[Time] = None) -> None:
-        summary, nbytes, fetch = described
-        deliver = self._delivery_time(sender, receiver, delay_override)
+            count += 1
+            nbytes_total += nbytes
+            fetches += fetch
+            write(f"{head}{dest}{middle}{labels.get(deliver) or self._label(deliver)}{tail}")
+            seq += 1
+            heapq.heappush(queue, (deliver, sender, dest, seq, item))
+        self._seq = seq
         metrics = self.metrics
-        metrics.message_count += 1
-        metrics.bytes_total += nbytes
-        if fetch:
-            metrics.fetch_messages += 1
-        self._trace(
-            f"@{self._text} send {sender}->{receiver} {summary} deliver@{self._at(deliver)[1]} b={nbytes}"
-        )
-        self._push(deliver, sender, receiver, ("msg", msg, summary))
+        metrics.message_count += count
+        metrics.bytes_total += nbytes_total
+        metrics.fetch_messages += fetches
 
     def _dispatch_actions(self, party: int, actions) -> None:
+        adversary = self.adversary
         for act in actions:
-            if isinstance(act, Broadcast):
-                self._handle_send(party, act.msg, [p for p in range(self.n) if p != party])
-            elif isinstance(act, Send):
-                self._handle_send(party, act.msg, [act.dest])
+            if isinstance(act, (Broadcast, Send)):
+                receivers = self._peers[party] if isinstance(act, Broadcast) else (act.dest,)
+                if party in adversary.byzantine:
+                    self._send(party, adversary.on_send(party, act.msg, receivers))
+                else:
+                    self._send(party, zip(receivers, repeat(act.msg), repeat(None)))
             elif isinstance(act, Output):
-                self._note_output(party, act)
+                outputs = self.metrics.outputs[party]
+                if act.kind in outputs:
+                    raise SimulationError(f"duplicate output {act.kind} from {party}")
+                outputs[act.kind] = (act.value, act.proof, self._time(self._now))
+                self._lines.append(f"@{self._now_label} output {party} {act.kind}")
             elif isinstance(act, StartTimer):
-                self._trace(f"@{self._text} timer-set {party} {act.key} +{act.delay}")
+                self._lines.append(f"@{self._now_label} timer-set {party} {act.key} +{act.delay}")
                 self._push(self._now + self._ticks(act.delay), party, party, ("timer", act.key))
             else:
                 raise SimulationError(f"unknown action {act!r}")
 
-    def _handle_send(self, party: int, msg, receivers) -> None:
-        if party in self.adversary.byzantine:
-            last = described = None
-            for dest, out, delay in self.adversary.on_send(party, msg, receivers):
-                if out is not last:
-                    last, described = out, self._describe(out)
-                self._post(party, dest, out, described, delay)
-        else:
-            described = self._describe(msg)
-            for dest in receivers:
-                self._post(party, dest, msg, described)
-
-    def _note_output(self, party: int, act: Output) -> None:
-        slot = self.metrics.outputs[party]
-        if act.kind in slot:
-            raise SimulationError(f"duplicate output {act.kind} from {party}")
-        slot[act.kind] = (act.value, act.proof, self._t)
-        self._trace(f"@{self._text} output {party} {act.kind}")
-
-    def _trace(self, line: str) -> None:
-        self._sha.update((line + "\n").encode())
-        if self.record:
-            self.records.append(line)
+    def _flush(self) -> None:
+        """Hash (and, when recording, keep) the trace lines written so far."""
+        lines = self._lines
+        if lines:
+            self._sha.update(("\n".join(lines) + "\n").encode())
+            if self.record:
+                self.records += lines
+            lines.clear()
 
     # -- main loop
 
     def run(self) -> Metrics:
-        queue = self._queue
-        suspended_until = self.adversary.suspended_until
+        queue, engines, labels, lines = self._queue, self.engines, self._labels, self._lines
+        adversary = self.adversary
+        byz, suspended_until = adversary.byzantine, self._suspended_until
+        now, label, t = self._now, self._now_label, self._time(self._now)
         steps = 0
         while queue:
             ticks, sender, receiver, _seq, item = heapq.heappop(queue)
-            if ticks != self._now:
-                self._now = ticks
-                self._t, self._text = self._at(ticks)
-            resume = suspended_until(receiver, self._t)
-            if resume is not None:
-                resume = self._ticks(resume)
-                if resume > ticks:
-                    # Suspended parties neither send nor receive; buffered
-                    # deliveries resume at the window end.
-                    self._push(resume, sender, receiver, item)
-                    continue
+            if ticks != now:
+                now = self._now = ticks
+                label = self._now_label = labels.get(ticks) or self._label(ticks)
+                if suspended_until is not None:
+                    t = self._time(ticks)
+            if suspended_until is not None:
+                resume = suspended_until(receiver, t)
+                if resume is not None:
+                    resume = self._ticks(resume)
+                    if resume > ticks:
+                        # Suspended parties neither send nor receive; buffered
+                        # deliveries resume at the window end.
+                        self._push(resume, sender, receiver, item)
+                        continue
             steps += 1
             if steps > self.max_events:
                 raise SimulationError("event budget exceeded (runaway protocol?)")
-            self._deliver(receiver, sender, item)
-        self.metrics.end_time = self._t
+            kind, engine = item[0], engines.get(receiver)
+            if kind == "msg":
+                lines.append(f"@{label} recv {receiver}{item[2]}")
+                if receiver in byz and not adversary.on_deliver(receiver, sender, item[1]):
+                    continue
+                if engine is not None:
+                    self._dispatch_actions(receiver, engine.on_message(sender, item[1]))
+            elif kind == "input":
+                lines.append(f"@{label} input {receiver}")
+                if receiver in byz and not adversary.on_input(receiver, item[1]):
+                    continue
+                if engine is not None:
+                    self._dispatch_actions(receiver, engine.on_input(item[1]))
+            else:
+                lines.append(f"@{label} timer-fire {receiver} {item[1]}")
+                if engine is not None:
+                    self._dispatch_actions(receiver, engine.on_timer(item[1]))
+            if len(lines) >= 256:
+                self._flush()
+        self._flush()
+        self.metrics.end_time = self._time(now)
         self.metrics.drops = sum(e.dropped for e in self.engines.values() if e is not None)
         self.metrics.transcript_sha = self._sha.hexdigest()
         return self.metrics
-
-    def _deliver(self, party: int, sender: int, item) -> None:
-        kind = item[0]
-        engine = self.engines.get(party)
-        if kind == "msg":
-            _, msg, summary = item
-            self._trace(f"@{self._text} recv {party}<-{sender} {summary}")
-            if party in self.adversary.byzantine:
-                if not self.adversary.on_deliver(party, sender, msg):
-                    return
-            if engine is not None:
-                self._dispatch_actions(party, engine.on_message(sender, msg))
-            return
-        if kind == "input":
-            self._trace(f"@{self._text} input {party}")
-            if party in self.adversary.byzantine:
-                if not self.adversary.on_input(party, item[1]):
-                    return
-            if engine is not None:
-                self._dispatch_actions(party, engine.on_input(item[1]))
-            return
-        self._trace(f"@{self._text} timer-fire {party} {item[1]}")
-        if engine is not None:
-            self._dispatch_actions(party, engine.on_timer(item[1]))
 
     # -- convenience
 

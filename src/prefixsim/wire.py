@@ -149,7 +149,7 @@ def _write_value(out: bytearray, value) -> None:
     elif kind is int:
         out += _INT_HEADS[value] if 0 <= value < 0x80 else _head(_T_INT, value)
     elif kind is Vote and type(value.qcs) is tuple and value.qcs:
-        out += cached(value, "bytes", lambda: _vote_bytes(value))
+        out += cached(value, "bytes", _vote_bytes, value)
     elif kind in _LAYOUT:
         header, names, _ = _LAYOUT[kind]
         out += header
@@ -197,12 +197,12 @@ def _size(value) -> int:
         out = bytearray()
         _write_value(out, value)
         return len(out)
-    header, names, keep = layout
+    return cached(value, "plain", _fields_size, value, layout) if layout[2] else _fields_size(value, layout)
 
-    def size() -> int:
-        return len(header) + sum(_size(getattr(value, name)) for name in names)
 
-    return cached(value, "plain", size) if keep else size()
+def _fields_size(value, layout) -> int:
+    header, names, _ = layout
+    return len(header) + sum(_size(getattr(value, name)) for name in names)
 
 
 def _read_value(data: bytes, pos: int, depth: int = 0):
@@ -1012,7 +1012,11 @@ class CompactCodec:
         return msg
 
     def measure(self, msg) -> int:
-        return cached(msg, self, lambda: measure(self.to_compact(msg)))
+        return cached(msg, self, _compact_size, self, msg)
+
+
+def _compact_size(codec: CompactCodec, msg) -> int:
+    return measure(codec.to_compact(msg))
 
 
 def hexdump(data: bytes, width: int = 16) -> str:

@@ -125,7 +125,7 @@ def _run_censorship(n, f, byz, reveal, lag_victims, slots=100, kind="censor"):
             high = engine.slot_outputs[slot]["high"][0]
             assert engine.ranks[slot][len(high)] in byz, f"slot {slot} demoted an honest party"
     for slot in range(last_demotion + 1, slots + 1):
-        committed = {pl for _, _, pl in engine.committed_for_slot(slot)}
+        committed = {pl for _, _, pl in engine.committed_by_slot().get(slot, [])}
         for h in honest:
             assert payload_fn(h, slot) in committed, f"slot {slot} missing honest input"
     return censored

@@ -245,6 +245,19 @@ def test_none_adversary_honours_its_byzantine_list():
     assert result.honest == [0, 1, 2]
 
 
+@pytest.mark.parametrize("kind", ["none", "fuzz", "delayer", "silent"])
+def test_more_than_f_byzantine_parties_is_a_schema_error(tmp_path, capsys, kind):
+    # none, fuzz and delayer used to pass, run with one honest party and
+    # report protocol violations (exit 3).
+    scn = {"version": 1, "protocol": "pc3", "n": 4, "f": 1, "L": 4,
+           "adversary": {"kind": kind, "byzantine": [0, 1, 2]}}
+    assert validate(scn) == [("adversary.byzantine", f"at most 1 byzantine parties for {kind}")]
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(scn))
+    assert cli.main(["--quiet", "run", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert "adversary.byzantine" in capsys.readouterr().err
+
+
 def test_decode_roundtrip(capsys):
     scn = json.load(open(scenario_path("pc3_faultfree_n4.json")))
     result = run_scenario(scn)

@@ -1,6 +1,9 @@
 """Cross-backend conformance for the signing/aggregation/hashing layer."""
 
 import dataclasses
+import hashlib
+import hmac
+import random
 
 import pytest
 
@@ -28,6 +31,19 @@ def scheme(request):
 def test_sign_verify_roundtrip(scheme):
     sig = scheme.sign(0, crypto.VOTE1, INST, b"m")
     assert scheme.verify(0, crypto.VOTE1, INST, b"m", sig)
+
+
+def test_mac_signatures_are_truncated_hmac_sha256():
+    scheme = MacScheme(7)
+    rng = random.Random(5)
+    for party in range(7):
+        key = hashlib.sha256(b"prefixsim-mac|" + str(party).encode()).digest()
+        for size in [0, 1, 55, 56, 64, 300] + [rng.randrange(301) for _ in range(30)]:
+            message = rng.randbytes(size)
+            sig = scheme.sign(party, crypto.VOTE2, INST, message)
+            want = hmac.digest(key, crypto.tag_bytes(crypto.VOTE2, INST) + message, "sha256")[:16]
+            assert sig.blob == want
+            assert scheme.verify(party, crypto.VOTE2, INST, message, sig)
 
 
 def test_domain_separation(scheme):

@@ -37,9 +37,19 @@ def run_msc(n=4, f=1, slots=2, delta_cap=1, policy=None, adversary=None, seed=0,
     return cfg, sim, metrics
 
 
+def test_slot_engines_share_one_config_per_slot():
+    # Verdicts are cached under the view configs of a slot's config; one
+    # object for all parties lets each party find the others' verdicts.
+    _, sim, _ = run_msc(slots=3)
+    for slot in (1, 2, 3):
+        engines = [sim.engines[p].slots.children[slot] for p in range(4)]
+        assert all(e.cfg is engines[0].cfg for e in engines)
+        assert all(e.cfg.vpc_cfg(2) is engines[0].cfg.vpc_cfg(2) for e in engines)
+
+
 def committed_payload_sets(sim, slot, honest):
     return {
-        p: [pl for _, _, pl in sim.engines[p].committed_for_slot(slot)]
+        p: [pl for _, _, pl in sim.engines[p].committed_by_slot().get(slot, [])]
         for p in honest
     }
 
