@@ -229,11 +229,13 @@ class MacScheme(Scheme):
     with zeros to the 64-byte block is exact."""
 
     sig_size = 16
+    _IPAD = bytes(b ^ 0x36 for b in range(256))  # byte translation tables
+    _OPAD = bytes(b ^ 0x5C for b in range(256))
 
     def __init__(self, n: int, seed: bytes = b"prefixsim-mac"):
         super().__init__(n)
         keys = [hashlib.sha256(seed + b"|" + str(i).encode()).digest().ljust(64, b"\0") for i in range(n)]
-        self._pads = [(hashlib.sha256(bytes(b ^ 0x36 for b in key)), hashlib.sha256(bytes(b ^ 0x5C for b in key)))
+        self._pads = [(hashlib.sha256(key.translate(self._IPAD)), hashlib.sha256(key.translate(self._OPAD)))
                       for key in keys]
 
     def _raw_sign(self, party: int, payload: bytes) -> bytes:

@@ -36,11 +36,9 @@ def cached(obj, key: Hashable, compute: Callable[..., Any], *args) -> Any:
       multi-slot config one strong-agreement config per slot and ranking
       (``("spc", slot, rank)``).
 
-    ``compute`` is a plain function and ``args`` its arguments, so a hit
-    builds no closure.
-
     Objects without a ``__dict__`` are not cached; a ``compute`` that
-    raises stores nothing.
+    raises stores nothing.  Callers pass ``compute``'s arguments, not a
+    closure over them, so a hit builds no function object.
     """
     attrs = getattr(obj, "__dict__", None)
     if type(attrs) is not dict:

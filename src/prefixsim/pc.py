@@ -81,16 +81,11 @@ class PcConfig:
         # generated hash would rehash each field, the variant in Python.
         object.__setattr__(self, "_hash", hash((self.n, self.f, self.L, self.variant, self.instance)))
         object.__setattr__(self, "quorum", self.n - self.f)
+        # The vote count that pins a round-1 certified prefix.
+        object.__setattr__(self, "support", self.n - 2 * self.f if self.variant is Variant.FAST_5F1 else self.f + 1)
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def support(self) -> int:
-        """Vote count that pins a round-1 certified prefix."""
-        if self.variant is Variant.FAST_5F1:
-            return self.n - 2 * self.f
-        return self.f + 1
 
     def rounds(self) -> int:
         return ROUNDS[self.variant]
@@ -113,9 +108,6 @@ class QC:
 
     def values(self) -> Tuple[Vector, ...]:
         return tuple(v.value for v in self.votes)
-
-    def senders(self) -> Tuple[int, ...]:
-        return tuple(v.sender for v in self.votes)
 
 
 def _values(votes) -> List[Vector]:
@@ -267,8 +259,7 @@ def _verify_qc_inner(qc: QC, cfg: PcConfig, scheme: Scheme) -> bool:
         return False
     if not all(verify_vote(vote, cfg, scheme) and vote.round == qc.round for vote in qc.votes):
         return False
-    senders = qc.senders()
-    return len(set(senders)) == len(senders)
+    return len({vote.sender for vote in qc.votes}) == len(qc.votes)
 
 
 def predicate_low(value: Vector, proof, cfg: PcConfig, scheme: Scheme) -> bool:
@@ -349,10 +340,7 @@ class PcEngine:
         return self._broadcast_and_record(vote)
 
     def on_message(self, sender: int, msg) -> list:
-        if not isinstance(msg, Vote) or msg.sender != sender:
-            self.dropped += 1
-            return []
-        if not verify_vote(msg, self.cfg, self.scheme):
+        if not isinstance(msg, Vote) or msg.sender != sender or not verify_vote(msg, self.cfg, self.scheme):
             self.dropped += 1
             return []
         return self._record(msg)

@@ -9,13 +9,19 @@ clock, the event queue, delivery bounds and suspension windows are plain
 ints; a delay, timer or resume time that is not a whole number of ticks
 raises :class:`SimulationError` (it is never rounded).
 
-Times leave the simulator as exact :data:`Time` only at its edges: the
-``t`` handed to :meth:`Adversary.pick_delay` and
+An exact :data:`Time` is built only where a time leaves the simulator:
+the ``t`` handed to :meth:`Adversary.pick_delay` and
 :meth:`Adversary.suspended_until`, the output times in
 :attr:`Metrics.outputs` and :attr:`Metrics.end_time`.  An edge time is an
 ``int`` when ``D == 1`` and a ``Fraction`` otherwise; either compares
 equal to the same instant and renders as the same text (``7/2``, or ``3``
-when whole), which is also how the trace writes times.
+when whole).  The trace writes that text from the tick count, reduced by
+their gcd and kept per run.  Those two hooks are called only when the
+adversary's class overrides them, as each simulation decides once.
+
+Each send, honest or Byzantine, is one fan-out loop over its receivers:
+a message is summarized and sized once, then every receiver gets its
+delay, trace line and queue entry.  The run loop delivers inline.
 
 The event queue is ordered by ``(time, sender, receiver, sequence)``;
 identical (scenario, seed) pairs replay bit-identically.  Partial
@@ -36,7 +42,7 @@ import heapq
 import math
 import random
 import weakref
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
@@ -157,23 +163,13 @@ class Metrics:
 
 
 _SUMMARY_FIELDS = ("inst", "key", "round", "view", "slot", "kind")
-_summary_attrs: Dict[type, Tuple[str, ...]] = {}
 
 
 def _summize(msg) -> str:
     """``Name attr=value ...`` for the summary fields a message has that
-    are not None."""
-    cls = type(msg)
-    attrs = _summary_attrs.get(cls)
-    if attrs is None:
-        if is_dataclass(cls):
-            names = {f.name for f in fields(cls)}
-            attrs = tuple(a for a in _SUMMARY_FIELDS if a in names or hasattr(cls, a))
-        else:
-            attrs = _SUMMARY_FIELDS
-        _summary_attrs[cls] = attrs
-    bits = [cls.__name__]
-    for attr in attrs:
+    are not None (once per sent object, so no table of fields)."""
+    bits = [type(msg).__name__]
+    for attr in _SUMMARY_FIELDS:
         val = getattr(msg, attr, None)
         if val is not None:
             bits.append(f"{attr}={val}")
@@ -219,9 +215,8 @@ class Simulation:
         self._gst = None if gst is None else self._ticks(gst)
         self._cap = self._ticks(self.policy.cap)
         self._default_delay = self._ticks(self.policy.default_delay)
-        # A jitter draw is randint(JITTER_GRAIN, JITTER_GRAIN * jitter)
-        # units of _jitter_tick ticks: JITTER_GRAIN plus a number below
-        # _jitter_width (0: no jitter), drawn as randrange draws it.
+        # A jitter draw is randint(JITTER_GRAIN, JITTER_GRAIN * jitter) units of
+        # _jitter_tick ticks: JITTER_GRAIN plus randrange's draw below _jitter_width.
         self._jitter_width = JITTER_GRAIN * (self.policy.jitter - 1) + 1 if self.policy.jitter else 0
         self._jitter_tick = self.tick // JITTER_GRAIN
         # Each hook is called only if the adversary's class overrides it.
@@ -235,18 +230,13 @@ class Simulation:
         self._now_label = self._label(0)
         self.metrics = Metrics(n=n, outputs={i: {} for i in range(n)})
         self.records: List[str] = []
-        self._lines: List[str] = []  # trace lines not yet hashed
+        self._lines: List[str] = []  # trace lines not yet hashed; hashed 256 at a time
         self._sha = hashlib.sha256()
         self._queue: list = []
         self._seq = 0
-        self.engines: Dict[int, Any] = {}
-        self.inputs: Dict[int, Any] = {}
         self.adversary.attach(self)
-        for party in range(n):
-            if party in self.adversary.byzantine:
-                self.engines[party] = self.adversary.engine_for(party, build_engine)
-            else:
-                self.engines[party] = build_engine(party)
+        self.engines: Dict[int, Any] = {p: self.adversary.engine_for(p, build_engine) if p in self.adversary.byzantine
+                                        else build_engine(p) for p in range(n)}
 
     # -- virtual time
 
@@ -267,12 +257,10 @@ class Simulation:
         return ticks if self.tick == 1 else Fraction(ticks, self.tick)
 
     def _label(self, ticks: int) -> str:
-        """The trace text of a tick count (``str`` of its exact time)."""
-        label = self._labels.get(ticks)
-        if label is None:
-            g = math.gcd(ticks, self.tick)
-            label = str(ticks // g) if g == self.tick else f"{ticks // g}/{self.tick // g}"
-            self._labels[ticks] = label
+        """The trace text of a tick count (``str`` of its exact time), kept
+        in ``_labels``, where callers look first."""
+        g = math.gcd(ticks, self.tick)
+        label = self._labels[ticks] = str(ticks // g) if g == self.tick else f"{ticks // g}/{self.tick // g}"
         return label
 
     # -- scheduling
@@ -282,8 +270,7 @@ class Simulation:
         heapq.heappush(self._queue, (ticks, sender, receiver, self._seq, item))
 
     def schedule_input(self, party: int, value, at: Time = 0) -> None:
-        self.inputs[party] = value
-        self._push(self._ticks(at), party, party, ("input", value))
+        self._push(self._ticks(at), party, party, ("input", value, ""))
 
     def byz_send(self, sender: int, receiver: int, msg, delay: Optional[Time] = None) -> None:
         """Adversary-initiated message from a Byzantine party."""
@@ -298,15 +285,13 @@ class Simulation:
         per distinct object, not once per receiver.  A delay is the
         override, else the adversary's pick, else a jitter draw, else the
         policy default; after GST the cap bounds honest links."""
-        now, byz, queue, width = self._now, self.adversary.byzantine, self._queue, self._jitter_width
+        now, byz, queue, metrics = self._now, self.adversary.byzantine, self._queue, self.metrics
         pick, measure, labels, write = self._pick_delay, self.measure, self._labels, self._lines.append
-        getrandbits, bits = self.rng.getrandbits, self._jitter_width.bit_length()
+        width, getrandbits, bits = self._jitter_width, self.rng.getrandbits, self._jitter_width.bit_length()
         bound = None
         if self._gst is not None and sender not in byz:
             bound = (now if now >= self._gst else self._gst) + self._cap
         head = f"@{self._now_label} send {sender}->"
-        seq = self._seq
-        count = nbytes_total = fetches = 0
         last = None
         for dest, msg, delay in sends:
             if msg is not last:
@@ -315,7 +300,7 @@ class Simulation:
                 nbytes = measure(msg) if measure else 0
                 fetch = type(innermost(msg)).__name__ in ("FetchReq", "FetchResp")
                 middle, tail = f" {summary} deliver@", f" b={nbytes}"
-                item = ("msg", msg, f"<-{sender} {summary}")
+                item = ("recv", msg, f"<-{sender} {summary}")
             if delay is None and pick is not None:
                 delay = pick(self.rng, sender, dest, self._time(now))
             if delay is not None:
@@ -332,38 +317,12 @@ class Simulation:
             deliver = now + d
             if bound is not None and deliver > bound and dest not in byz:
                 deliver = bound
-            count += 1
-            nbytes_total += nbytes
-            fetches += fetch
+            metrics.message_count += 1
+            metrics.bytes_total += nbytes
+            metrics.fetch_messages += fetch
             write(f"{head}{dest}{middle}{labels.get(deliver) or self._label(deliver)}{tail}")
-            seq += 1
-            heapq.heappush(queue, (deliver, sender, dest, seq, item))
-        self._seq = seq
-        metrics = self.metrics
-        metrics.message_count += count
-        metrics.bytes_total += nbytes_total
-        metrics.fetch_messages += fetches
-
-    def _dispatch_actions(self, party: int, actions) -> None:
-        adversary = self.adversary
-        for act in actions:
-            if isinstance(act, (Broadcast, Send)):
-                receivers = self._peers[party] if isinstance(act, Broadcast) else (act.dest,)
-                if party in adversary.byzantine:
-                    self._send(party, adversary.on_send(party, act.msg, receivers))
-                else:
-                    self._send(party, zip(receivers, repeat(act.msg), repeat(None)))
-            elif isinstance(act, Output):
-                outputs = self.metrics.outputs[party]
-                if act.kind in outputs:
-                    raise SimulationError(f"duplicate output {act.kind} from {party}")
-                outputs[act.kind] = (act.value, act.proof, self._time(self._now))
-                self._lines.append(f"@{self._now_label} output {party} {act.kind}")
-            elif isinstance(act, StartTimer):
-                self._lines.append(f"@{self._now_label} timer-set {party} {act.key} +{act.delay}")
-                self._push(self._now + self._ticks(act.delay), party, party, ("timer", act.key))
-            else:
-                raise SimulationError(f"unknown action {act!r}")
+            self._seq += 1
+            heapq.heappush(queue, (deliver, sender, dest, self._seq, item))
 
     def _flush(self) -> None:
         """Hash (and, when recording, keep) the trace lines written so far."""
@@ -378,46 +337,54 @@ class Simulation:
 
     def run(self) -> Metrics:
         queue, engines, labels, lines = self._queue, self.engines, self._labels, self._lines
-        adversary = self.adversary
+        adversary, outputs = self.adversary, self.metrics.outputs
         byz, suspended_until = adversary.byzantine, self._suspended_until
-        now, label, t = self._now, self._now_label, self._time(self._now)
+        now, label = self._now, self._now_label
         steps = 0
         while queue:
-            ticks, sender, receiver, _seq, item = heapq.heappop(queue)
+            ticks, sender, party, _seq, (kind, arg, tail) = heapq.heappop(queue)
             if ticks != now:
                 now = self._now = ticks
                 label = self._now_label = labels.get(ticks) or self._label(ticks)
-                if suspended_until is not None:
-                    t = self._time(ticks)
             if suspended_until is not None:
-                resume = suspended_until(receiver, t)
-                if resume is not None:
-                    resume = self._ticks(resume)
-                    if resume > ticks:
-                        # Suspended parties neither send nor receive; buffered
-                        # deliveries resume at the window end.
-                        self._push(resume, sender, receiver, item)
-                        continue
+                resume = suspended_until(party, self._time(ticks))
+                if resume is not None and (resume := self._ticks(resume)) > ticks:
+                    # Suspended parties neither send nor receive; buffered
+                    # deliveries resume at the window end.
+                    self._push(resume, sender, party, (kind, arg, tail))
+                    continue
             steps += 1
             if steps > self.max_events:
                 raise SimulationError("event budget exceeded (runaway protocol?)")
-            kind, engine = item[0], engines.get(receiver)
-            if kind == "msg":
-                lines.append(f"@{label} recv {receiver}{item[2]}")
-                if receiver in byz and not adversary.on_deliver(receiver, sender, item[1]):
+            lines.append(f"@{label} {kind} {party}{tail}")
+            engine = engines.get(party)
+            if kind == "recv":
+                if party in byz and not adversary.on_deliver(party, sender, arg):
                     continue
-                if engine is not None:
-                    self._dispatch_actions(receiver, engine.on_message(sender, item[1]))
+                actions = () if engine is None else engine.on_message(sender, arg)
             elif kind == "input":
-                lines.append(f"@{label} input {receiver}")
-                if receiver in byz and not adversary.on_input(receiver, item[1]):
+                if party in byz and not adversary.on_input(party, arg):
                     continue
-                if engine is not None:
-                    self._dispatch_actions(receiver, engine.on_input(item[1]))
+                actions = () if engine is None else engine.on_input(arg)
             else:
-                lines.append(f"@{label} timer-fire {receiver} {item[1]}")
-                if engine is not None:
-                    self._dispatch_actions(receiver, engine.on_timer(item[1]))
+                actions = () if engine is None else engine.on_timer(arg)
+            for act in actions:
+                if isinstance(act, (Broadcast, Send)):
+                    receivers = self._peers[party] if isinstance(act, Broadcast) else (act.dest,)
+                    if party in byz:
+                        self._send(party, adversary.on_send(party, act.msg, receivers))
+                    else:
+                        self._send(party, zip(receivers, repeat(act.msg), repeat(None)))
+                elif isinstance(act, Output):
+                    if act.kind in outputs[party]:
+                        raise SimulationError(f"duplicate output {act.kind} from {party}")
+                    outputs[party][act.kind] = (act.value, act.proof, self._time(now))
+                    lines.append(f"@{label} output {party} {act.kind}")
+                elif isinstance(act, StartTimer):
+                    lines.append(f"@{label} timer-set {party} {act.key} +{act.delay}")
+                    self._push(now + self._ticks(act.delay), party, party, ("timer-fire", act.key, f" {act.key}"))
+                else:
+                    raise SimulationError(f"unknown action {act!r}")
             if len(lines) >= 256:
                 self._flush()
         self._flush()

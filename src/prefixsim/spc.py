@@ -74,11 +74,8 @@ class SpcConfig:
         """The prefix-consensus config of ``view``: built and validated
         once per view, so every predicate call keys its verdicts by the
         same object."""
-        return cached(self, ("vpc", view), _view_config, self, view)
-
-
-def _view_config(cfg: SpcConfig, view: int) -> PcConfig:
-    return PcConfig(cfg.n, cfg.f, cfg.L if view == 1 else cfg.n, Variant.THREE_ROUND, cfg.instance + ("view", view))
+        return cached(self, ("vpc", view), PcConfig, self.n, self.f, self.L if view == 1 else self.n,
+                      Variant.THREE_ROUND, self.instance + ("view", view))
 
 
 @dataclass(frozen=True)
