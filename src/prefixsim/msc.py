@@ -61,7 +61,8 @@ class MscConfig:
 
     def spc_cfg(self, slot: int, rank: tuple) -> SpcConfig:
         """One config per slot and ranking, shared by every party's slot
-        engine, so that verdicts cached under it are found by identity."""
+        engine, so the verdicts cached under its view configs are found
+        by identity, not by comparing fields."""
         return cached(self, ("spc", slot, rank), SpcConfig,
                       self.n, self.f, self.n, self.delta_cap, self.instance + ("slot", slot), rank)
 
@@ -258,8 +259,7 @@ class MscEngine:
     # ------------------------------------------------------------------
 
     def committed_by_slot(self) -> Dict[int, List[Tuple[int, int, bytes]]]:
-        """Ordered (index, origin, payload) entries committed per slot, in
-        one pass over the commit log."""
+        """Ordered (index, origin, payload) entries committed, by slot."""
         out: Dict[int, List[Tuple[int, int, bytes]]] = {}
         for slot, idx, origin, digest in self.commit_log:
             out.setdefault(slot, []).append((idx, origin, self.payloads[digest]))
