@@ -9,9 +9,17 @@ Three deterministic message-driven variants share one chassis:
 * ``FAST_5F1`` -- two rounds under the stronger ``n >= 5f+1`` resilience.
 
 Every round-``r`` quorum is the first ``n-f`` verified votes to arrive;
-the quorum certificate (the plain vote set) both drives the next round
+the quorum certificate (the plain vote set) both drives the later rounds
 and serves as the publicly checkable proof for the verification
-predicates at the bottom of this module.
+predicates.
+
+The variants differ only in their round schedule, written once:
+:data:`CARRIES` lists the rounds whose certificates each round's vote
+carries, :func:`vote_value` is the value such a vote holds and
+:func:`certified_outputs` is what a certificate proves.  The engine votes
+and outputs from them, :func:`verify_vote` recomputes every vote's value
+with :func:`vote_value`, and both predicates read
+:func:`certified_outputs`.
 
 Verification accepts any field shape (a malformed vote is just invalid)
 and caches its verdict on the vote or certificate under the key
@@ -26,7 +34,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from . import crypto
 from .actions import Broadcast, Output
@@ -41,15 +49,14 @@ class Variant(enum.Enum):
     FAST_5F1 = "pc_5f1"
 
 
-ROUNDS = {Variant.THREE_ROUND: 3, Variant.OPTIMISTIC: 4, Variant.FAST_5F1: 2}
-
 VOTE_KIND = {1: crypto.VOTE1, 2: crypto.VOTE2, 3: crypto.VOTE3, 4: crypto.VOTE4}
 
-# Embedded-certificate arity per (variant, round).
-_QC_ARITY = {
-    Variant.THREE_ROUND: {1: 0, 2: 1, 3: 1},
-    Variant.OPTIMISTIC: {1: 0, 2: 1, 3: 2, 4: 1},
-    Variant.FAST_5F1: {1: 0, 2: 1},
+# Per variant, each round and the rounds whose quorum certificates its
+# vote carries, in order.
+CARRIES = {
+    Variant.THREE_ROUND: {1: (), 2: (1,), 3: (2,)},
+    Variant.OPTIMISTIC: {1: (), 2: (1,), 3: (1, 2), 4: (3,)},
+    Variant.FAST_5F1: {1: (), 2: (1,)},
 }
 
 
@@ -83,12 +90,12 @@ class PcConfig:
         object.__setattr__(self, "quorum", self.n - self.f)
         # The vote count that pins a round-1 certified prefix.
         object.__setattr__(self, "support", self.n - 2 * self.f if self.variant is Variant.FAST_5F1 else self.f + 1)
+        # The round schedule, read at every quorum: kept here, as a lookup
+        # by variant would hash the variant in Python each time.
+        object.__setattr__(self, "carries", CARRIES[self.variant])
 
     def __hash__(self) -> int:
         return self._hash
-
-    def rounds(self) -> int:
-        return ROUNDS[self.variant]
 
 
 @dataclass(frozen=True)
@@ -111,10 +118,7 @@ class QC:
 
 
 def _values(votes) -> List[Vector]:
-    out = []
-    for item in votes:
-        out.append(item.value if isinstance(item, Vote) else tuple(item))
-    return out
+    return [item.value if isinstance(item, Vote) else tuple(item) for item in votes]
 
 
 def _mce_or_fault(values, where: str) -> Vector:
@@ -157,15 +161,6 @@ def qc2_certify(votes, cfg: PcConfig):
     return mcp(values), _mce_or_fault(values, "qc2")
 
 
-def combined_certify(qc1_votes, qc2_votes, cfg: PcConfig) -> Vector:
-    """OPTIMISTIC round-3 vote value from a party's own first two quorums."""
-    supported, _ = qc1_certify(qc1_votes, cfg)
-    _, extension = qc2_certify(qc2_votes, cfg)
-    if is_prefix(extension, supported):
-        return supported
-    return extension
-
-
 def qc3_certify(votes, cfg: PcConfig):
     if isinstance(votes, QC):
         return cached(votes, ("qc3", cfg), qc3_certify, votes.votes, cfg)
@@ -186,27 +181,51 @@ def qc4_certify(votes, cfg: PcConfig):
     return mcp(values), _mce_or_fault(values, "qc4")
 
 
+_CERTIFY = {1: qc1_certify, 2: qc2_certify, 3: qc3_certify, 4: qc4_certify}
+
+
+def vote_value(r: int, qcs: tuple, cfg: PcConfig) -> Vector:
+    """The value a round-``r`` vote carrying ``qcs`` (certificates of the
+    rounds ``cfg.carries[r]``) holds.
+
+    OPTIMISTIC votes its round-1 common prefix in round 2 and, in round 3,
+    its round-1 supported prefix when the round-2 extension is a prefix of
+    that, else the extension; every other vote holds what its one
+    certificate certifies.
+    """
+    if cfg.variant is Variant.OPTIMISTIC and r < 4:
+        supported, common = qc1_certify(qcs[0], cfg)
+        if r == 2:
+            return common
+        _, extension = qc2_certify(qcs[1], cfg)
+        return supported if is_prefix(extension, supported) else extension
+    return _CERTIFY[r - 1](qcs[0], cfg)
+
+
+def certified_outputs(qc: QC, cfg: PcConfig) -> Dict[str, Vector]:
+    """What ``qc`` proves, kind -> value, in the order the engine emits them.
+
+    The last round's certificate proves ``low`` and ``high``.  OPTIMISTIC's
+    round-2 certificate proves ``opt``, and ``low`` and ``high`` too when
+    that is full length; its round-3 certificate proves ``high`` when the
+    votes agree.
+    """
+    r = qc.round
+    if r == len(cfg.carries):
+        low, high = _CERTIFY[r](qc, cfg)
+        return {"low": low, "high": high}
+    if cfg.variant is Variant.OPTIMISTIC:
+        if r == 2:
+            early, _ = qc2_certify(qc, cfg)
+            return {"opt": early, "low": early, "high": early} if len(early) == cfg.L else {"opt": early}
+        if r == 3:
+            ext = mce(qc.values())
+            return {} if ext is None else {"high": ext}
+    return {}
+
+
 # ---------------------------------------------------------------------------
 # Verification
-
-
-def _expected_vote_value(vote: Vote, cfg: PcConfig) -> Optional[Vector]:
-    """Recertify the carried quorum certificates; None means structurally wrong."""
-    var, r = cfg.variant, vote.round
-    if r == 2:
-        (qc1,) = vote.qcs
-        certified = qc1_certify(qc1, cfg)
-        return certified[1] if var is Variant.OPTIMISTIC else certified
-    if r == 3 and var is Variant.THREE_ROUND:
-        (qc2,) = vote.qcs
-        return qc2_certify(qc2, cfg)
-    if r == 3 and var is Variant.OPTIMISTIC:
-        qc1, qc2 = vote.qcs
-        return combined_certify(qc1, qc2, cfg)
-    if r == 4:
-        (qc3,) = vote.qcs
-        return qc3_certify(qc3, cfg)
-    return None
 
 
 def verify_vote(vote: Vote, cfg: PcConfig, scheme: Scheme) -> bool:
@@ -225,24 +244,18 @@ def _verify_vote_inner(vote: Vote, cfg: PcConfig, scheme: Scheme) -> bool:
             and isinstance(value, tuple) and all(isinstance(elem, bytes) for elem in value)
             and isinstance(qcs, tuple) and all(isinstance(qc, QC) for qc in qcs)):
         return False
-    arity = _QC_ARITY[cfg.variant].get(vote.round)
-    if arity is None or vote.inst != cfg.instance:
+    carried = cfg.carries.get(vote.round)
+    if carried is None or vote.inst != cfg.instance or len(qcs) != len(carried) or len(value) > cfg.L:
         return False
-    if len(qcs) != arity or len(value) > cfg.L:
+    if not scheme.verify_vector(vote.sender, VOTE_KIND[vote.round], cfg.instance, value, vote.sig):
         return False
-    if not scheme.verify_vector(vote.sender, VOTE_KIND[vote.round], cfg.instance, vote.value, vote.sig):
-        return False
-    expected_rounds = (1, 2) if (cfg.variant is Variant.OPTIMISTIC and vote.round == 3) else (vote.round - 1,) * arity
-    for qc, want in zip(vote.qcs, expected_rounds):
+    for qc, want in zip(qcs, carried):
         if qc.round != want or not verify_qc(qc, cfg, scheme):
             return False
-    if vote.round > 1:
-        try:
-            if _expected_vote_value(vote, cfg) != vote.value:
-                return False
-        except ProtocolViolation:
-            return False
-    return True
+    try:
+        return not carried or vote_value(vote.round, qcs, cfg) == value
+    except ProtocolViolation:
+        return False
 
 
 def verify_qc(qc: QC, cfg: PcConfig, scheme: Scheme) -> bool:
@@ -264,43 +277,23 @@ def _verify_qc_inner(qc: QC, cfg: PcConfig, scheme: Scheme) -> bool:
 
 def predicate_low(value: Vector, proof, cfg: PcConfig, scheme: Scheme) -> bool:
     """Public predicate: ``proof`` certifies ``value`` as a safe-to-commit low."""
-    if not verify_qc(proof, cfg, scheme):
-        return False
-    try:
-        if cfg.variant is Variant.THREE_ROUND:
-            return proof.round == 3 and qc3_certify(proof, cfg)[0] == value
-        if cfg.variant is Variant.FAST_5F1:
-            return proof.round == 2 and qc2_certify(proof, cfg)[0] == value
-        if proof.round == 2:
-            early, _ = qc2_certify(proof, cfg)
-            return len(early) == cfg.L and early == value
-        if proof.round == 4:
-            return qc4_certify(proof, cfg)[0] == value
-    except ProtocolViolation:
-        return False
-    return False
+    return _proves("low", value, proof, cfg, scheme)
 
 
 def predicate_high(value: Vector, proof, cfg: PcConfig, scheme: Scheme) -> bool:
     """Public predicate: ``proof`` certifies ``value`` as a safe-to-extend high."""
+    return _proves("high", value, proof, cfg, scheme)
+
+
+def _proves(kind: str, value, proof, cfg: PcConfig, scheme: Scheme) -> bool:
+    # A kind the certificate does not prove rejects every value, None too.
     if not verify_qc(proof, cfg, scheme):
         return False
     try:
-        if cfg.variant is Variant.THREE_ROUND:
-            return proof.round == 3 and qc3_certify(proof, cfg)[1] == value
-        if cfg.variant is Variant.FAST_5F1:
-            return proof.round == 2 and qc2_certify(proof, cfg)[1] == value
-        if proof.round == 2:
-            early, _ = qc2_certify(proof, cfg)
-            return len(early) == cfg.L and early == value
-        if proof.round == 3:
-            ext = mce(proof.values())
-            return ext is not None and ext == value
-        if proof.round == 4:
-            return qc4_certify(proof, cfg)[1] == value
+        proven = certified_outputs(proof, cfg)
     except ProtocolViolation:
         return False
-    return False
+    return kind in proven and proven[kind] == value
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +312,12 @@ class PcEngine:
         self.cfg = cfg
         self.party = party
         self.scheme = scheme
-        self.votes: Dict[int, Dict[int, Vote]] = {r: {} for r in range(1, cfg.rounds() + 1)}
-        self.closed: Dict[int, bool] = {r: False for r in range(1, cfg.rounds() + 1)}
+        self.votes: Dict[int, Dict[int, Vote]] = {r: {} for r in cfg.carries}
         self.own_qcs: Dict[int, QC] = {}
+        self.voted: Set[int] = set()  # the rounds past the first voted in
         self.outputs: Dict[str, Tuple[Vector, Optional[QC]]] = {}
         self.input_value: Optional[Vector] = None
         self.dropped = 0
-        self._stalled_qc2: Optional[QC] = None
 
     # -- event entry points
 
@@ -355,76 +347,33 @@ class PcEngine:
     def _record(self, vote: Vote) -> list:
         r = vote.round
         bucket = self.votes[r]
-        if self.closed[r] or vote.sender in bucket:
+        if r in self.own_qcs or vote.sender in bucket:
             return []
         bucket[vote.sender] = vote
         if len(bucket) < self.cfg.quorum:
             return []
-        self.closed[r] = True
-        qc = QC(r, tuple(bucket.values()))
-        self.own_qcs[r] = qc
-        return self._on_quorum(r, qc)
-
-    def _on_quorum(self, r: int, qc: QC) -> list:
-        var = self.cfg.variant
-        if var is Variant.THREE_ROUND:
-            if r == 1:
-                return self._vote(2, qc1_certify(qc, self.cfg), (qc,))
-            if r == 2:
-                return self._vote(3, qc2_certify(qc, self.cfg), (qc,))
-            low, high = qc3_certify(qc, self.cfg)
-            return self._output("low", low, qc) + self._output("high", high, qc)
-        if var is Variant.FAST_5F1:
-            if r == 1:
-                return self._vote(2, qc1_certify(qc, self.cfg), (qc,))
-            low, high = qc2_certify(qc, self.cfg)
-            return self._output("low", low, qc) + self._output("high", high, qc)
-        # OPTIMISTIC
-        if r == 1:
-            _, common = qc1_certify(qc, self.cfg)
-            actions = self._vote(2, common, (qc,))
-            if self._stalled_qc2 is not None:
-                stash, self._stalled_qc2 = self._stalled_qc2, None
-                actions += self._merged_vote3(stash)
-            return actions
-        if r == 2:
-            early, _ = qc2_certify(qc, self.cfg)
-            actions = self._output("opt", early, qc)
-            if len(early) == self.cfg.L:
-                actions += self._output("low", early, qc)
-                actions += self._output("high", early, qc)
-            if 1 in self.own_qcs:
-                return actions + self._merged_vote3(qc)
-            # Round-2 quorum outran our own round-1 quorum (possible under
-            # asynchrony); the round-3 vote needs our first certificate,
-            # so it waits for it.
-            self._stalled_qc2 = qc
-            return actions
-        if r == 3:
-            actions = []
-            if "high" not in self.outputs:
-                ext = mce(qc.values())
-                if ext is not None:
-                    actions += self._output("high", ext, qc)
-            return actions + self._vote(4, qc3_certify(qc, self.cfg), (qc,))
-        low, high = qc4_certify(qc, self.cfg)
+        own_qcs = self.own_qcs
+        qc = own_qcs[r] = QC(r, tuple(bucket.values()))
         actions = []
-        if "low" not in self.outputs:
-            actions += self._output("low", low, qc)
-        if "high" not in self.outputs:
-            actions += self._output("high", high, qc)
+        for kind, value in certified_outputs(qc, self.cfg).items():
+            if kind not in self.outputs:
+                actions += self._output(kind, value, qc)
+        # Vote in every round whose carried certificates are now all held.
+        # Quorums close in any order under asynchrony, and a vote of our
+        # own can close one while this loop runs: the check on ``voted``
+        # keeps it to one vote per round.
+        for vr, carried in self.cfg.carries.items():
+            if r in carried and vr not in self.voted and all(c in own_qcs for c in carried):
+                self.voted.add(vr)
+                actions += self._vote(vr, tuple(own_qcs[c] for c in carried))
         return actions
 
-    def _merged_vote3(self, qc2: QC) -> list:
-        merged = combined_certify(self.own_qcs[1], qc2, self.cfg)
-        return self._vote(3, merged, (self.own_qcs[1], qc2))
-
-    def _vote(self, r: int, value: Vector, qcs: tuple) -> list:
+    def _vote(self, r: int, qcs: tuple) -> list:
+        value = vote_value(r, qcs, self.cfg)
         sig = self.scheme.sign_vector(self.party, VOTE_KIND[r], self.cfg.instance, value)
         return self._broadcast_and_record(Vote(self.cfg.instance, r, self.party, value, sig, qcs))
 
     def _output(self, kind: str, value: Vector, proof: QC) -> list:
-        assert kind not in self.outputs, f"duplicate {kind} output"
         self.outputs[kind] = (value, proof)
         return [Output(kind, value, proof)]
 

@@ -9,10 +9,13 @@ from prefixsim.catalogue import criterion4
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-# Criterion-4 scenarios: pc3 under fuzzed schedules, and spc under split_view
-# and msc under censor at the seeds whose transcripts test_simnet pins.
+# Criterion-4 scenarios: pc3, pc_opt and pc_5f1 under fuzzed schedules, and
+# spc under split_view and msc under censor at the seeds whose transcripts
+# test_simnet pins.
 _BY_SEED = {scn["seed"]: scn for scn in criterion4()}
-SAMPLE = [_BY_SEED[50_000], {**_BY_SEED[1660], "seed": 1060}, {**_BY_SEED[1890], "seed": 1560}]
+SAMPLE = [_BY_SEED[50_000], _BY_SEED[55_700], _BY_SEED[57_200],
+          {**_BY_SEED[1660], "seed": 1060}, {**_BY_SEED[1890], "seed": 1560}]
+assert [scn["protocol"] for scn in SAMPLE] == ["pc3", "pc_opt", "pc_5f1", "spc", "msc"]
 
 SCRIPT = """
 import json, sys

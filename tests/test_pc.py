@@ -6,9 +6,11 @@ import random
 import pytest
 
 from prefixsim import crypto
+from prefixsim.actions import Broadcast
 from prefixsim.crypto import MacScheme, Signature
 from prefixsim.nest import Nested
 from prefixsim.pc import (
+    VOTE_KIND,
     PcConfig,
     PcEngine,
     QC,
@@ -21,7 +23,7 @@ from prefixsim.pc import (
     qc3_certify,
     verify_qc,
 )
-from prefixsim.prefixes import is_prefix, mcp
+from prefixsim.prefixes import is_prefix, mce, mcp
 from prefixsim.simnet import DelayPolicy, Simulation
 from prefixsim.spc import SpcConfig, SpcEngine
 
@@ -412,3 +414,76 @@ def test_mutant_low_is_a_verifiability_violation_with_warm_caches():
         assert vars(proof)["_cached"][("qc3", cfg)] == ((a, b, c, d), (a, b, c, d))
     violations = checks.pc_violations(cfg, scheme, inputs, range(4), metrics)
     assert sum(v.invariant == "verifiability" for v in violations) == 4
+
+
+# ---------------------------------------------------------------------------
+# One round schedule: outputs once per kind, votes once per round
+
+
+# Unanimous pc_opt under fuzzed asynchrony where a round-3 quorum of other
+# parties' votes outputs high before the party's own round-2 quorum, whose
+# full-length early output then emitted high a second time.
+_HIGH_BEFORE_EARLY = [(4, 1, s) for s in (107, 195, 220, 259, 286, 1115, 1247, 1273, 1368, 1375,
+                                          1438, 2688, 2725, 2828)] + [(7, 2, 274)]
+
+
+@pytest.mark.parametrize("n,f,seed", _HIGH_BEFORE_EARLY)
+def test_optimistic_high_before_early_output_completes(n, f, seed):
+    from prefixsim.scenario import run_scenario
+
+    result = run_scenario({"version": 1, "protocol": "pc_opt", "n": n, "f": f, "L": n, "gst": None,
+                           "seed": seed, "inputs": {"kind": "unanimous", "value": "blk"},
+                           "adversary": {"kind": "fuzz", "stretch": 6}})
+    assert result.violations == []
+    for p in result.honest:
+        assert set(result.metrics.outputs[p]) == {"opt", "low", "high"}
+
+
+def _signed_vote(scheme, cfg, r, party, value, qcs=()):
+    return Vote(cfg.instance, r, party, value, scheme.sign_vector(party, VOTE_KIND[r], cfg.instance, value), qcs)
+
+
+@pytest.mark.parametrize("order", ["round-2 quorum first", "own round-2 vote closes round 2"])
+def test_one_vote_per_round_whatever_order_quorums_close(order):
+    cfg = PcConfig(4, 1, 4, Variant.OPTIMISTIC, ("t", "pc_opt"))
+    scheme = MacScheme(4)
+    vec = (a, b, c, d)
+    ones = [_signed_vote(scheme, cfg, 1, p, vec) for p in range(4)]
+    qc1 = QC(1, tuple(ones[1:]))
+    twos = [_signed_vote(scheme, cfg, 2, p, qc1_certify(qc1, cfg)[1], (qc1,)) for p in range(4)]
+    engine = PcEngine(cfg, 0, scheme)
+    actions = engine.on_input(vec)
+    # (a) all of round 2 from others closes before our round-1 quorum;
+    # (b) two round-2 votes wait, and our own closes round 2 from inside
+    # the handling of our round-1 quorum.
+    early = twos[1:] if order == "round-2 quorum first" else twos[1:3]
+    for vote in early + ones[1:3]:
+        actions += engine.on_message(vote.sender, vote)
+    assert [act.msg.round for act in actions if isinstance(act, Broadcast)] == [1, 2, 3]
+    assert set(engine.own_qcs) == {1, 2}
+
+
+def test_predicates_reject_what_a_certificate_does_not_prove():
+    scheme = MacScheme(4)
+    inputs = [(a, b, c, d), (a, b, c, c), (a, b, d, d), (a, c, c, d)]
+    sim, _ = run_pc(Variant.THREE_ROUND, 4, 1, 4, inputs)
+    cfg = PcConfig(4, 1, 4, Variant.THREE_ROUND, ("t", "pc3"))
+    qcs = sim.engines[0].own_qcs
+    for qc, certified in ((qcs[1], qc1_certify(qcs[1], cfg)), (qcs[2], qc2_certify(qcs[2], cfg))):
+        for value in (certified, None, (), inputs[0]):
+            assert not predicate_low(value, qc, cfg, scheme)
+            assert not predicate_high(value, qc, cfg, scheme)
+    sim, _ = run_pc(Variant.OPTIMISTIC, 4, 1, 4, inputs)
+    opt = PcConfig(4, 1, 4, Variant.OPTIMISTIC, ("t", "pc_opt"))
+    qcs = sim.engines[0].own_qcs
+    # A round-3 certificate whose votes agree proves a high, never a low.
+    agreed = mce(qcs[3].values())
+    assert agreed is not None and predicate_high(agreed, qcs[3], opt, scheme)
+    for value in (agreed, qc3_certify(qcs[3], opt), None):
+        assert not predicate_low(value, qcs[3], opt, scheme)
+    # A round-2 certificate short of full length proves only the opt output.
+    early, _ = qc2_certify(qcs[2], opt)
+    assert len(early) < opt.L
+    for value in (early, None):
+        assert not predicate_low(value, qcs[2], opt, scheme)
+        assert not predicate_high(value, qcs[2], opt, scheme)
