@@ -194,15 +194,13 @@ def msc_demotions_byzantine(sim, honest, byzantine, slots, gst, metrics) -> List
 
 
 def censorship_audit(sim, honest, payload_fn, slots, gst, metrics) -> List[int]:
-    """Post-GST slots whose committed output misses some honest input.
-
-    A slot is classified post-GST by its earliest honest start time; with
-    no GST every started slot counts."""
+    """Post-GST slots (``_slot_post_gst``) whose committed output misses
+    some honest input.  The bound holds "after GST", so a run with no GST
+    counts no slot."""
     censored = []
     commits = {p: sim.engines[p].committed_by_slot() for p in honest}
     for slot in range(1, slots + 1):
-        start = _slot_start(metrics, honest, slot)
-        if start is None or (gst is not None and start < gst):
+        if not _slot_post_gst(metrics, honest, slot, gst):
             continue
         for p in honest:
             committed = {payload for _, _, payload in commits[p].get(slot, [])}
@@ -264,6 +262,20 @@ def binary_violations(inputs, honest, metrics) -> List[Violation]:
     honest_bits = {inputs[p] for p in honest}
     if len(honest_bits) == 1 and decisions and decisions != honest_bits:
         bad.append(Violation("validity", f"unanimous {honest_bits} but decided {decisions}"))
+    return bad
+
+
+def validated_violations(honest, metrics) -> List[Violation]:
+    """Agreement of the decisions; termination is a decision or an
+    ``undecided`` output (no entry of the agreed vector is valid)."""
+    bad: List[Violation] = []
+    outs = {p: metrics.output_value(p, "decision") for p in honest}
+    decided = {v for v in outs.values() if v is not None}
+    if len(decided) > 1:
+        bad.append(Violation("agreement", f"decisions {decided}"))
+    for p, v in outs.items():
+        if v is None and metrics.output_value(p, "undecided") is None:
+            bad.append(Violation("termination", f"party {p} undecided"))
     return bad
 
 

@@ -61,13 +61,12 @@ def cmd_run(args) -> int:
     if args.codec is not None:
         scn["codec"] = args.codec
         scn["measure_bytes"] = True
-    errors = scn_mod.validate(scn_mod._with_defaults(scn))
-    if errors:
-        for path, msg in errors:
-            print(f"scenario.{path}: {msg}" if path else f"scenario: {msg}", file=sys.stderr)
-        return EXIT_SCHEMA
     try:
         result = run_scenario(scn, record=True)
+    except ScenarioError as exc:
+        for path, msg in exc.errors:
+            print(f"scenario.{path}: {msg}" if path else f"scenario: {msg}", file=sys.stderr)
+        return EXIT_SCHEMA
     except SimulationError as exc:
         # Engine assertion mid-run: dump what we have and fail loudly.
         print(f"simulation aborted: {exc}", file=sys.stderr)
@@ -77,7 +76,7 @@ def cmd_run(args) -> int:
     doc = result.metrics_doc()
     metrics_path = _emit(args, "metrics.json", json.dumps(doc, indent=2, sort_keys=True))
     transcript_path = _emit(args, "transcript.log", "\n".join(result.sim.records))
-    if scn.get("protocol") == "msc" and result.honest:
+    if scn_mod.PROTOCOL_TABLE[result.scenario["protocol"]].slots and result.honest:
         log = result.sim.engines[result.honest[0]].export_commit_log()
         _emit(args, "commits.log", log)
     _say(args, json.dumps(doc, indent=2, sort_keys=True))
@@ -149,7 +148,7 @@ def cmd_sweep(args) -> int:
         template["codec"] = args.codec
     template["measure_bytes"] = True
     for n in ns:
-        errors = scn_mod.validate(scn_mod._with_defaults({**template, "n": n, "f": (n - 1) // 3}))
+        errors = scn_mod.validate({**template, "n": n, "f": (n - 1) // 3})
         for path, msg in errors:
             print(f"scenario.{path}: {msg} (n={n})", file=sys.stderr)
         if errors:

@@ -2,9 +2,16 @@
 
 A scenario is a versioned JSON document selecting a protocol, the fault
 and timing model, the adversary, the inputs, and the invariant checks to
-enforce.  ``validate`` returns (json-path, message) pairs;
-``run_scenario`` executes and returns a :class:`RunResult` carrying the
-simulation, metrics, and any invariant violations.
+enforce.  Every rule that differs by protocol or by adversary kind is a
+row of one of two tables: ``PROTOCOL_TABLE`` (:class:`Protocol`: the
+resilience bound, the inputs :class:`Shape`, the engine builder, the
+invariant checks, compact-codec admission) and ``KIND_TABLE``
+(:class:`Kind`: the builder, the fields read, each checked by ``FIELDS``,
+the source of the Byzantine parties, the Byzantine bound, the jitter
+field).  ``validate``, the builders, ``run_scenario`` and ``run_checks``
+read the rows, so a new protocol or kind is one row.  ``validate``
+returns (json-path, message) pairs; ``run_scenario`` returns a
+:class:`RunResult` carrying the simulation, metrics and violations.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import adversaries, checks, crypto, wire
 from .crypto import Scheme, make_scheme
@@ -24,12 +31,7 @@ from .spc import SpcConfig, SpcEngine
 
 SCHEMA_VERSION = 1
 
-PROTOCOLS = ("pc3", "pc_opt", "pc_5f1", "spc", "msc", "graded", "binary", "validated")
 VARIANTS = {"pc3": Variant.THREE_ROUND, "pc_opt": Variant.OPTIMISTIC, "pc_5f1": Variant.FAST_5F1}
-ADVERSARIES = (
-    "none", "silent", "censor", "equivocate", "split_view",
-    "withhold_body", "doctored", "suspender", "delayer", "fuzz",
-)
 
 DEFAULTS = {
     "codec": "plain",
@@ -44,119 +46,6 @@ DEFAULTS = {
     "inputs": {"kind": "random"},
     "checks": "default",
 }
-
-
-def validate(scn: dict) -> List[Tuple[str, str]]:
-    errors: List[Tuple[str, str]] = []
-
-    def need(path, cond, msg):
-        if not cond:
-            errors.append((path, msg))
-
-    if not isinstance(scn, dict):
-        return [("", "scenario must be an object")]
-    need("version", scn.get("version") == SCHEMA_VERSION, f"must be {SCHEMA_VERSION}")
-    protocol = scn.get("protocol")
-    need("protocol", protocol in PROTOCOLS, f"one of {PROTOCOLS}")
-    n, f = scn.get("n"), scn.get("f")
-    need("n", isinstance(n, int) and n >= 1, "positive integer required")
-    need("f", isinstance(f, int) and f >= 0, "non-negative integer required")
-    if isinstance(n, int) and isinstance(f, int) and protocol in PROTOCOLS:
-        bound = 5 * f + 1 if protocol == "pc_5f1" else 3 * f + 1
-        need("f", n >= bound, f"protocol {protocol} needs n >= {bound}")
-    if protocol in VARIANTS or protocol == "spc":
-        L = scn.get("L")
-        need("L", isinstance(L, int) and L >= 1, "positive integer required")
-        # make_inputs tags each position of a unanimous vector with one byte.
-        inputs = scn.get("inputs", DEFAULTS["inputs"])
-        unanimous = isinstance(inputs, dict) and inputs.get("kind") == "unanimous"
-        need("L", not (unanimous and isinstance(L, int) and L > 256), "at most 256 with unanimous inputs")
-    codec = scn.get("codec", DEFAULTS["codec"])
-    need("codec", codec in ("plain", "compact"), "plain or compact")
-    if codec == "compact":
-        need("codec", protocol in ("pc3", "pc_opt"), "compact codec covers pc3/pc_opt only")
-    need("crypto", scn.get("crypto", "mac") in crypto.SCHEMES, "unknown backend")
-    gst = scn.get("gst", DEFAULTS["gst"])
-    need("gst", gst is None or (isinstance(gst, int) and gst >= 0), "integer time or null")
-    for field_name in ("delta", "delta_cap"):
-        val = scn.get(field_name, DEFAULTS[field_name])
-        need(field_name, isinstance(val, int) and val >= 1, "positive integer required (virtual time is exact)")
-    adv = scn.get("adversary", DEFAULTS["adversary"])
-    if not isinstance(adv, dict):
-        errors.append(("adversary", "object required"))
-    else:
-        kind = adv.get("kind", "none")
-        need("adversary.kind", kind in ADVERSARIES, f"one of {ADVERSARIES}")
-        byz = adv.get("byzantine", [])
-        if not _party_ids(byz):
-            errors.append(("adversary.byzantine", "list of party ids required"))
-            byz = []
-        revealers = _reveal_parties(adv.get("reveal", {}))
-        if revealers is None:
-            errors.append(("adversary.reveal", "object mapping party ids to lists of party ids required"))
-            revealers = set()
-        members = set(byz) | revealers
-        if isinstance(f, int):
-            limit = f - 1 if kind == "suspender" else f
-            need("adversary.byzantine", len(members) <= limit,
-                 f"at most {limit} byzantine parties for {kind}")
-        if isinstance(n, int):
-            need("adversary.byzantine", all(isinstance(p, int) and 0 <= p < n for p in members),
-                 "party ids out of range")
-        for name, least in (("lag", 0), ("round_len", 1), ("stretch", 1), ("jitter", 1), ("view", 1)):
-            if name in adv:
-                val = adv[name]
-                need(f"adversary.{name}", isinstance(val, int) and val >= least,
-                     "non-negative integer required" if least == 0 else "positive integer required")
-        need("adversary.lag_victims", _party_ids(adv.get("lag_victims", [])), "list of party ids required")
-        links = adv.get("links", [])
-        need("adversary.links",
-             isinstance(links, (list, tuple)) and all(_party_ids(link) and len(link) == 2 for link in links),
-             "list of [sender, receiver] pairs required")
-    if protocol == "msc":
-        slots = scn.get("slots", DEFAULTS["slots"])
-        need("slots", isinstance(slots, int) and slots >= 1, "positive integer required")
-    rank0 = scn.get("rank0")
-    if rank0 is not None and isinstance(n, int):
-        need("rank0", _party_ids(rank0) and sorted(rank0) == list(range(n)), "must be a permutation of the parties")
-    need("seed", isinstance(scn.get("seed", DEFAULTS["seed"]), int), "integer required")
-    return errors + _input_errors(scn.get("inputs", DEFAULTS["inputs"]), protocol, n, scn.get("L"))
-
-
-def _input_errors(spec, protocol, n, L) -> List[Tuple[str, str]]:
-    """Schema errors of an ``inputs`` spec, for each field that
-    ``make_inputs`` or ``msc_payload_fn`` reads."""
-    if not isinstance(spec, dict):
-        return [("inputs", "object required")]
-    kind = spec.get("kind", "random")
-    alphabet = spec.get("alphabet", 1)
-    payloads = spec.get("payloads", [])
-    checks = [
-        ("kind", kind in ("random", "unanimous", "explicit"), "random, unanimous or explicit"),
-        ("seed", isinstance(spec.get("seed", 0), int), "integer required"),
-        ("alphabet", isinstance(alphabet, int) and 1 <= alphabet <= 26, "integer from 1 to 26 required"),
-        ("payloads", protocol != "msc" or (isinstance(payloads, list) and all(isinstance(r, list) for r in payloads)),
-         "list of per-slot lists required"),
-    ]
-    # Per protocol: the explicit-input field, the check of one of its
-    # entries, and the check of a unanimous value.
-    text = lambda v: isinstance(v, str)
-    bit = lambda v: isinstance(v, int) and v in (0, 1)
-    vector = lambda v: isinstance(v, list) and len(v) == L and all(map(text, v))
-    shape = {
-        "graded": ("values", text, "strings", text, "string"),
-        "binary": ("bits", bit, "bits (0 or 1)", bit, "0 or 1"),
-        "vector": ("vectors", vector, f"lists of {L} strings", text, "string"),
-    }.get("vector" if protocol in VARIANTS or protocol == "spc" else protocol)
-    if shape is not None:
-        field, entry_ok, entries_what, value_ok, value_what = shape
-        entries = spec.get(field)
-        checks += [
-            ("value", kind != "unanimous" or "value" not in spec or value_ok(spec["value"]), f"{value_what} required"),
-            (field, kind != "explicit" or (isinstance(entries, list) and len(entries) == n and all(map(entry_ok, entries))),
-             f"list of {n} {entries_what} required, one per party"),
-        ]
-    return [(f"inputs.{path}", msg) for path, ok, msg in checks if not ok]
 
 
 def _party_ids(value) -> bool:
@@ -175,95 +64,61 @@ def _reveal_parties(reveal):
         return None
 
 
-class ScenarioError(ValueError):
-    def __init__(self, errors):
-        self.errors = errors
-        super().__init__("; ".join(f"{p}: {m}" for p, m in errors))
+_text = lambda v: isinstance(v, str)
+_bit = lambda v: isinstance(v, int) and v in (0, 1)
 
 
-def _with_defaults(scn: dict) -> dict:
-    merged = dict(DEFAULTS)
-    merged.update(scn)
-    return merged
+class Shape(NamedTuple):
+    """What a protocol reads from an ``inputs`` spec, and the inputs made from it."""
+
+    field: str  # of explicit inputs: one entry per party
+    entry_ok: Callable[[object, object], bool]  # an explicit entry, given L
+    entries: str  # what the entries are, for errors; "{L}" is filled in
+    value_ok: Callable[[object], bool]  # a unanimous ``value``
+    value: str  # what the value is, for errors
+    explicit: Callable[[object], object]  # the input of an explicit entry
+    unanimous: Callable[[dict, int], object]  # every party's input, from the spec and L
+    random: Callable[[random.Random, dict, int], object]  # one party's input, from the spec and L
 
 
-def build_policy(scn: dict) -> DelayPolicy:
-    """The scenario's timing model.  Link jitter is the ``fuzz``
-    adversary's ``stretch`` (default 6) or any other kind's ``jitter``."""
-    spec = scn["adversary"]
-    jitter = spec.get("stretch", 6) if spec.get("kind") == "fuzz" else spec.get("jitter")
-    return DelayPolicy(gst=scn["gst"], cap=scn["delta_cap"], default_delay=scn["delta"], jitter=jitter)
+VECTOR = Shape(  # a unanimous vector tags each of its L positions with one byte
+    "vectors", lambda v, L: isinstance(v, list) and len(v) == L and all(map(_text, v)),
+    "lists of {L} strings", _text, "string", lambda entry: tuple(e.encode() for e in entry),
+    lambda spec, L: tuple(spec.get("value", "a").encode() + bytes([k]) for k in range(L)),
+    lambda rng, spec, L: tuple(bytes([97 + rng.randrange(spec.get("alphabet", 3))]) for _ in range(L)))
+VALUE = Shape(
+    "values", lambda v, L: _text(v), "strings", _text, "string", str.encode,
+    lambda spec, L: spec.get("value", "v").encode(),
+    lambda rng, spec, L: bytes([97 + rng.randrange(spec.get("alphabet", 2))]))
+BIT = Shape(
+    "bits", lambda v, L: _bit(v), "bits (0 or 1)", _bit, "0 or 1", int,
+    lambda spec, L: int(spec.get("value", 1)), lambda rng, spec, L: rng.randrange(2))
 
 
-def build_adversary(scn: dict, scheme: Scheme) -> Adversary:
-    spec = scn["adversary"]
-    kind = spec.get("kind", "none")
-    byz = spec.get("byzantine", [])
-    reveal = {int(p): set(r) for p, r in spec.get("reveal", {}).items()}
-    if kind in ("none", "fuzz"):  # fuzz delays are the policy's jitter
-        return Adversary(byzantine=byz)
-    if kind == "silent":
-        return adversaries.Silent(byzantine=byz)
-    if kind == "censor":
-        return adversaries.Censor(
-            reveal,
-            lag_victims=spec.get("lag_victims", ()),
-            lag=spec.get("lag", 0),
-        )
-    if kind == "equivocate":
-        return adversaries.Equivocate(
-            byz, scheme,
-            lag_victims=spec.get("lag_victims", ()),
-            lag=spec.get("lag", 0),
-        )
-    if kind == "split_view":
-        return adversaries.SplitView(byzantine=byz, view=spec.get("view", 2))
-    if kind == "withhold_body":
-        return adversaries.WithholdBody(reveal)
-    if kind == "doctored":
-        return adversaries.DoctoredProofs(byzantine=byz)
-    if kind == "suspender":
-        return adversaries.Suspender(scn["n"], byzantine=byz, round_len=spec.get("round_len", 1))
-    # delayer: validate admits no other kind
-    links = [tuple(l) for l in spec.get("links", [])]
-    return adversaries.Delayer(links, stretch=spec.get("stretch", 8), byzantine=byz)
+class Protocol(NamedTuple):
+    """One protocol's rules.  It takes ``L`` exactly when its shape is
+    VECTOR; with ``slots`` it is a multi-slot log, which takes ``slots``
+    and per-slot ``payloads`` and exports a commit log."""
+
+    resilience: int  # n >= resilience * f + 1
+    shape: Optional[Shape]  # None: the inputs spec sets nothing it reads
+    slots: bool
+    inputs: Callable[[dict], list]  # per-party inputs of a defaulted scenario
+    engines: Callable[[dict, Scheme], tuple]  # (pc config or None, party -> engine)
+    invariants: Callable[["RunResult", object, Scheme], list]  # (result, pc config, scheme)
+    compact: bool  # admits the compact codec
 
 
-def make_inputs(scn: dict) -> list:
-    """Per-party protocol inputs from the scenario's input spec."""
-    spec = scn["inputs"]
+def _shaped_inputs(scn: dict) -> list:
+    shape = PROTOCOL_TABLE[scn["protocol"]].shape
+    spec, n, L = scn["inputs"], scn["n"], scn.get("L")
     kind = spec.get("kind", "random")
-    n = scn["n"]
+    if kind == "unanimous":
+        return [shape.unanimous(spec, L)] * n
+    if kind == "explicit":
+        return [shape.explicit(entry) for entry in spec[shape.field]]
     rng = random.Random(spec.get("seed", scn["seed"]))
-    protocol = scn["protocol"]
-    if protocol in ("pc3", "pc_opt", "pc_5f1", "spc"):
-        L = scn["L"]
-        if kind == "unanimous":
-            elem = spec.get("value", "a").encode()
-            return [tuple(elem + bytes([k]) for k in range(L))] * n
-        if kind == "explicit":
-            return [tuple(e.encode() for e in vec) for vec in spec["vectors"]]
-        alphabet = spec.get("alphabet", 3)
-        return [
-            tuple(bytes([97 + rng.randrange(alphabet)]) for _ in range(L))
-            for _ in range(n)
-        ]
-    if protocol == "graded":
-        if kind == "unanimous":
-            return [spec.get("value", "v").encode()] * n
-        if kind == "explicit":
-            return [v.encode() for v in spec["values"]]
-        alphabet = spec.get("alphabet", 2)
-        return [bytes([97 + rng.randrange(alphabet)]) for _ in range(n)]
-    if protocol == "binary":
-        if kind == "unanimous":
-            return [int(spec.get("value", 1))] * n
-        if kind == "explicit":
-            return [int(v) for v in spec["bits"]]
-        return [rng.randrange(2) for _ in range(n)]
-    if protocol == "validated":
-        return [b"payload-%d-%d" % (p, scn["seed"]) for p in range(n)]
-    return [None] * n  # msc: payloads come from msc_payload_fn
+    return [shape.random(rng, spec, L) for _ in range(n)]
 
 
 def msc_payload_fn(scn: dict) -> Callable[[int, int], bytes]:
@@ -281,6 +136,247 @@ def msc_payload_fn(scn: dict) -> Callable[[int, int], bytes]:
         return explicit
     seed = scn["seed"]
     return lambda party, slot: b"tx-%d-%d-%d" % (party, slot, seed)
+
+
+_rank0 = lambda scn: tuple(scn.get("rank0", ()) or range(scn["n"]))
+_pc_invariants = lambda r, cfg, scheme: checks.pc_violations(cfg, scheme, r.inputs, r.honest, r.metrics)
+
+
+def _pc_engines(scn, scheme):
+    protocol = scn["protocol"]
+    cfg = PcConfig(scn["n"], scn["f"], scn["L"], VARIANTS[protocol], ("scn", protocol))
+    return cfg, lambda p: PcEngine(cfg, p, scheme)
+
+
+def _spc_engines(scn, scheme):
+    cfg = SpcConfig(scn["n"], scn["f"], scn["L"], scn["delta_cap"], ("scn", "spc"), _rank0(scn))
+    return None, lambda p: SpcEngine(cfg, p, scheme)
+
+
+def _msc_engines(scn, scheme):
+    cfg = MscConfig(scn["n"], scn["f"], scn["delta_cap"], ("scn", "msc"), _rank0(scn), slots=scn["slots"])
+    payload_fn = msc_payload_fn(scn)
+    return None, lambda p: MscEngine(cfg, p, scheme, lambda s: payload_fn(p, s))
+
+
+def _pc_opt_invariants(r, cfg, scheme):
+    byz = r.sim.adversary.byzantine
+    return _pc_invariants(r, cfg, scheme) + checks.pc_optimistic_validity(r.inputs, r.honest, r.metrics, byz)
+
+
+def _msc_invariants(r, cfg, scheme):
+    sim, slots = r.sim, r.scenario["slots"]
+    return (checks.msc_violations(sim, r.honest, sim.adversary.byzantine, msc_payload_fn(r.scenario), slots,
+                                  r.scenario["gst"], r.metrics) + checks.msc_commit_prefix(sim, r.honest, slots))
+
+
+PROTOCOL_TABLE: Dict[str, Protocol] = {
+    "pc3": Protocol(3, VECTOR, False, _shaped_inputs, _pc_engines, _pc_invariants, True),
+    "pc_opt": Protocol(3, VECTOR, False, _shaped_inputs, _pc_engines, _pc_opt_invariants, True),
+    "pc_5f1": Protocol(5, VECTOR, False, _shaped_inputs, _pc_engines, _pc_invariants, False),
+    "spc": Protocol(3, VECTOR, False, _shaped_inputs, _spc_engines, lambda r, cfg, scheme: (
+        checks.spc_violations(r.sim, r.inputs, r.honest, r.metrics)), False),
+    "msc": Protocol(3, None, True, lambda scn: [None] * scn["n"],  # msc_payload_fn makes the payloads
+                    _msc_engines, _msc_invariants, False),
+    "graded": Protocol(
+        3, VALUE, False, _shaped_inputs, lambda scn, scheme: (
+            None, lambda p: GradedEngine(scn["n"], scn["f"], p, scheme)),
+        lambda r, cfg, scheme: checks.graded_violations(r.inputs, r.honest, r.metrics), False),
+    "binary": Protocol(
+        3, BIT, False, _shaped_inputs, lambda scn, scheme: (
+            None, lambda p: BinaryEngine(scn["n"], scn["f"], scn["delta_cap"], p, scheme)),
+        lambda r, cfg, scheme: checks.binary_violations(r.inputs, r.honest, r.metrics), False),
+    "validated": Protocol(
+        3, None, False, lambda scn: [b"payload-%d-%d" % (p, scn["seed"]) for p in range(scn["n"])],
+        lambda scn, scheme: (None, lambda p: ValidatedEngine(scn["n"], scn["f"], scn["delta_cap"], p, scheme)),
+        lambda r, cfg, scheme: checks.validated_violations(r.honest, r.metrics), False),
+}
+PROTOCOLS = tuple(PROTOCOL_TABLE)
+_COMPACT = "/".join(name for name, row in PROTOCOL_TABLE.items() if row.compact)
+
+_POSITIVE = (lambda v: isinstance(v, int) and v >= 1, "positive integer required")
+_PARTY_IDS = (_party_ids, "list of party ids required")
+#: Each adversary field's check, and the error it reports.
+FIELDS: Dict[str, Tuple[Callable[[object], bool], str]] = {
+    "byzantine": _PARTY_IDS,
+    "reveal": (lambda v: _reveal_parties(v) is not None, "object mapping party ids to lists of party ids required"),
+    "lag": (lambda v: isinstance(v, int) and v >= 0, "non-negative integer required"),
+    "lag_victims": _PARTY_IDS,
+    "links": (lambda v: isinstance(v, (list, tuple)) and all(_party_ids(l) and len(l) == 2 for l in v),
+              "list of [sender, receiver] pairs required"),
+    "round_len": _POSITIVE, "stretch": _POSITIVE, "jitter": _POSITIVE, "view": _POSITIVE,
+}
+
+
+class Kind(NamedTuple):
+    """One adversary kind's rules.  Its Byzantine parties are those its
+    ``parties`` field names: the ``byzantine`` list, or the keys of ``reveal``."""
+
+    build: Callable[[dict, int, Scheme], Adversary]  # (spec, n, scheme)
+    fields: Tuple[str, ...]  # every field it reads besides ``kind``
+    parties: str  # "byzantine" or "reveal"
+    suspends: int  # honest parties suspended at a time: the bound is f minus this
+    jitter: Tuple[str, Optional[int]]  # the field feeding the policy jitter, and its default
+
+
+_byz = lambda spec: spec.get("byzantine", [])
+_reveal = lambda spec: {int(p): set(r) for p, r in spec.get("reveal", {}).items()}
+_lagged = lambda spec: {"lag_victims": spec.get("lag_victims", ()), "lag": spec.get("lag", 0)}
+_JITTER = ("jitter", None)
+_BYZ = ("byzantine", "jitter")  # the fields of a kind with no setting of its own
+
+KIND_TABLE: Dict[str, Kind] = {
+    "none": Kind(lambda spec, n, scheme: Adversary(_byz(spec)), _BYZ, "byzantine", 0, _JITTER),
+    "silent": Kind(lambda spec, n, scheme: adversaries.Silent(_byz(spec)), _BYZ, "byzantine", 0, _JITTER),
+    "censor": Kind(lambda spec, n, scheme: adversaries.Censor(_reveal(spec), **_lagged(spec)),
+                   ("reveal", "lag_victims", "lag", "jitter"), "reveal", 0, _JITTER),
+    "equivocate": Kind(lambda spec, n, scheme: adversaries.Equivocate(_byz(spec), scheme, **_lagged(spec)),
+                       ("byzantine", "lag_victims", "lag", "jitter"), "byzantine", 0, _JITTER),
+    "split_view": Kind(lambda spec, n, scheme: adversaries.SplitView(_byz(spec), view=spec.get("view", 2)),
+                       ("byzantine", "view", "jitter"), "byzantine", 0, _JITTER),
+    "withhold_body": Kind(lambda spec, n, scheme: adversaries.WithholdBody(_reveal(spec)),
+                          ("reveal", "jitter"), "reveal", 0, _JITTER),
+    "doctored": Kind(lambda spec, n, scheme: adversaries.DoctoredProofs(_byz(spec)),
+                     _BYZ, "byzantine", 0, _JITTER),
+    "suspender": Kind(lambda spec, n, scheme: adversaries.Suspender(
+                          n, _byz(spec), round_len=spec.get("round_len", 1)),
+                      ("byzantine", "round_len", "jitter"), "byzantine", 1, _JITTER),
+    "delayer": Kind(lambda spec, n, scheme: adversaries.Delayer(
+                        [tuple(link) for link in spec.get("links", [])], stretch=spec.get("stretch", 8),
+                        byzantine=_byz(spec)),
+                    ("byzantine", "links", "stretch", "jitter"), "byzantine", 0, _JITTER),
+    # fuzz delays are the policy's jitter
+    "fuzz": Kind(lambda spec, n, scheme: Adversary(_byz(spec)),
+                 ("byzantine", "stretch"), "byzantine", 0, ("stretch", 6)),
+}
+ADVERSARIES = tuple(KIND_TABLE)
+
+
+def validate(scn: dict) -> List[Tuple[str, str]]:
+    errors: List[Tuple[str, str]] = []
+
+    def need(path, cond, msg):
+        if not cond:
+            errors.append((path, msg))
+
+    if not isinstance(scn, dict):
+        return [("", "scenario must be an object")]
+    need("version", scn.get("version") == SCHEMA_VERSION, f"must be {SCHEMA_VERSION}")
+    protocol = scn.get("protocol")
+    row = PROTOCOL_TABLE.get(protocol) if isinstance(protocol, str) else None
+    need("protocol", row is not None, f"one of {PROTOCOLS}")
+    n, f, L = scn.get("n"), scn.get("f"), scn.get("L")
+    need("n", isinstance(n, int) and n >= 1, "positive integer required")
+    need("f", isinstance(f, int) and f >= 0, "non-negative integer required")
+    if isinstance(n, int) and isinstance(f, int) and row is not None:
+        bound = row.resilience * f + 1
+        need("f", n >= bound, f"protocol {protocol} needs n >= {bound}")
+    inputs = scn.get("inputs", DEFAULTS["inputs"])
+    if row is not None and row.shape is VECTOR:
+        need("L", isinstance(L, int) and L >= 1, "positive integer required")
+        unanimous = isinstance(inputs, dict) and inputs.get("kind") == "unanimous"
+        need("L", not (unanimous and isinstance(L, int) and L > 256), "at most 256 with unanimous inputs")
+    codec = scn.get("codec", DEFAULTS["codec"])
+    need("codec", codec in ("plain", "compact"), "plain or compact")
+    if codec == "compact":
+        need("codec", row is not None and row.compact, f"compact codec covers {_COMPACT} only")
+    need("crypto", scn.get("crypto", "mac") in crypto.SCHEMES, "unknown backend")
+    gst = scn.get("gst", DEFAULTS["gst"])
+    need("gst", gst is None or (isinstance(gst, int) and gst >= 0), "integer time or null")
+    for field_name in ("delta", "delta_cap"):
+        val = scn.get(field_name, DEFAULTS[field_name])
+        need(field_name, isinstance(val, int) and val >= 1, "positive integer required (virtual time is exact)")
+    errors += _adversary_errors(scn.get("adversary", DEFAULTS["adversary"]), n, f)
+    if row is not None and row.slots:
+        slots = scn.get("slots", DEFAULTS["slots"])
+        need("slots", isinstance(slots, int) and slots >= 1, "positive integer required")
+    rank0 = scn.get("rank0")
+    if rank0 is not None and isinstance(n, int):
+        need("rank0", _party_ids(rank0) and sorted(rank0) == list(range(n)), "must be a permutation of the parties")
+    need("seed", isinstance(scn.get("seed", DEFAULTS["seed"]), int), "integer required")
+    return errors + _input_errors(inputs, row, n, L)
+
+
+def _adversary_errors(adv, n, f) -> List[Tuple[str, str]]:
+    """Schema errors of an ``adversary`` spec, read through its kind's row."""
+    if not isinstance(adv, dict):
+        return [("adversary", "object required")]
+    kind = adv.get("kind", "none")
+    row = KIND_TABLE.get(kind) if isinstance(kind, str) else None
+    if row is None:
+        return [("adversary.kind", f"one of {ADVERSARIES}")]
+    errors = []
+    for name in row.fields:
+        ok, need = FIELDS[name]
+        if name in adv and not ok(adv[name]):
+            errors.append((f"adversary.{name}", need))
+    source = adv.get(row.parties, [])
+    if row.parties == "reveal":
+        members = _reveal_parties(source) or set()
+    else:
+        members = set(source) if _party_ids(source) else set()
+    if isinstance(f, int):
+        limit = f - row.suspends
+        if len(members) > limit:
+            errors.append(("adversary.byzantine", f"at most {limit} byzantine parties for {kind}"))
+    if isinstance(n, int) and not all(0 <= p < n for p in members):
+        errors.append(("adversary.byzantine", "party ids out of range"))
+    return errors + [(f"adversary.{name}", f"not a field of {kind}")
+                     for name in adv if name != "kind" and name not in row.fields]
+
+
+def _input_errors(spec, row: Optional[Protocol], n, L) -> List[Tuple[str, str]]:
+    """Schema errors of an ``inputs`` spec, for each field that
+    ``make_inputs`` or ``msc_payload_fn`` reads."""
+    if not isinstance(spec, dict):
+        return [("inputs", "object required")]
+    kind = spec.get("kind", "random")
+    alphabet = spec.get("alphabet", 1)
+    payloads = spec.get("payloads", [])
+    slots = row is not None and row.slots
+    checks = [
+        ("kind", kind in ("random", "unanimous", "explicit"), "random, unanimous or explicit"),
+        ("seed", isinstance(spec.get("seed", 0), int), "integer required"),
+        ("alphabet", isinstance(alphabet, int) and 1 <= alphabet <= 26, "integer from 1 to 26 required"),
+        ("payloads", not slots or (isinstance(payloads, list) and all(isinstance(r, list) for r in payloads)),
+         "list of per-slot lists required"),
+    ]
+    shape = row.shape if row is not None else None
+    if shape is not None:
+        entries = spec.get(shape.field)
+        checks += [
+            ("value", kind != "unanimous" or "value" not in spec or shape.value_ok(spec["value"]),
+             f"{shape.value} required"),
+            (shape.field, kind != "explicit" or (isinstance(entries, list) and len(entries) == n
+                                                 and all(shape.entry_ok(e, L) for e in entries)),
+             f"list of {n} {shape.entries.format(L=L)} required, one per party"),
+        ]
+    return [(f"inputs.{path}", msg) for path, ok, msg in checks if not ok]
+
+
+class ScenarioError(ValueError):
+    def __init__(self, errors):
+        self.errors = errors
+        super().__init__("; ".join(f"{p}: {m}" for p, m in errors))
+
+
+def build_policy(scn: dict) -> DelayPolicy:
+    """The scenario's timing model; the kind's row names the field that
+    sets the link jitter."""
+    spec = scn["adversary"]
+    name, default = KIND_TABLE[spec.get("kind", "none")].jitter
+    return DelayPolicy(gst=scn["gst"], cap=scn["delta_cap"], default_delay=scn["delta"],
+                       jitter=spec.get(name, default))
+
+
+def build_adversary(scn: dict, scheme: Scheme) -> Adversary:
+    spec = scn["adversary"]
+    return KIND_TABLE[spec.get("kind", "none")].build(spec, scn["n"], scheme)
+
+
+def make_inputs(scn: dict) -> list:
+    """Per-party protocol inputs of a defaulted scenario."""
+    return PROTOCOL_TABLE[scn["protocol"]].inputs(scn)
 
 
 @dataclass
@@ -319,43 +415,23 @@ class RunResult:
 
 
 def run_scenario(scn: dict, record: bool = False) -> RunResult:
-    scn = _with_defaults(scn)
+    scn = {**DEFAULTS, **scn}
     errors = validate(scn)
     if errors:
         raise ScenarioError(errors)
-    protocol = scn["protocol"]
-    n, f, seed = scn["n"], scn["f"], scn["seed"]
+    n = scn["n"]
     scheme = make_scheme(scn["crypto"], n)
     policy = build_policy(scn)
     adversary = build_adversary(scn, scheme)
     inputs = make_inputs(scn)
-
-    cfg = None
-    if protocol in VARIANTS:
-        cfg = PcConfig(n, f, scn["L"], VARIANTS[protocol], ("scn", protocol))
-        build = lambda p: PcEngine(cfg, p, scheme)
-    elif protocol == "spc":
-        spc_cfg = SpcConfig(n, f, scn["L"], scn["delta_cap"], ("scn", "spc"),
-                            tuple(scn.get("rank0", ()) or range(n)))
-        build = lambda p: SpcEngine(spc_cfg, p, scheme)
-    elif protocol == "msc":
-        msc_cfg = MscConfig(n, f, scn["delta_cap"], ("scn", "msc"),
-                            tuple(scn.get("rank0", ()) or range(n)), slots=scn["slots"])
-        payload_fn = msc_payload_fn(scn)
-        build = lambda p: MscEngine(msc_cfg, p, scheme, lambda s, p=p: payload_fn(p, s))
-    elif protocol == "graded":
-        build = lambda p: GradedEngine(n, f, p, scheme)
-    elif protocol == "binary":
-        build = lambda p: BinaryEngine(n, f, scn["delta_cap"], p, scheme)
-    else:  # validated: validate admits no other protocol
-        build = lambda p: ValidatedEngine(n, f, scn["delta_cap"], p, scheme)
+    cfg, build = PROTOCOL_TABLE[scn["protocol"]].engines(scn, scheme)
     measure = None
-    if scn["measure_bytes"]:  # validate admits the compact codec for pc variants only
+    if scn["measure_bytes"]:  # validate admits the compact codec for rows with a pc config only
         codec = wire.CompactCodec(cfg, scheme) if scn["codec"] == "compact" else wire.PlainCodec()
         measure = codec.measure
 
     sim = Simulation(
-        n, build, adversary=adversary, policy=policy, seed=seed,
+        n, build, adversary=adversary, policy=policy, seed=scn["seed"],
         measure=measure, record=record,
     )
     for party in range(n):
@@ -368,37 +444,9 @@ def run_scenario(scn: dict, record: bool = False) -> RunResult:
 
 
 def run_checks(result: RunResult, cfg, scheme) -> list:
-    scn = result.scenario
-    if scn.get("checks") == "none":
+    if result.scenario.get("checks") == "none":
         return []
-    protocol = scn["protocol"]
-    honest = result.honest
-    byz = result.sim.adversary.byzantine
-    violations = []
-    if protocol in VARIANTS:
-        violations += checks.pc_violations(cfg, scheme, result.inputs, honest, result.metrics)
-        if protocol == "pc_opt":
-            violations += checks.pc_optimistic_validity(result.inputs, honest, result.metrics, byz)
-    elif protocol == "spc":
-        violations += checks.spc_violations(result.sim, result.inputs, honest, result.metrics)
-    elif protocol == "msc":
-        violations += checks.msc_violations(
-            result.sim, honest, byz, msc_payload_fn(scn), scn["slots"], scn["gst"], result.metrics
-        )
-        violations += checks.msc_commit_prefix(result.sim, honest, scn["slots"])
-    elif protocol == "graded":
-        violations += checks.graded_violations(result.inputs, honest, result.metrics)
-    elif protocol == "binary":
-        violations += checks.binary_violations(result.inputs, honest, result.metrics)
-    elif protocol == "validated":
-        outs = {p: result.metrics.output_value(p, "decision") for p in honest}
-        decided = {v for v in outs.values() if v is not None}
-        if len(decided) > 1:
-            violations.append(checks.Violation("agreement", f"decisions {decided}"))
-        for p, v in outs.items():
-            if v is None and result.metrics.output_value(p, "undecided") is None:
-                violations.append(checks.Violation("termination", f"party {p} undecided"))
-    return violations
+    return PROTOCOL_TABLE[result.scenario["protocol"]].invariants(result, cfg, scheme)
 
 
 def load_scenario(path: str) -> dict:

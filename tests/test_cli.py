@@ -6,7 +6,7 @@ import os
 import pytest
 
 from prefixsim import cli, wire
-from prefixsim.scenario import run_scenario, validate
+from prefixsim.scenario import ADVERSARIES, run_scenario, validate
 
 SCENARIOS = os.path.join(os.path.dirname(cli.__file__), "scenarios")
 
@@ -245,13 +245,19 @@ def test_none_adversary_honours_its_byzantine_list():
     assert result.honest == [0, 1, 2]
 
 
-@pytest.mark.parametrize("kind", ["none", "fuzz", "delayer", "silent"])
+@pytest.mark.parametrize("kind", ADVERSARIES)
 def test_more_than_f_byzantine_parties_is_a_schema_error(tmp_path, capsys, kind):
     # none, fuzz and delayer used to pass, run with one honest party and
-    # report protocol violations (exit 3).
-    scn = {"version": 1, "protocol": "pc3", "n": 4, "f": 1, "L": 4,
-           "adversary": {"kind": kind, "byzantine": [0, 1, 2]}}
-    assert validate(scn) == [("adversary.byzantine", f"at most 1 byzantine parties for {kind}")]
+    # report protocol violations (exit 3).  censor and withhold_body name
+    # their parties by the keys of reveal; the suspender, which suspends one
+    # honest party at a time, may have f - 1.
+    if kind in ("censor", "withhold_body"):
+        parties = {"reveal": {"0": [1], "1": [2], "2": [3]}}
+    else:
+        parties = {"byzantine": [0, 1, 2]}
+    scn = {"version": 1, "protocol": "pc3", "n": 4, "f": 1, "L": 4, "adversary": {"kind": kind, **parties}}
+    limit = 0 if kind == "suspender" else 1
+    assert validate(scn) == [("adversary.byzantine", f"at most {limit} byzantine parties for {kind}")]
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(scn))
     assert cli.main(["--quiet", "run", "--scenario", str(path), "--out", str(tmp_path)]) == 2
