@@ -4,11 +4,12 @@ censorship accounting."""
 import pytest
 
 from prefixsim import adversaries
+from prefixsim.actions import Send
 from prefixsim.crypto import MacScheme
-from prefixsim.msc import MscConfig, MscEngine, update_rank
+from prefixsim.msc import MscConfig, MscEngine, Proposal, payload_digest, update_rank
 from prefixsim.nest import Nested
 from prefixsim.simnet import DelayPolicy, Simulation
-from prefixsim.spc import FetchReq
+from prefixsim.spc import FetchReq, FetchResp, NewView, proposal_digest
 
 
 def test_update_rank_examples():
@@ -158,8 +159,8 @@ def test_committed_byzantine_payload_is_fetched():
     logs = committed_payload_sets(sim, 1, honest)
     reference = logs[0]
     assert all(log == reference for log in logs.values())
-    if payload(2, 1) in reference:
-        assert metrics.fetch_messages > 0, "committed unseen payload without fetching"
+    assert payload(2, 1) in reference
+    assert metrics.fetch_messages == 20
 
 
 def test_leaderless_suspension_still_commits():
@@ -174,10 +175,50 @@ def test_leaderless_suspension_still_commits():
         assert all(log == reference for log in logs.values())
 
 
-def test_fetch_request_with_non_bytes_digest_is_dropped():
+def fetch_server():
+    """Party 0 in slot 1, holding party 1's slot-2 proposal; no slot
+    engine has started."""
     cfg = MscConfig(4, 1, 1, ("t", "msc"), slots=2)
     engine = MscEngine(cfg, 0, MacScheme(4), lambda s: payload(0, s))
     engine.on_input(None)
+    engine.on_message(1, Proposal(cfg.instance, 2, payload(1, 2)))
+    assert not engine.slots.children
+    return cfg, engine
+
+
+def test_fetch_request_with_non_bytes_digest_is_dropped():
+    cfg, engine = fetch_server()
     req = FetchReq(cfg.instance + ("slot", 1), [1])
     assert engine.on_message(1, Nested(cfg.instance, 1, req)) == []
+    assert engine.dropped == 1
+
+
+def test_payload_request_for_an_unstarted_slot_is_answered():
+    cfg, engine = fetch_server()
+    inst, digest = cfg.instance + ("slot", 2), payload_digest(payload(1, 2))
+    resp = FetchResp(inst, digest, payload(1, 2))
+    assert engine.on_message(3, Nested(cfg.instance, 2, FetchReq(inst, digest))) == [
+        Send(3, Nested(cfg.instance, 2, resp))]
+
+
+def test_object_response_for_an_unstarted_slot_is_ignored():
+    cfg, engine = fetch_server()
+    inst = cfg.instance + ("slot", 2)
+    nv = NewView(inst, 2, None)
+    digest = proposal_digest(nv)
+    assert engine.on_message(3, Nested(cfg.instance, 2, FetchResp(inst, digest, nv))) == []
+    # Slot 1 starts on its timer and shares the party's store: the object
+    # was not stored, so a request for it finds nothing.
+    engine.on_timer(("slot", 1))
+    assert 1 in engine.slots.children
+    req = FetchReq(cfg.instance + ("slot", 1), digest)
+    assert engine.on_message(3, Nested(cfg.instance, 1, req)) == []
+    assert engine.dropped == 0
+
+
+def test_payload_response_with_wrong_digest_is_dropped():
+    cfg, engine = fetch_server()
+    inst = cfg.instance + ("slot", 1)
+    resp = FetchResp(inst, payload_digest(b"other"), payload(1, 1))
+    assert engine.on_message(3, Nested(cfg.instance, 1, resp)) == []
     assert engine.dropped == 1

@@ -3,8 +3,9 @@ counts (bytes under plain accounting), its drops, and the text and type of
 ``end_time`` and of every output time.
 
 The runs are one seeded scenario per catalogue stratum, every bundled
-scenario file, a ``Delayer`` run (a ``pick_delay`` override) and a
-``Suspender`` run on a 240-tick clock.  A second test pins the jitter
+scenario file, a ``Delayer`` run (a ``pick_delay`` override), a
+``Suspender`` run on a 240-tick clock and an msc ``withhold_body`` run.
+The runs named in ``FETCHING`` must pull bodies over the fetch path.  A second test pins the jitter
 draws to the ``random.Random(seed).randint`` sequence they come from.
 """
 
@@ -53,6 +54,9 @@ def _runs():
                       "seed": 5, "adversary": {"kind": "delayer", "links": [[0, 1], [2, 3]],
                                                "stretch": 5, "jitter": 3}})
     yield "delayer", lambda: run_scenario(delayer).metrics
+    withhold = _plain({**catalogue.PSYNC, "protocol": "msc", "n": 4, "f": 1, "slots": 2, "seed": 3,
+                       "adversary": {"kind": "withhold_body", "reveal": {"2": [0]}, "jitter": 4}})
+    yield "msc_withhold", lambda: run_scenario(withhold).metrics
     yield "suspender", _suspender_run
 
 
@@ -107,6 +111,7 @@ PINS = {
     "msc_censor_f1.json": "301329dba7153e59",
     "msc_censor_f2_n7.json": "fa7e3246ace733b5",
     "msc_faultfree_n4.json": "e711e3f8d780ff5f",
+    "msc_fetch_payload_n4.json": "b3bf376582215b80",
     "msc_leaderless_n4.json": "b3f550c0e305cada",
     "pc3_faultfree_n4.json": "6fed10dade2b7d5e",
     "pc3_faultfree_n7.json": "cbc7242cf3cce5b5",
@@ -115,16 +120,24 @@ PINS = {
     "spc_faultfree_n4.json": "63407e86040b882a",
     "spc_silent_view2_n4.json": "481a9dfd6d808f92",
     "spc_splitview_n4.json": "ee56bf39d35de49c",
+    "spc_withhold_n4.json": "ccf1af5d540f252a",
     "sweep_pc3.json": "d391f442965486c5",
     "validated_faultfree_n4.json": "042d07d02e3ab857",
     "delayer": "a18b2deeca064c27",
     "suspender": "219cf79fce07ec64",
+    "msc_withhold": "44e1034a5ebf1637",
 }
+
+#: Runs that commit a body some honest party never received: a slot
+#: payload (msc) or a view-entry object (spc).
+FETCHING = {"msc_fetch_payload_n4.json", "spc_withhold_n4.json", "msc_withhold"}
 
 
 @pytest.mark.parametrize("name,run", list(_runs()), ids=lambda v: v if isinstance(v, str) else "")
 def test_run_is_pinned(name, run):
-    assert _fingerprint(run()) == PINS[name]
+    metrics = run()
+    assert _fingerprint(metrics) == PINS[name]
+    assert (metrics.fetch_messages > 0) == (name in FETCHING)
 
 
 def test_jitter_draws_follow_randint():
