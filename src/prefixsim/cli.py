@@ -115,15 +115,19 @@ def _positive(text: str) -> int:
     return int(text)
 
 
+def sweep_scenario(template: dict, n: int) -> dict:
+    """The document a sweep runs at size ``n``: the largest ``f`` that
+    ``n >= 3f + 1`` allows, and ``L = n`` when the template sets ``L``."""
+    scn = {**template, "n": n, "f": (n - 1) // 3}
+    if "L" in scn:
+        scn["L"] = n
+    return scn
+
+
 def sweep_rows(template: dict, ns: List[int]) -> List[dict]:
     rows = []
     for n in ns:
-        scn = dict(template)
-        scn["n"] = n
-        scn["f"] = (n - 1) // 3
-        if "L" in scn:
-            scn["L"] = n
-        result = run_scenario(scn)
+        result = run_scenario(sweep_scenario(template, n))
         if result.violations:
             raise ScenarioError([("sweep", f"n={n}: {result.violations[0]}")])
         rows.append(
@@ -148,7 +152,7 @@ def cmd_sweep(args) -> int:
         template["codec"] = args.codec
     template["measure_bytes"] = True
     for n in ns:
-        errors = scn_mod.validate({**template, "n": n, "f": (n - 1) // 3})
+        errors = scn_mod.validate(sweep_scenario(template, n))
         for path, msg in errors:
             print(f"scenario.{path}: {msg} (n={n})", file=sys.stderr)
         if errors:

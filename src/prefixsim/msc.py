@@ -9,7 +9,9 @@ at most one slot per Byzantine party.
 Slots are strictly sequential: a party starts slot ``s+1`` only after
 the slot-``s`` agreement lands.  The low output of a slot commits early;
 it is always a prefix of the final slot output, so early commits never
-roll back.
+roll back.  A party keeps its payloads and its slot engines' view-entry
+objects in one shared :class:`~prefixsim.spc.Store`, which answers every
+fetch request and parks commits that wait for a missing payload.
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import crypto, wire
-from .actions import Broadcast, Output, Send, StartTimer
+from .actions import Broadcast, Output, StartTimer
 from .crypto import Scheme
 from .encoding import cached
-from .nest import Host, Nested
+from .nest import Host
 from .prefixes import Vector
-from .spc import FetchReq, FetchResp, SpcConfig, SpcEngine
+from .spc import FetchReq, FetchResp, SpcConfig, SpcEngine, Store
 
 HBOT = crypto.HBOT
 
@@ -59,12 +61,15 @@ class MscConfig:
         if self.rank0 == ():
             object.__setattr__(self, "rank0", tuple(range(self.n)))
 
+    def slot_instance(self, slot: int) -> tuple:
+        return self.instance + ("slot", slot)
+
     def spc_cfg(self, slot: int, rank: tuple) -> SpcConfig:
         """One config per slot and ranking, shared by every party's slot
         engine, so the verdicts cached under its view configs are found
         by identity, not by comparing fields."""
         return cached(self, ("spc", slot, rank), SpcConfig,
-                      self.n, self.f, self.n, self.delta_cap, self.instance + ("slot", slot), rank)
+                      self.n, self.f, self.n, self.delta_cap, self.slot_instance(slot), rank)
 
 
 def payload_digest(payload: bytes) -> bytes:
@@ -94,15 +99,11 @@ class MscEngine:
         self.validator = validator
         self.slot = 0
         self.buffers: Dict[int, Dict[int, bytes]] = {}
-        self.payloads: Dict[bytes, bytes] = {}
-        self.ranks: Dict[int, tuple] = {}
-        self.ran_spc: set = set()
+        self.store = Store()  # payloads, and the slot engines' objects
+        self.ranks: Dict[int, tuple] = {}  # filled as each slot's instance starts
         self.committed: set = set()
         self.commit_log: List[Tuple[int, int, int, bytes]] = []  # slot, index, origin, digest
         self.slot_outputs: Dict[int, Dict[str, tuple]] = {}
-        self.pending: List[Tuple[bytes, tuple]] = []
-        self.fetching: set = set()
-        self.object_store: Dict[bytes, object] = {}  # shared across slot engines
         self.own_dropped = 0
         # One strong-agreement instance per slot, started by RunSPC; slot
         # traffic that races ahead of our own slot start waits for it.
@@ -113,7 +114,7 @@ class MscEngine:
         return self.own_dropped + self.slots.dropped
 
     def _build_slot(self, slot: int) -> SpcEngine:
-        return SpcEngine(self.cfg.spc_cfg(slot, self.ranks[slot]), self.party, self.scheme, store=self.object_store)
+        return SpcEngine(self.cfg.spc_cfg(slot, self.ranks[slot]), self.party, self.scheme, store=self.store)
 
     def _buffers_slot(self, slot: int) -> bool:
         """Whether traffic for a slot not started yet waits for it."""
@@ -137,7 +138,7 @@ class MscEngine:
     def on_timer(self, key: tuple) -> list:
         if key[0] == "slot":
             slot = key[1]
-            if slot == self.slot and slot not in self.ran_spc:
+            if slot == self.slot and slot not in self.ranks:
                 return self._run_spc(slot)
             return []
         return self.slots.on_timer(key)
@@ -149,17 +150,13 @@ class MscEngine:
         if slot is None:
             return []
         inner = msg.inner
-        # Payload fetches are served and taken here; proposal-object
-        # fetches go to a running slot engine and are never buffered.
-        if isinstance(inner, FetchReq) and not isinstance(inner.digest, bytes):
-            self.own_dropped += 1
-            return []
-        if isinstance(inner, FetchReq) and inner.digest in self.payloads:
-            resp = FetchResp(inner.inst, inner.digest, self.payloads[inner.digest])
-            return [Send(sender, Nested(self.cfg.instance, slot, resp))]
+        # The shared store answers every request and takes payloads; an
+        # object response goes to a running slot engine, never buffered.
+        if isinstance(inner, FetchReq):
+            return self.slots.wrap(slot, self.store.serve(self, self.cfg.slot_instance(slot), sender, inner))
         if isinstance(inner, FetchResp) and isinstance(inner.obj, bytes):
-            return self._take_payload(inner)
-        if isinstance(inner, (FetchReq, FetchResp)) and slot not in self.slots.children:
+            return self.store.take(self, inner)
+        if isinstance(inner, FetchResp) and slot not in self.slots.children:
             return []
         return self.slots.deliver(slot, sender, inner)
 
@@ -175,15 +172,13 @@ class MscEngine:
         if self.validator is not None and not self.validator(prop.payload):
             self.own_dropped += 1
             return []
-        digest = payload_digest(prop.payload)
-        self.payloads.setdefault(digest, prop.payload)
-        actions = self._resolve_pending(digest)
+        actions = self.store.put(self, payload_digest(prop.payload), prop.payload)
         if prop.slot < self.slot:
             return actions  # past slot: the input vector is long fixed
         bucket = self.buffers.setdefault(prop.slot, {})
         if sender not in bucket:
             bucket[sender] = prop.payload
-        if prop.slot == self.slot and prop.slot not in self.ran_spc and len(bucket) == self.cfg.n:
+        if prop.slot == self.slot and prop.slot not in self.ranks and len(bucket) == self.cfg.n:
             actions.extend(self._run_spc(prop.slot))
         return actions
 
@@ -197,19 +192,11 @@ class MscEngine:
         return update_rank(prev, prev_high)
 
     def _run_spc(self, slot: int) -> list:
-        self.ran_spc.add(slot)
         rank = self._rank_for(slot)
         self.ranks[slot] = rank
         bucket = self.buffers.get(slot, {})
         vec = tuple(payload_digest(bucket[p]) if p in bucket else HBOT for p in rank)
         return self.slots.start(slot, vec)
-
-    def _take_payload(self, resp: FetchResp) -> list:
-        if payload_digest(resp.obj) != resp.digest:
-            self.own_dropped += 1
-            return []
-        self.payloads.setdefault(resp.digest, resp.obj)
-        return self._resolve_pending(resp.digest)
 
     def _slot_output(self, slot: int, out: Output) -> list:
         kind, value = out.kind, out.value
@@ -231,29 +218,15 @@ class MscEngine:
             digest = vector[idx]
             if digest == HBOT:
                 continue
-            payload = self.payloads.get(digest)
-            if payload is None:
+            if digest not in self.store:
                 # Fetch within the slot's namespace and resume in order.
-                self.pending.append((digest, (slot, vector, idx)))
-                if digest not in self.fetching:
-                    self.fetching.add(digest)
-                    req = FetchReq(self.cfg.instance + ("slot", slot), digest)
-                    actions.append(Broadcast(Nested(self.cfg.instance, slot, req)))
-                return actions
+                fetch = self.store.park(self, self.cfg.slot_instance(slot), digest,
+                                        MscEngine._commit_vector, slot, vector, idx)
+                return actions + self.slots.wrap(slot, fetch)
             if digest not in self.committed:
                 self.committed.add(digest)
                 self.commit_log.append((slot, idx, rank[idx], digest))
                 actions.append(Output(f"commit-{slot}-{idx}", (rank[idx], digest)))
-        return actions
-
-    def _resolve_pending(self, digest: bytes) -> list:
-        ready = [task for d, task in self.pending if d == digest]
-        if not ready:
-            return []
-        self.pending = [(d, t) for d, t in self.pending if d != digest]
-        actions: list = []
-        for slot, vector, idx in ready:
-            actions.extend(self._commit_vector(slot, vector, idx))
         return actions
 
     # ------------------------------------------------------------------
@@ -262,7 +235,7 @@ class MscEngine:
         """Ordered (index, origin, payload) entries committed, by slot."""
         out: Dict[int, List[Tuple[int, int, bytes]]] = {}
         for slot, idx, origin, digest in self.commit_log:
-            out.setdefault(slot, []).append((idx, origin, self.payloads[digest]))
+            out.setdefault(slot, []).append((idx, origin, self.store[digest]))
         return out
 
     def export_commit_log(self) -> str:

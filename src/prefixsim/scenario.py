@@ -318,9 +318,9 @@ def _adversary_errors(adv, n, f) -> List[Tuple[str, str]]:
     if isinstance(f, int):
         limit = f - row.suspends
         if len(members) > limit:
-            errors.append(("adversary.byzantine", f"at most {limit} byzantine parties for {kind}"))
+            errors.append((f"adversary.{row.parties}", f"at most {limit} byzantine parties for {kind}"))
     if isinstance(n, int) and not all(0 <= p < n for p in members):
-        errors.append(("adversary.byzantine", "party ids out of range"))
+        errors.append((f"adversary.{row.parties}", "party ids out of range"))
     return errors + [(f"adversary.{name}", f"not a field of {kind}")
                      for name in adv if name != "kind" and name not in row.fields]
 

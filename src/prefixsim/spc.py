@@ -19,7 +19,9 @@ chain terminates even under one suspension per round.
 Proposal objects are gossiped inside new-view messages; a pull-based
 fetch pair covers preimages a party never saw (Byzantine senders may
 reveal objects to a subset only).  Computations that hit a missing
-preimage park until the fetch resolves.
+preimage park until the fetch resolves.  Bodies and parked work live in
+one content-addressed :class:`Store` per party, which a multi-slot party
+shares between its slot payloads and its slot engines.
 """
 
 from __future__ import annotations
@@ -175,6 +177,57 @@ class _Missing(Exception):
         self.digest = digest
 
 
+class Store(dict):
+    """One party's bodies by digest: slot payloads under their hash,
+    view-entry objects under ``proposal_digest``.
+
+    Work that needs a missing body parks as ``(function, *args)``.  Each
+    method takes the calling ``engine``: its parked work is keyed by its
+    instance and run by it alone, as ``function(engine, *args)``, and a
+    malformed request or response is its drop.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.parked: Dict[tuple, list] = {}
+
+    def park(self, engine, inst: tuple, digest: bytes, *task) -> list:
+        """Park ``task`` until ``digest`` arrives; the engine's first park
+        on a digest broadcasts the one request, naming ``inst``."""
+        tasks = self.parked.setdefault((engine.cfg.instance, digest), [])
+        tasks.append(task)
+        return [Broadcast(FetchReq(inst, digest))] if len(tasks) == 1 else []
+
+    def serve(self, engine, inst: tuple, sender: int, req: FetchReq) -> list:
+        """Answer a request naming ``inst`` with the body, if held."""
+        if not isinstance(req.digest, bytes):
+            engine.own_dropped += 1
+            return []
+        body = self.get(req.digest) if req.inst == inst else None
+        return [] if body is None else [Send(sender, FetchResp(inst, req.digest, body))]
+
+    def take(self, engine, resp: FetchResp) -> list:
+        """Keep a response's body if it hashes to the response's digest,
+        and run the work the engine parked on it."""
+        obj = resp.obj
+        try:
+            matches = (crypto.hash_bytes(obj) if isinstance(obj, bytes) else proposal_digest(obj)) == resp.digest
+        except (TypeError, ValueError):  # not encodable: no digest can match
+            matches = False
+        if not matches:
+            engine.own_dropped += 1
+            return []
+        return self.put(engine, resp.digest, obj)
+
+    def put(self, engine, digest: bytes, body) -> list:
+        """Keep ``body`` and run the work ``engine`` parked on it."""
+        self.setdefault(digest, body)
+        actions: list = []
+        for function, *args in self.parked.pop((engine.cfg.instance, digest), ()):
+            actions.extend(function(engine, *args))
+        return actions
+
+
 class SpcEngine:
     """One party's reactor for a strong-prefix-consensus instance."""
 
@@ -183,7 +236,7 @@ class SpcEngine:
         cfg: SpcConfig,
         party: int,
         scheme: Scheme,
-        store: Optional[dict] = None,
+        store: Optional[Store] = None,
     ):
         self.cfg = cfg
         self.party = party
@@ -193,9 +246,7 @@ class SpcEngine:
         self.proposals: Dict[int, Dict[int, NewView]] = {}
         self.empty_votes: Dict[int, Dict[int, EmptyView]] = {}
         self.best_high: Tuple[int, Vector, object] = (0, (), None)
-        self.store: Dict[bytes, object] = store if store is not None else {}
-        self.pending: List[Tuple[bytes, tuple]] = []
-        self.fetching: set = set()
+        self.store = store if store is not None else Store()
         self.ran_vpc: set = set()
         self.emitted_empty: set = set()
         self.skip_built: set = set()
@@ -232,9 +283,9 @@ class SpcEngine:
 
     def on_message(self, sender: int, msg) -> list:
         if isinstance(msg, FetchReq):
-            return self._serve_fetch(sender, msg)
+            return self.store.serve(self, self.cfg.instance, sender, msg)
         if isinstance(msg, FetchResp):
-            return self._take_fetch(msg)
+            return self.store.take(self, msg)
         if self._done_high():
             # Late low: view-1 traffic still matters until the low lands.
             if "low" in self.outputs:
@@ -281,7 +332,7 @@ class SpcEngine:
         try:
             parented = self._has_parent(view, value)
         except _Missing as miss:
-            return self._park(miss.digest, ("vpc-high", view, value, proof))
+            return self._park(miss.digest, SpcEngine._handle_vpc_high, view, value, proof)
         if parented:
             cert = DirectCert(view, value, proof)
             nv = NewView(self.cfg.instance, view + 1, cert)
@@ -368,7 +419,7 @@ class SpcEngine:
         try:
             ok = self._valid_cert(nv.view, nv.cert)
         except _Missing as miss:
-            return self._park(miss.digest, ("msg", sender, nv))
+            return self._park(miss.digest, SpcEngine.on_message, sender, nv)
         if not ok:
             self.own_dropped += 1
             return []
@@ -424,7 +475,7 @@ class SpcEngine:
                 self.own_dropped += 1
                 return []
         except _Missing as miss:
-            return self._park(miss.digest, ("msg", sender, ev))
+            return self._park(miss.digest, SpcEngine.on_message, sender, ev)
         bucket = self.empty_votes.setdefault(ev.view, {})
         if sender in bucket or ev.view in self.skip_built:
             return []
@@ -468,7 +519,7 @@ class SpcEngine:
             try:
                 parent = self._parent_of(value)
             except _Missing as miss:
-                return self._park(miss.digest, ("commit", view, value))
+                return self._park(miss.digest, SpcEngine._commit, view, value)
             self.view_commits.setdefault(view, "non-empty" if parent else "empty")
             if parent is None:
                 return []
@@ -486,48 +537,5 @@ class SpcEngine:
     def _done_high(self) -> bool:
         return "high" in self.outputs
 
-    # ------------------------------------------------------------------
-    # fetch machinery
-
-    def _park(self, digest: bytes, task: tuple) -> list:
-        self.pending.append((digest, task))
-        if digest in self.fetching:
-            return []
-        self.fetching.add(digest)
-        return [Broadcast(FetchReq(self.cfg.instance, digest))]
-
-    def _serve_fetch(self, sender: int, req: FetchReq) -> list:
-        if req.inst != self.cfg.instance:
-            return []
-        if not isinstance(req.digest, bytes):
-            self.own_dropped += 1
-            return []
-        obj = self.store.get(req.digest)
-        if obj is None:
-            return []
-        return [Send(sender, FetchResp(self.cfg.instance, req.digest, obj))]
-
-    def _take_fetch(self, resp: FetchResp) -> list:
-        if resp.inst != self.cfg.instance:
-            return []
-        try:
-            matches = proposal_digest(resp.obj) == resp.digest
-        except (TypeError, ValueError):  # not encodable: no digest can match
-            matches = False
-        if not matches:
-            self.own_dropped += 1
-            return []
-        self.store.setdefault(resp.digest, resp.obj)
-        ready = [task for digest, task in self.pending if digest == resp.digest]
-        self.pending = [(d, t) for d, t in self.pending if d != resp.digest]
-        actions: list = []
-        for task in ready:
-            if task[0] == "msg":
-                actions.extend(self.on_message(task[1], task[2]))
-            elif task[0] == "commit":
-                actions.extend(self._commit(task[1], task[2]))
-            elif task[0] == "vpc-high":
-                actions.extend(self._handle_vpc_high(task[1], task[2], task[3]))
-            else:
-                raise AssertionError(f"unknown parked task {task[0]}")
-        return actions
+    def _park(self, digest: bytes, *task) -> list:
+        return self.store.park(self, self.cfg.instance, digest, *task)

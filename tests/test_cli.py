@@ -171,6 +171,15 @@ def test_sweep_reports_exponents(tmp_path):
     assert doc["rows"][0]["messages"] == 36
 
 
+def test_sweep_validates_the_sizes_it_runs(tmp_path):
+    # Each size runs with L = n, so the template's own L is never used:
+    # 300 used to fail validation under unanimous inputs (exit 2).
+    scn = json.load(open(scenario_path("sweep_pc3.json")))
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({**scn, "L": 300, "inputs": {"kind": "unanimous"}}))
+    assert cli.main(["--quiet", "sweep", "--scenario", str(path), "--ns", "4,7"]) == 0
+
+
 @pytest.mark.parametrize("name", ["graded_faultfree_n4.json", "binary_mixed_n4.json",
                                   "validated_faultfree_n4.json"])
 def test_byte_accounting_covers_derived_protocols(name):
@@ -255,13 +264,24 @@ def test_more_than_f_byzantine_parties_is_a_schema_error(tmp_path, capsys, kind)
         parties = {"reveal": {"0": [1], "1": [2], "2": [3]}}
     else:
         parties = {"byzantine": [0, 1, 2]}
+    where = f"adversary.{next(iter(parties))}"
     scn = {"version": 1, "protocol": "pc3", "n": 4, "f": 1, "L": 4, "adversary": {"kind": kind, **parties}}
     limit = 0 if kind == "suspender" else 1
-    assert validate(scn) == [("adversary.byzantine", f"at most {limit} byzantine parties for {kind}")]
+    assert validate(scn) == [(where, f"at most {limit} byzantine parties for {kind}")]
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(scn))
     assert cli.main(["--quiet", "run", "--scenario", str(path), "--out", str(tmp_path)]) == 2
-    assert "adversary.byzantine" in capsys.readouterr().err
+    assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ADVERSARIES)
+def test_party_ids_out_of_range_are_a_schema_error(kind):
+    # Reported at the field that names the parties: reveal for censor and
+    # withhold_body (it used to be adversary.byzantine, a field they lack).
+    parties = {"reveal": {"9": [1]}} if kind in ("censor", "withhold_body") else {"byzantine": [9]}
+    scn = {"version": 1, "protocol": "pc3", "n": 7, "f": 2, "L": 4, "adversary": {"kind": kind, **parties}}
+    where = f"adversary.{next(iter(parties))}"
+    assert validate(scn) == [(where, "party ids out of range")]
 
 
 def test_decode_roundtrip(capsys):

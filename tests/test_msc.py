@@ -201,6 +201,13 @@ def test_payload_request_for_an_unstarted_slot_is_answered():
         Send(3, Nested(cfg.instance, 2, resp))]
 
 
+def test_payload_request_naming_a_foreign_instance_is_ignored():
+    cfg, engine = fetch_server()
+    req = FetchReq(("t", "other", "slot", 2), payload_digest(payload(1, 2)))
+    assert engine.on_message(3, Nested(cfg.instance, 2, req)) == []
+    assert engine.dropped == 0
+
+
 def test_object_response_for_an_unstarted_slot_is_ignored():
     cfg, engine = fetch_server()
     inst = cfg.instance + ("slot", 2)

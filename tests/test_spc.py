@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from prefixsim import adversaries, crypto
+from prefixsim.actions import Broadcast, Output
 from prefixsim.crypto import MacScheme, Signature
 from prefixsim.nest import Nested
 from prefixsim.pc import PcConfig, PcEngine, Variant, Vote, predicate_high, verify_vote
@@ -19,6 +20,8 @@ from prefixsim.spc import (
     SkipCert,
     SpcConfig,
     SpcEngine,
+    Store,
+    proposal_digest,
     rank_for_view,
     shift,
     skip_statement,
@@ -390,6 +393,21 @@ def test_unencodable_fetch_response_is_dropped(obj):
     engine = SpcEngine(cfg, 0, MacScheme(4))
     assert engine.on_message(1, FetchResp(cfg.instance, b"d", obj)) == []
     assert engine.dropped == 1 and engine.store == {}
+
+
+def test_parked_work_runs_only_at_the_engine_that_parked_it():
+    # Slot engines share one store: a response routed to another
+    # instance's engine keeps the body but must not run this one's work.
+    scheme, store = MacScheme(4), Store()
+    cfg, other = SpcConfig(4, 1, 4, 1, ("t", "spc")), SpcConfig(4, 1, 4, 1, ("t", "other"))
+    engine, bystander = SpcEngine(cfg, 0, scheme, store), SpcEngine(other, 0, scheme, store)
+    value, proof = make_view1_high(cfg, scheme, [(a, b, c, d)] * 4)
+    nv = NewView(cfg.instance, 2, DirectCert(1, value, proof))
+    digest = proposal_digest(nv)
+    assert engine._commit(2, (digest,)) == [Broadcast(FetchReq(cfg.instance, digest))]
+    resp = FetchResp(cfg.instance, digest, nv)
+    assert bystander.on_message(1, resp) == [] and store[digest] is nv
+    assert engine.on_message(1, resp) == [Output("high", value)]
 
 
 def test_fetch_request_with_non_bytes_digest_is_dropped():
