@@ -99,7 +99,7 @@ class MscEngine:
         self.validator = validator
         self.slot = 0
         self.buffers: Dict[int, Dict[int, bytes]] = {}
-        self.store = Store()  # payloads, and the slot engines' objects
+        self.store = Store()  # payloads in blobs, and the slot engines' objects
         self.ranks: Dict[int, tuple] = {}  # filled as each slot's instance starts
         self.committed: set = set()
         self.commit_log: List[Tuple[int, int, int, bytes]] = []  # slot, index, origin, digest
@@ -153,9 +153,16 @@ class MscEngine:
         # The shared store answers every request and takes payloads; an
         # object response goes to a running slot engine, never buffered.
         if isinstance(inner, FetchReq):
-            return self.slots.wrap(slot, self.store.serve(self, self.cfg.slot_instance(slot), sender, inner))
+            reply = self.store.serve(self.cfg.slot_instance(slot), sender, inner)
+            if reply is None:
+                self.own_dropped += 1
+                return []
+            return self.slots.wrap(slot, reply)
         if isinstance(inner, FetchResp) and isinstance(inner.obj, bytes):
-            return self.store.take(self, inner)
+            if not Store.take(self.store.blobs, payload_digest, inner):
+                self.own_dropped += 1
+                return []
+            return self.store.run(self, (self.cfg.instance, inner.digest))
         if isinstance(inner, FetchResp) and slot not in self.slots.children:
             return []
         return self.slots.deliver(slot, sender, inner)
@@ -172,7 +179,9 @@ class MscEngine:
         if self.validator is not None and not self.validator(prop.payload):
             self.own_dropped += 1
             return []
-        actions = self.store.put(self, payload_digest(prop.payload), prop.payload)
+        digest = payload_digest(prop.payload)
+        self.store.blobs.setdefault(digest, prop.payload)
+        actions = self.store.run(self, (self.cfg.instance, digest))
         if prop.slot < self.slot:
             return actions  # past slot: the input vector is long fixed
         bucket = self.buffers.setdefault(prop.slot, {})
@@ -218,10 +227,10 @@ class MscEngine:
             digest = vector[idx]
             if digest == HBOT:
                 continue
-            if digest not in self.store:
+            if digest not in self.store.blobs:
                 # Fetch within the slot's namespace and resume in order.
-                fetch = self.store.park(self, self.cfg.slot_instance(slot), digest,
-                                        MscEngine._commit_vector, slot, vector, idx)
+                fetch = self.store.park((self.cfg.instance, digest), FetchReq(self.cfg.slot_instance(slot), digest),
+                                        (MscEngine._commit_vector, slot, vector, idx))
                 return actions + self.slots.wrap(slot, fetch)
             if digest not in self.committed:
                 self.committed.add(digest)
@@ -235,7 +244,7 @@ class MscEngine:
         """Ordered (index, origin, payload) entries committed, by slot."""
         out: Dict[int, List[Tuple[int, int, bytes]]] = {}
         for slot, idx, origin, digest in self.commit_log:
-            out.setdefault(slot, []).append((idx, origin, self.store[digest]))
+            out.setdefault(slot, []).append((idx, origin, self.store.blobs[digest]))
         return out
 
     def export_commit_log(self) -> str:

@@ -21,7 +21,7 @@ fetch pair covers preimages a party never saw (Byzantine senders may
 reveal objects to a subset only).  Computations that hit a missing
 preimage park until the fetch resolves.  Bodies and parked work live in
 one content-addressed :class:`Store` per party, which a multi-slot party
-shares between its slot payloads and its slot engines.
+shares between its slot payloads and its slot engines, in separate maps.
 """
 
 from __future__ import annotations
@@ -178,54 +178,50 @@ class _Missing(Exception):
 
 
 class Store(dict):
-    """One party's bodies by digest: slot payloads under their hash,
-    view-entry objects under ``proposal_digest``.
-
-    Work that needs a missing body parks as ``(function, *args)``.  Each
-    method takes the calling ``engine``: its parked work is keyed by its
-    instance and run by it alone, as ``function(engine, *args)``, and a
-    malformed request or response is its drop.
-    """
+    """One party's bodies by digest, one map per digest domain so that no
+    body answers for a digest of the other kind: view-entry objects under
+    ``proposal_digest`` in the store itself, slot payloads under their
+    hash in ``blobs``.  Work that needs a missing body parks as
+    ``(function, *args)`` under a key its engine names, and runs as
+    ``function(engine, *args)`` once that engine takes the body."""
 
     def __init__(self):
         super().__init__()
+        self.blobs: Dict[bytes, bytes] = {}
         self.parked: Dict[tuple, list] = {}
 
-    def park(self, engine, inst: tuple, digest: bytes, *task) -> list:
-        """Park ``task`` until ``digest`` arrives; the engine's first park
-        on a digest broadcasts the one request, naming ``inst``."""
-        tasks = self.parked.setdefault((engine.cfg.instance, digest), [])
+    def park(self, key: tuple, req: FetchReq, task: tuple) -> list:
+        """Park ``task`` under ``key``; the first park broadcasts ``req``."""
+        tasks = self.parked.setdefault(key, [])
         tasks.append(task)
-        return [Broadcast(FetchReq(inst, digest))] if len(tasks) == 1 else []
+        return [Broadcast(req)] if len(tasks) == 1 else []
 
-    def serve(self, engine, inst: tuple, sender: int, req: FetchReq) -> list:
-        """Answer a request naming ``inst`` with the body, if held."""
-        if not isinstance(req.digest, bytes):
-            engine.own_dropped += 1
-            return []
-        body = self.get(req.digest) if req.inst == inst else None
-        return [] if body is None else [Send(sender, FetchResp(inst, req.digest, body))]
-
-    def take(self, engine, resp: FetchResp) -> list:
-        """Keep a response's body if it hashes to the response's digest,
-        and run the work the engine parked on it."""
-        obj = resp.obj
-        try:
-            matches = (crypto.hash_bytes(obj) if isinstance(obj, bytes) else proposal_digest(obj)) == resp.digest
-        except (TypeError, ValueError):  # not encodable: no digest can match
-            matches = False
-        if not matches:
-            engine.own_dropped += 1
-            return []
-        return self.put(engine, resp.digest, obj)
-
-    def put(self, engine, digest: bytes, body) -> list:
-        """Keep ``body`` and run the work ``engine`` parked on it."""
-        self.setdefault(digest, body)
+    def run(self, engine, key: tuple) -> list:
+        """Run the work ``engine`` parked under ``key``."""
         actions: list = []
-        for function, *args in self.parked.pop((engine.cfg.instance, digest), ()):
+        for function, *args in self.parked.pop(key, ()):
             actions.extend(function(engine, *args))
         return actions
+
+    def serve(self, inst: tuple, sender: int, req: FetchReq) -> Optional[list]:
+        """Answer a request naming ``inst`` with each body held under its
+        digest; None when the digest is malformed."""
+        if not isinstance(req.digest, bytes):
+            return None
+        held = [m[req.digest] for m in (self.blobs, self) if req.inst == inst and req.digest in m]
+        return [Send(sender, FetchResp(inst, req.digest, body)) for body in held]
+
+    @staticmethod
+    def take(bodies: dict, digest_of, resp: FetchResp) -> bool:
+        """Keep a response's body in ``bodies`` if ``digest_of`` maps it
+        to the response's digest."""
+        try:
+            matches = digest_of(resp.obj) == resp.digest
+        except (TypeError, ValueError):  # not encodable: no digest can match
+            matches = False
+        if matches:
+            bodies.setdefault(resp.digest, resp.obj)
+        return matches
 
 
 class SpcEngine:
@@ -283,9 +279,16 @@ class SpcEngine:
 
     def on_message(self, sender: int, msg) -> list:
         if isinstance(msg, FetchReq):
-            return self.store.serve(self, self.cfg.instance, sender, msg)
+            reply = self.store.serve(self.cfg.instance, sender, msg)
+            if reply is None:
+                self.own_dropped += 1
+                return []
+            return reply
         if isinstance(msg, FetchResp):
-            return self.store.take(self, msg)
+            if not Store.take(self.store, proposal_digest, msg):
+                self.own_dropped += 1
+                return []
+            return self.store.run(self, (self.cfg.instance, msg.digest))
         if self._done_high():
             # Late low: view-1 traffic still matters until the low lands.
             if "low" in self.outputs:
@@ -538,4 +541,4 @@ class SpcEngine:
         return "high" in self.outputs
 
     def _park(self, digest: bytes, *task) -> list:
-        return self.store.park(self, self.cfg.instance, digest, *task)
+        return self.store.park((self.cfg.instance, digest), FetchReq(self.cfg.instance, digest), task)

@@ -3,13 +3,13 @@ censorship accounting."""
 
 import pytest
 
-from prefixsim import adversaries
-from prefixsim.actions import Send
+from prefixsim import adversaries, wire
+from prefixsim.actions import Broadcast, Send
 from prefixsim.crypto import MacScheme
 from prefixsim.msc import MscConfig, MscEngine, Proposal, payload_digest, update_rank
 from prefixsim.nest import Nested
 from prefixsim.simnet import DelayPolicy, Simulation
-from prefixsim.spc import FetchReq, FetchResp, NewView, proposal_digest
+from prefixsim.spc import DirectCert, FetchReq, FetchResp, NewView, proposal_digest
 
 
 def test_update_rank_examples():
@@ -229,3 +229,40 @@ def test_payload_response_with_wrong_digest_is_dropped():
     resp = FetchResp(inst, payload_digest(b"other"), payload(1, 1))
     assert engine.on_message(3, Nested(cfg.instance, 1, resp)) == []
     assert engine.dropped == 1
+
+
+def slot1_object(cfg, engine):
+    """Start slot 1 at a fetch server; return its engine and a view-2
+    object whose encoding hashes to the object's own digest."""
+    engine.on_timer(("slot", 1))
+    spc = engine.slots.children[1]
+    nv = NewView(spc.cfg.instance, 2, DirectCert(1, (b"v",), None))
+    assert payload_digest(wire.encode(nv)) == proposal_digest(nv)
+    return spc, nv, proposal_digest(nv)
+
+
+def test_encoded_object_proposed_as_payload_leaves_the_object_parented():
+    # A Byzantine proposer sends an object's encoding as its payload before
+    # the object arrives: it stays a payload, and the slot engine still
+    # finds the object's parent once the object lands.
+    cfg, engine = fetch_server()
+    spc, nv, digest = slot1_object(cfg, engine)
+    engine.on_message(2, Proposal(cfg.instance, 1, wire.encode(nv)))
+    assert engine.store.blobs[digest] == wire.encode(nv) and digest not in engine.store
+    resp = FetchResp(spc.cfg.instance, digest, nv)
+    assert engine.on_message(3, Nested(cfg.instance, 1, resp)) == []
+    assert spc._parent_of((digest,)) == (1, (b"v",))
+
+
+def test_encoded_object_bytes_do_not_answer_an_object_fetch():
+    # Bytes answering a slot engine's object fetch are a payload by their
+    # own hash: kept apart from the objects, they run none of the slot's
+    # parked work, and the object itself still lands.
+    cfg, engine = fetch_server()
+    spc, nv, digest = slot1_object(cfg, engine)
+    assert spc._commit(2, (digest,)) == [Broadcast(FetchReq(spc.cfg.instance, digest))]
+    bytes_resp = FetchResp(spc.cfg.instance, digest, wire.encode(nv))
+    assert engine.on_message(3, Nested(cfg.instance, 1, bytes_resp)) == []
+    assert digest not in engine.store and "high" not in spc.outputs
+    engine.on_message(3, Nested(cfg.instance, 1, FetchResp(spc.cfg.instance, digest, nv)))
+    assert spc.outputs["high"][0] == (b"v",) and engine.dropped == 0

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from prefixsim import adversaries, crypto
+from prefixsim import adversaries, crypto, wire
 from prefixsim.actions import Broadcast, Output
 from prefixsim.crypto import MacScheme, Signature
 from prefixsim.nest import Nested
@@ -408,6 +408,22 @@ def test_parked_work_runs_only_at_the_engine_that_parked_it():
     resp = FetchResp(cfg.instance, digest, nv)
     assert bystander.on_message(1, resp) == [] and store[digest] is nv
     assert engine.on_message(1, resp) == [Output("high", value)]
+
+
+def test_encoded_object_bytes_do_not_answer_an_object_fetch():
+    # An object's encoding hashes to the object's digest, but bytes are no
+    # view-entry object: the response is a drop and the object still lands.
+    cfg = SpcConfig(4, 1, 4, 1, ("t", "spc"))
+    scheme = MacScheme(4)
+    engine = SpcEngine(cfg, 0, scheme)
+    value, proof = make_view1_high(cfg, scheme, [(a, b, c, d)] * 4)
+    nv = NewView(cfg.instance, 2, DirectCert(1, value, proof))
+    digest = proposal_digest(nv)
+    assert crypto.hash_bytes(wire.encode(nv)) == digest
+    assert engine._commit(2, (digest,)) == [Broadcast(FetchReq(cfg.instance, digest))]
+    assert engine.on_message(1, FetchResp(cfg.instance, digest, wire.encode(nv))) == []
+    assert engine.dropped == 1 and engine.store == {}
+    assert engine.on_message(1, FetchResp(cfg.instance, digest, nv)) == [Output("high", value)]
 
 
 def test_fetch_request_with_non_bytes_digest_is_dropped():
