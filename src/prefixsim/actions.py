@@ -2,7 +2,11 @@
 
 Engines are deterministic reactors: one input event in, a list of actions
 out.  The simulator (or a test driver) interprets the actions; engines
-never touch clocks or sockets themselves.
+never touch clocks or sockets themselves.  There are five kinds:
+:class:`Broadcast` and :class:`Send` post a message, :class:`Output`
+reports a result, :class:`StartTimer` asks for a later timer event, and
+:class:`Drop` says that the event was rejected.  The simulator counts
+each ``Drop`` in ``Metrics.drops`` and writes no trace line for it.
 """
 
 from __future__ import annotations
@@ -33,3 +37,11 @@ class Output:
 class StartTimer:
     key: tuple
     delay: Any
+
+
+@dataclass(frozen=True)
+class Drop:
+    """A rejected event: a malformed, invalid or misaddressed message."""
+
+
+DROP = Drop()

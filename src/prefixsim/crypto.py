@@ -154,6 +154,11 @@ class Scheme:
     def sign_vector(self, party: int, kind: str, instance: tuple, vec: Vector) -> Signature:
         return self.sign(party, kind, instance, encoding.encode_vector(vec))
 
+    def constituent(self, blob: bytes, idx: int, party: int) -> Signature:
+        """``party``'s signature, the ``idx``-th in a multi-signature blob:
+        constituent blobs are concatenated in signer order."""
+        return Signature(party, blob[idx * self.sig_size : (idx + 1) * self.sig_size])
+
     def verify_vector(self, party: int, kind: str, instance: tuple, vec: Vector, sig: Signature) -> bool:
         return self.verify(party, kind, instance, encoding.encode_vector(vec), sig)
 
@@ -189,8 +194,7 @@ class Scheme:
         if len(agg.blob) != self.sig_size * len(agg.signers):
             return False
         for idx, (party, vec) in enumerate(zip(agg.signers, agg.messages)):
-            blob = agg.blob[idx * self.sig_size : (idx + 1) * self.sig_size]
-            sig = Signature(party, blob)
+            sig = self.constituent(agg.blob, idx, party)
             if not self.verify_vector(party, agg.kind, agg.instance, vec, sig):
                 return False
         return True
@@ -209,11 +213,6 @@ class RestrictedSigner:
     def __init__(self, scheme: Scheme, parties: frozenset):
         self._scheme = scheme
         self.parties = parties
-
-    def sign(self, party: int, kind: str, instance: tuple, message: bytes) -> Signature:
-        if party not in self.parties:
-            raise KeyError_(f"party {party} key not held")
-        return self._scheme.sign(party, kind, instance, message)
 
     def sign_vector(self, party: int, kind: str, instance: tuple, vec: Vector) -> Signature:
         if party not in self.parties:

@@ -64,10 +64,6 @@ class GradedEngine:
         self.inner = PcEngine(self.cfg, party, scheme)
         self.decided = False
 
-    @property
-    def dropped(self) -> int:
-        return self.inner.dropped
-
     def on_input(self, value: bytes) -> list:
         return self._relay(self.inner.on_input((value,)))
 
@@ -110,10 +106,6 @@ class PcFromGradedEngine:
             actions.extend(self.lanes.start(lane, elem))
         return actions
 
-    @property
-    def dropped(self) -> int:
-        return self.lanes.dropped
-
     def on_message(self, sender: int, msg) -> list:
         return self.lanes.route(sender, msg)
 
@@ -126,16 +118,30 @@ class PcFromGradedEngine:
         return [Output("low", low), Output("high", high)]
 
 
-class BinaryEngine:
+class _Decider:
+    """Relays a strong-layer engine's actions and adds one decision,
+    mapped from its first high output by :meth:`_decision`."""
+
+    decided = False
+
+    def _decision(self, high: Vector) -> Output:
+        raise NotImplementedError
+
+    def _relay(self, actions: list) -> list:
+        out: list = []
+        for act in actions:
+            out.append(act)
+            if isinstance(act, Output) and act.kind == "high" and not self.decided:
+                self.decided = True
+                out.append(self._decision(act.value))
+        return out
+
+
+class BinaryEngine(_Decider):
     """Binary consensus: the strong layer on a one-bit vector."""
 
     def __init__(self, n: int, f: int, delta_cap, party: int, scheme: Scheme):
         self.inner = SpcEngine(SpcConfig(n, f, 1, delta_cap, ("binary",)), party, scheme)
-        self.decided = False
-
-    @property
-    def dropped(self) -> int:
-        return self.inner.dropped
 
     def on_input(self, bit: int) -> list:
         return self._relay(self.inner.on_input((bytes([bit]),)))
@@ -146,15 +152,8 @@ class BinaryEngine:
     def on_timer(self, key: tuple) -> list:
         return self._relay(self.inner.on_timer(key))
 
-    def _relay(self, actions: list) -> list:
-        out: list = []
-        for act in actions:
-            out.append(act)
-            if isinstance(act, Output) and act.kind == "high" and not self.decided:
-                self.decided = True
-                bit = act.value[0][0] if len(act.value) == 1 else 0
-                out.append(Output("decision", bit))
-        return out
+    def _decision(self, high: Vector) -> Output:
+        return Output("decision", high[0][0] if len(high) == 1 else 0)
 
 
 #: Placeholder for an input that never arrived; validated payloads are
@@ -162,7 +161,7 @@ class BinaryEngine:
 ABSENT = b""
 
 
-class ValidatedEngine:
+class ValidatedEngine(_Decider):
     """Validated consensus: disseminate inputs, agree on the collected
     vector, decide the first entry the predicate accepts."""
 
@@ -184,11 +183,6 @@ class ValidatedEngine:
         self.delta_cap = delta_cap
         self.buffer: Dict[int, bytes] = {}
         self.started = False
-        self.decided = False
-
-    @property
-    def dropped(self) -> int:
-        return self.inner.dropped
 
     def on_input(self, payload: bytes) -> list:
         if not self.validator(payload):
@@ -225,19 +219,6 @@ class ValidatedEngine:
         vec = tuple(self.buffer.get(p, ABSENT) for p in range(self.n))
         return self._relay(self.inner.on_input(vec))
 
-    def _relay(self, actions: list) -> list:
-        out: list = []
-        for act in actions:
-            out.append(act)
-            if isinstance(act, Output) and act.kind == "high" and not self.decided:
-                self.decided = True
-                chosen = None
-                for entry in act.value:
-                    if entry != ABSENT and self.validator(entry):
-                        chosen = entry
-                        break
-                if chosen is None:
-                    out.append(Output("undecided", True))
-                else:
-                    out.append(Output("decision", chosen))
-        return out
+    def _decision(self, high: Vector) -> Output:
+        chosen = next((entry for entry in high if entry != ABSENT and self.validator(entry)), None)
+        return Output("undecided", True) if chosen is None else Output("decision", chosen)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import crypto, wire
-from .actions import Broadcast, Output, StartTimer
+from .actions import DROP, Broadcast, Output, StartTimer
 from .crypto import Scheme
 from .encoding import cached
 from .nest import Host
@@ -58,6 +58,8 @@ class MscConfig:
     slots: int = 1  # how many slots this run plays out
 
     def __post_init__(self):
+        if self.slots < 1:
+            raise ValueError("slots must be at least 1")
         if self.rank0 == ():
             object.__setattr__(self, "rank0", tuple(range(self.n)))
 
@@ -104,21 +106,16 @@ class MscEngine:
         self.committed: set = set()
         self.commit_log: List[Tuple[int, int, int, bytes]] = []  # slot, index, origin, digest
         self.slot_outputs: Dict[int, Dict[str, tuple]] = {}
-        self.own_dropped = 0
         # One strong-agreement instance per slot, started by RunSPC; slot
         # traffic that races ahead of our own slot start waits for it.
         self.slots = Host(cfg.instance, self._build_slot, self._slot_output, first=1, buffer=self._buffers_slot)
-
-    @property
-    def dropped(self) -> int:
-        return self.own_dropped + self.slots.dropped
 
     def _build_slot(self, slot: int) -> SpcEngine:
         return SpcEngine(self.cfg.spc_cfg(slot, self.ranks[slot]), self.party, self.scheme, store=self.store)
 
     def _buffers_slot(self, slot: int) -> bool:
         """Whether traffic for a slot not started yet waits for it."""
-        return slot >= self.slot and not (self.cfg.slots and slot > self.cfg.slots)
+        return self.slot <= slot <= self.cfg.slots
 
     # ------------------------------------------------------------------
 
@@ -126,7 +123,7 @@ class MscEngine:
         return self._new_slot(1)
 
     def _new_slot(self, slot: int) -> list:
-        if self.cfg.slots and slot > self.cfg.slots:
+        if slot > self.cfg.slots:
             return []
         self.slot = slot
         payload = self.input_for(slot)
@@ -148,20 +145,15 @@ class MscEngine:
             return self._handle_proposal(sender, msg)
         slot = self.slots.key_of(msg)
         if slot is None:
-            return []
+            return [DROP]
         inner = msg.inner
         # The shared store answers every request and takes payloads; an
         # object response goes to a running slot engine, never buffered.
         if isinstance(inner, FetchReq):
-            reply = self.store.serve(self.cfg.slot_instance(slot), sender, inner)
-            if reply is None:
-                self.own_dropped += 1
-                return []
-            return self.slots.wrap(slot, reply)
+            return self.slots.wrap(slot, self.store.serve(self.cfg.slot_instance(slot), sender, inner))
         if isinstance(inner, FetchResp) and isinstance(inner.obj, bytes):
             if not Store.take(self.store.blobs, payload_digest, inner):
-                self.own_dropped += 1
-                return []
+                return [DROP]
             return self.store.run(self, (self.cfg.instance, inner.digest))
         if isinstance(inner, FetchResp) and slot not in self.slots.children:
             return []
@@ -171,14 +163,11 @@ class MscEngine:
 
     def _handle_proposal(self, sender: int, prop: Proposal) -> list:
         if prop.inst != self.cfg.instance or not isinstance(prop.slot, int):
-            self.own_dropped += 1
-            return []
+            return [DROP]
         if not isinstance(prop.payload, bytes):
-            self.own_dropped += 1
-            return []
+            return [DROP]
         if self.validator is not None and not self.validator(prop.payload):
-            self.own_dropped += 1
-            return []
+            return [DROP]
         digest = payload_digest(prop.payload)
         self.store.blobs.setdefault(digest, prop.payload)
         actions = self.store.run(self, (self.cfg.instance, digest))

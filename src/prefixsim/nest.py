@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
 from . import wire
-from .actions import Broadcast, Output, Send, StartTimer
+from .actions import DROP, Broadcast, Drop, Output, Send, StartTimer
 
 
 @wire.register(5)
@@ -59,7 +59,8 @@ class Host:
     contact.  With it the host starts each key itself (:meth:`start`);
     traffic for a key not started yet waits when ``buffer(key)`` holds
     and is ignored otherwise.  Child outputs go to ``on_output(key,
-    output)``, which returns the host's actions.
+    output)``, which returns the host's actions; a child's drops pass up
+    unchanged, and a malformed envelope is a drop of the host's own.
 
     The callbacks are usually methods of the engine that owns this host.
     A host holds them weakly (``weakref.WeakMethod``), so owner and host
@@ -85,24 +86,17 @@ class Host:
         self.buffer = None if buffer is None else _weak(buffer)
         self.children: Dict[int, Any] = {}
         self.waiting: Dict[int, list] = {}
-        self.own_dropped = 0
-
-    @property
-    def dropped(self) -> int:
-        return self.own_dropped + sum(c.dropped for c in self.children.values())
 
     def key_of(self, msg) -> Optional[int]:
-        """The key a well-formed envelope addresses; anything else is a
-        counted drop and yields None."""
+        """The key a well-formed envelope addresses; None for anything else."""
         if isinstance(msg, Nested) and msg.inst == self.inst and isinstance(msg.key, int):
             if msg.key >= self.first and (self.stop is None or msg.key < self.stop):
                 return msg.key
-        self.own_dropped += 1
         return None
 
     def route(self, sender: int, msg) -> list:
         key = self.key_of(msg)
-        return [] if key is None else self.deliver(key, sender, msg.inner)
+        return [DROP] if key is None else self.deliver(key, sender, msg.inner)
 
     def deliver(self, key: int, sender: int, inner) -> list:
         child = self.children.get(key)
@@ -139,6 +133,8 @@ class Host:
                 out.append(Send(act.dest, Nested(self.inst, key, act.msg)))
             elif isinstance(act, StartTimer):
                 out.append(StartTimer(("sub", key) + act.key, act.delay))
+            elif isinstance(act, Drop):
+                out.append(act)
             else:
                 out.extend(self.on_output()(key, act))
         return out

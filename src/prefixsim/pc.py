@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from . import crypto
-from .actions import Broadcast, Output
+from .actions import DROP, Broadcast, Output
 from .crypto import Scheme, Signature
 from .encoding import cached
 from .prefixes import Vector, is_prefix, longest_supported_prefix, mce, mcp
@@ -317,7 +317,6 @@ class PcEngine:
         self.voted: Set[int] = set()  # the rounds past the first voted in
         self.outputs: Dict[str, Tuple[Vector, Optional[QC]]] = {}
         self.input_value: Optional[Vector] = None
-        self.dropped = 0
 
     # -- event entry points
 
@@ -333,8 +332,7 @@ class PcEngine:
 
     def on_message(self, sender: int, msg) -> list:
         if not isinstance(msg, Vote) or msg.sender != sender or not verify_vote(msg, self.cfg, self.scheme):
-            self.dropped += 1
-            return []
+            return [DROP]
         return self._record(msg)
 
     # -- internals

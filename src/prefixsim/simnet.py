@@ -47,7 +47,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from .actions import Broadcast, Output, Send, StartTimer
+from .actions import Broadcast, Drop, Output, Send, StartTimer
 from .nest import innermost
 
 Time = Union[int, Fraction]
@@ -383,13 +383,14 @@ class Simulation:
                 elif isinstance(act, StartTimer):
                     lines.append(f"@{label} timer-set {party} {act.key} +{act.delay}")
                     self._push(now + self._ticks(act.delay), party, party, ("timer-fire", act.key, f" {act.key}"))
+                elif isinstance(act, Drop):
+                    self.metrics.drops += 1  # counted, never traced
                 else:
                     raise SimulationError(f"unknown action {act!r}")
             if len(lines) >= 256:
                 self._flush()
         self._flush()
         self.metrics.end_time = self._time(now)
-        self.metrics.drops = sum(e.dropped for e in self.engines.values() if e is not None)
         self.metrics.transcript_sha = self._sha.hexdigest()
         return self.metrics
 

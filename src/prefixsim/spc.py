@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from . import crypto, encoding, wire
-from .actions import Broadcast, Output, Send, StartTimer
+from .actions import DROP, Broadcast, Output, Send, StartTimer
 from .crypto import AggregateSignature, Scheme, Signature
 from .encoding import DecodeError, cached
 from .nest import Host, Nested
@@ -203,11 +203,11 @@ class Store(dict):
             actions.extend(function(engine, *args))
         return actions
 
-    def serve(self, inst: tuple, sender: int, req: FetchReq) -> Optional[list]:
+    def serve(self, inst: tuple, sender: int, req: FetchReq) -> list:
         """Answer a request naming ``inst`` with each body held under its
-        digest; None when the digest is malformed."""
+        digest; a malformed digest is a drop."""
         if not isinstance(req.digest, bytes):
-            return None
+            return [DROP]
         held = [m[req.digest] for m in (self.blobs, self) if req.inst == inst and req.digest in m]
         return [Send(sender, FetchResp(inst, req.digest, body)) for body in held]
 
@@ -250,7 +250,6 @@ class SpcEngine:
         self.view_commits: Dict[int, str] = {}
         self.built_skips: List[SkipCert] = []
         self.outputs: Dict[str, tuple] = {}
-        self.own_dropped = 0
         # One verifiable prefix-consensus instance per view, built on contact.
         self.views = Host(
             cfg.instance,
@@ -258,10 +257,6 @@ class SpcEngine:
             self._vpc_output,
             first=1,
         )
-
-    @property
-    def dropped(self) -> int:
-        return self.own_dropped + self.views.dropped
 
     # ------------------------------------------------------------------
     # event entry points
@@ -279,15 +274,10 @@ class SpcEngine:
 
     def on_message(self, sender: int, msg) -> list:
         if isinstance(msg, FetchReq):
-            reply = self.store.serve(self.cfg.instance, sender, msg)
-            if reply is None:
-                self.own_dropped += 1
-                return []
-            return reply
+            return self.store.serve(self.cfg.instance, sender, msg)
         if isinstance(msg, FetchResp):
             if not Store.take(self.store, proposal_digest, msg):
-                self.own_dropped += 1
-                return []
+                return [DROP]
             return self.store.run(self, (self.cfg.instance, msg.digest))
         if self._done_high():
             # Late low: view-1 traffic still matters until the low lands.
@@ -306,8 +296,7 @@ class SpcEngine:
             return self._handle_empty_view(sender, msg)
         if isinstance(msg, NewCommit):
             return self._handle_new_commit(msg)
-        self.own_dropped += 1
-        return []
+        return [DROP]
 
     # ------------------------------------------------------------------
     # verifiable-PC plumbing
@@ -417,15 +406,13 @@ class SpcEngine:
 
     def _handle_new_view(self, sender: int, nv: NewView) -> list:
         if nv.inst != self.cfg.instance or not isinstance(nv.view, int) or nv.view < 2:
-            self.own_dropped += 1
-            return []
+            return [DROP]
         try:
             ok = self._valid_cert(nv.view, nv.cert)
         except _Missing as miss:
             return self._park(miss.digest, SpcEngine.on_message, sender, nv)
         if not ok:
-            self.own_dropped += 1
-            return []
+            return [DROP]
         if nv.view < self.view:
             # Stale view: only the newest-parented-high bookkeeping applies.
             self._update_best(nv.cert)
@@ -463,20 +450,16 @@ class SpcEngine:
         if not (ev.inst == self.cfg.instance and isinstance(ev.view, int) and isinstance(ev.ref_view, int)
                 and isinstance(ev.sig, Signature) and isinstance(ev.sig.blob, bytes)
                 and isinstance(ev.ref_value, tuple)):
-            self.own_dropped += 1
-            return []
+            return [DROP]
         if ev.view < self.view or ev.view <= ev.ref_view:
-            self.own_dropped += 1
-            return []
+            return [DROP]
         if not self.scheme.verify_vector(
             sender, crypto.EMPTY_VIEW, self.cfg.instance, skip_statement(ev.view, ev.ref_view), ev.sig
         ) or ev.sig.signer != sender:
-            self.own_dropped += 1
-            return []
+            return [DROP]
         try:
             if not self._parented_high(ev.ref_view, ev.ref_value, ev.ref_proof):
-                self.own_dropped += 1
-                return []
+                return [DROP]
         except _Missing as miss:
             return self._park(miss.digest, SpcEngine.on_message, sender, ev)
         bucket = self.empty_votes.setdefault(ev.view, {})
@@ -499,11 +482,9 @@ class SpcEngine:
 
     def _handle_new_commit(self, nc: NewCommit) -> list:
         if nc.inst != self.cfg.instance or not isinstance(nc.view, int):
-            self.own_dropped += 1
-            return []
+            return [DROP]
         if not self._predicate(predicate_low, nc.view, nc.value, nc.proof):
-            self.own_dropped += 1
-            return []
+            return [DROP]
         actions: list = []
         key = (nc.view, nc.value)
         if key not in self.commit_broadcast:

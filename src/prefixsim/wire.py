@@ -673,7 +673,7 @@ def _check_multi(scheme: Scheme, kind: str, inst: tuple, signers, message: Vecto
     if len(blob) != scheme.sig_size * len(signers):
         return False, "blob length"
     for idx, party in enumerate(signers):
-        sig = Signature(party, blob[idx * scheme.sig_size : (idx + 1) * scheme.sig_size])
+        sig = scheme.constituent(blob, idx, party)
         if not scheme.verify_vector(party, kind, inst, message, sig):
             return False, f"signature of {party}"
     return True, ""
@@ -717,7 +717,7 @@ def verify_cqc1(q: CQC1, cfg: PcConfig, scheme: Scheme):
             if any(isinstance(e, _Bot) for e in base):
                 return False, f"descriptor {idx}: cut beyond certified prefix"
             truncated = strip(base + (elem,))
-        sig = Signature(party, q.blob[idx * scheme.sig_size : (idx + 1) * scheme.sig_size])
+        sig = scheme.constituent(q.blob, idx, party)
         if not scheme.verify_vector(party, crypto.VOTE1, cfg.instance, truncated, sig):
             return False, f"truncated-vote signature of {party}"
         reconstructed.append(truncated)
@@ -809,7 +809,7 @@ def _verify_chain(q: ChainQC, cfg: PcConfig, scheme: Scheme, r: int, ev_type: ty
         if not isinstance(ln, int) or ln < 0 or ln > len(long_logical):
             return False, f"length {idx} out of range"
         message = long_logical[:ln]
-        sig = Signature(party, q.blob[idx * scheme.sig_size : (idx + 1) * scheme.sig_size])
+        sig = scheme.constituent(q.blob, idx, party)
         if not scheme.verify_vector(party, q.kind, cfg.instance, message, sig):
             return False, f"signature of {party}"
     if min(q.lengths) != len(short_logical) or short_logical != long_logical[: len(short_logical)]:
@@ -872,7 +872,7 @@ def verify_oqc3(q: StemQC, cfg: PcConfig, scheme: Scheme):
         value = stem + suffix
         if len(value) > cfg.L:
             return False, f"suffix {idx} overlong"
-        sig = Signature(party, q.blob[idx * scheme.sig_size : (idx + 1) * scheme.sig_size])
+        sig = scheme.constituent(q.blob, idx, party)
         if not scheme.verify_vector(party, crypto.VOTE3, cfg.instance, value, sig):
             return False, f"signature of {party}"
         votes.append(value)

@@ -127,9 +127,9 @@ def test_sizes_reported():
 def test_restricted_signer_blocks_honest_keys():
     scheme = MacScheme(4)
     ring = scheme.restricted({3})
-    ring.sign(3, crypto.VOTE1, INST, b"m")
+    ring.sign_vector(3, crypto.VOTE1, INST, (b"m",))
     with pytest.raises(KeyError_):
-        ring.sign(0, crypto.VOTE1, INST, b"m")
+        ring.sign_vector(0, crypto.VOTE1, INST, (b"m",))
 
 
 def test_domain_tag_is_remembered_per_kind_and_instance(scheme):

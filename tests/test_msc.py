@@ -3,11 +3,12 @@ censorship accounting."""
 
 import pytest
 
-from prefixsim import adversaries, wire
-from prefixsim.actions import Broadcast, Send
+from prefixsim import adversaries, crypto, wire
+from prefixsim.actions import DROP, Broadcast, Drop, Send
 from prefixsim.crypto import MacScheme
 from prefixsim.msc import MscConfig, MscEngine, Proposal, payload_digest, update_rank
 from prefixsim.nest import Nested
+from prefixsim.pc import Vote
 from prefixsim.simnet import DelayPolicy, Simulation
 from prefixsim.spc import DirectCert, FetchReq, FetchResp, NewView, proposal_digest
 
@@ -175,6 +176,12 @@ def test_leaderless_suspension_still_commits():
         assert all(log == reference for log in logs.values())
 
 
+@pytest.mark.parametrize("slots", [0, -1])
+def test_config_needs_at_least_one_slot(slots):
+    with pytest.raises(ValueError, match="slots"):
+        MscConfig(4, 1, 1, slots=slots)
+
+
 def fetch_server():
     """Party 0 in slot 1, holding party 1's slot-2 proposal; no slot
     engine has started."""
@@ -189,8 +196,7 @@ def fetch_server():
 def test_fetch_request_with_non_bytes_digest_is_dropped():
     cfg, engine = fetch_server()
     req = FetchReq(cfg.instance + ("slot", 1), [1])
-    assert engine.on_message(1, Nested(cfg.instance, 1, req)) == []
-    assert engine.dropped == 1
+    assert engine.on_message(1, Nested(cfg.instance, 1, req)) == [DROP]
 
 
 def test_payload_request_for_an_unstarted_slot_is_answered():
@@ -205,7 +211,6 @@ def test_payload_request_naming_a_foreign_instance_is_ignored():
     cfg, engine = fetch_server()
     req = FetchReq(("t", "other", "slot", 2), payload_digest(payload(1, 2)))
     assert engine.on_message(3, Nested(cfg.instance, 2, req)) == []
-    assert engine.dropped == 0
 
 
 def test_object_response_for_an_unstarted_slot_is_ignored():
@@ -220,15 +225,13 @@ def test_object_response_for_an_unstarted_slot_is_ignored():
     assert 1 in engine.slots.children
     req = FetchReq(cfg.instance + ("slot", 1), digest)
     assert engine.on_message(3, Nested(cfg.instance, 1, req)) == []
-    assert engine.dropped == 0
 
 
 def test_payload_response_with_wrong_digest_is_dropped():
     cfg, engine = fetch_server()
     inst = cfg.instance + ("slot", 1)
     resp = FetchResp(inst, payload_digest(b"other"), payload(1, 1))
-    assert engine.on_message(3, Nested(cfg.instance, 1, resp)) == []
-    assert engine.dropped == 1
+    assert engine.on_message(3, Nested(cfg.instance, 1, resp)) == [DROP]
 
 
 def slot1_object(cfg, engine):
@@ -264,5 +267,21 @@ def test_encoded_object_bytes_do_not_answer_an_object_fetch():
     bytes_resp = FetchResp(spc.cfg.instance, digest, wire.encode(nv))
     assert engine.on_message(3, Nested(cfg.instance, 1, bytes_resp)) == []
     assert digest not in engine.store and "high" not in spc.outputs
-    engine.on_message(3, Nested(cfg.instance, 1, FetchResp(spc.cfg.instance, digest, nv)))
-    assert spc.outputs["high"][0] == (b"v",) and engine.dropped == 0
+    actions = engine.on_message(3, Nested(cfg.instance, 1, FetchResp(spc.cfg.instance, digest, nv)))
+    assert spc.outputs["high"][0] == (b"v",) and not any(isinstance(act, Drop) for act in actions)
+
+
+def test_malformed_vote_two_envelopes_deep_is_one_drop():
+    # slot 1 -> view 1 -> a pc vote whose signer is not its sender: the
+    # pc engine's drop passes up through both hosts unchanged.
+    cfg, engine = fetch_server()
+    engine.on_timer(("slot", 1))
+    spc = engine.slots.children[1]
+    inst = spc.cfg.vpc_cfg(1).instance
+    value = (payload_digest(payload(0, 1)),) * 4
+    vote = Vote(inst, 1, 2, value, engine.scheme.sign_vector(2, crypto.VOTE1, inst, value))
+    msg = Nested(cfg.instance, 1, Nested(spc.cfg.instance, 1, vote))
+    assert engine.on_message(3, msg) == [DROP]
+    # Slot 3 is past the configured run: ignored, not buffered, not a drop.
+    assert engine.on_message(3, Nested(cfg.instance, 3, vote)) == []
+    assert 3 not in engine.slots.waiting

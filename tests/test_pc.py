@@ -6,7 +6,7 @@ import random
 import pytest
 
 from prefixsim import crypto
-from prefixsim.actions import Broadcast
+from prefixsim.actions import DROP, Broadcast
 from prefixsim.crypto import MacScheme, Signature
 from prefixsim.nest import Nested
 from prefixsim.pc import (
@@ -157,17 +157,15 @@ def test_engine_drops_malformed_and_duplicate():
     sig = scheme.sign_vector(1, crypto.VOTE1, cfg.instance, vec)
     vote = Vote(cfg.instance, 1, 1, vec, sig)
     assert engine.on_message(1, vote) == []
-    # Duplicate sender in one round: first kept, second ignored.
+    # Duplicate sender in one round: first kept, second ignored (no drop).
     other = Vote(cfg.instance, 1, 1, (a,), scheme.sign_vector(1, crypto.VOTE1, cfg.instance, (a,)))
-    engine.on_message(1, other)
+    assert engine.on_message(1, other) == []
     assert engine.votes[1][1].value == vec
-    # Wrong transport sender and bad signature are dropped with a counter.
-    before = engine.dropped
-    engine.on_message(2, vote)
+    # Wrong transport sender, bad signature and junk are drops.
+    assert engine.on_message(2, vote) == [DROP]
     bad = Vote(cfg.instance, 1, 3, vec, scheme.sign_vector(3, crypto.VOTE1, ("x",), vec))
-    engine.on_message(3, bad)
-    assert engine.dropped == before + 2
-    assert engine.on_message(2, "junk") == [] and engine.dropped == before + 3
+    assert engine.on_message(3, bad) == [DROP]
+    assert engine.on_message(2, "junk") == [DROP]
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +196,7 @@ def test_hostile_vote_shapes_are_counted_drops(shape, route):
         engine = SpcEngine(spc_cfg, 0, scheme)
         inst, wrap = spc_cfg.vpc_cfg(1).instance, lambda vote: Nested(spc_cfg.instance, 1, vote)
     vote = HOSTILE_VOTES[shape](inst, lambda kind, value: scheme.sign_vector(1, kind, inst, value))
-    assert engine.on_message(1, wrap(vote)) == []
-    assert engine.dropped == 1
+    assert engine.on_message(1, wrap(vote)) == [DROP]
 
 
 def honest_run_outputs(variant=Variant.THREE_ROUND, n=4, f=1, L=4):

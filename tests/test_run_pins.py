@@ -144,8 +144,6 @@ def test_jitter_draws_follow_randint():
     # Asynchronous honest echo: every send draws one delay from the
     # simulation's generator and nothing else draws from it.
     class Echo:
-        dropped = 0
-
         def __init__(self, party):
             self.party = party
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from prefixsim import adversaries, checks
-from prefixsim.actions import Broadcast, Output, Send, StartTimer
+from prefixsim.actions import DROP, Broadcast, Output, Send, StartTimer
 from prefixsim.scenario import load_scenario, run_scenario
 from prefixsim.simnet import Adversary, DelayPolicy, Simulation, SimulationError
 from test_determinism import SAMPLE
@@ -23,7 +23,6 @@ class EchoEngine:
     def __init__(self, party):
         self.party = party
         self.seen = []
-        self.dropped = 0
 
     def on_input(self, value):
         return [Broadcast(("hello", self.party, value)), Output("started", value)]
@@ -51,6 +50,23 @@ def test_messages_delivered_to_all_but_self():
     for p in range(3):
         senders = {s for s, _ in sim.engines[p].seen}
         assert senders == {q for q in range(3) if q != p}
+
+
+def test_drops_are_counted_and_never_traced():
+    class Dropper(EchoEngine):
+        def on_message(self, sender, msg):
+            super().on_message(sender, msg)
+            return [DROP, DROP]
+
+    ignoring = build(record=True)
+    ignoring.run()
+    dropping = Simulation(3, Dropper, record=True)
+    for p in range(3):
+        dropping.schedule_input(p, p * 10)
+    metrics = dropping.run()
+    assert (ignoring.metrics.drops, metrics.drops) == (0, 12)
+    assert dropping.records == ignoring.records
+    assert metrics.transcript_sha == ignoring.metrics.transcript_sha
 
 
 def test_same_seed_same_transcript():
@@ -365,7 +381,7 @@ def test_finished_run_is_freed_without_the_cyclic_collector(name):
         gc.collect()
         result = run_scenario(LIFETIME[name])
         assert result.violations == []
-        assert result.sim.engines[1].dropped >= 0  # engines stay readable
+        assert isinstance(result.sim.engines[1].on_message(0, "junk"), list)  # engines stay usable
         sim = weakref.ref(result.sim)
         del result
         assert sim() is None

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from prefixsim import adversaries, crypto, wire
-from prefixsim.actions import Broadcast, Output
+from prefixsim.actions import DROP, Broadcast, Drop, Output
 from prefixsim.crypto import MacScheme, Signature
 from prefixsim.nest import Nested
 from prefixsim.pc import PcConfig, PcEngine, Variant, Vote, predicate_high, verify_vote
@@ -164,13 +164,40 @@ def test_withhold_body_exercises_fetch():
     assert metrics.fetch_messages > 0, "pull-based fetch never fired"
 
 
+class DropCounter:
+    """An engine that counts the drops it returns."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.drops = 0
+
+    def _count(self, actions):
+        self.drops += sum(isinstance(act, Drop) for act in actions)
+        return actions
+
+    def on_input(self, value):
+        return self._count(self.engine.on_input(value))
+
+    def on_message(self, sender, msg):
+        return self._count(self.engine.on_message(sender, msg))
+
+    def on_timer(self, key):
+        return self._count(self.engine.on_timer(key))
+
+
 def test_doctored_proofs_rejected():
     inputs = [(a, b, c, d)] * 4
     adv = adversaries.DoctoredProofs(byzantine={3})
-    cfg, sim, metrics = run_spc(inputs, adversary=adv, seed=4)
-    sim_honest = [sim.engines[p] for p in (0, 1, 2)]
+    cfg = SpcConfig(4, 1, 4, 1, ("t", "spc"))
+    scheme = MacScheme(4)
+    sim = Simulation(4, lambda p: DropCounter(SpcEngine(cfg, p, scheme)), policy=DelayPolicy.synchronized(1),
+                     adversary=adv, seed=4)
+    for party, vec in enumerate(inputs):
+        sim.schedule_input(party, vec)
+    metrics = sim.run()
     assert adv.injected > 0
-    assert sum(e.dropped for e in sim_honest) >= adv.injected
+    # Every doctored message goes to an honest party, which must drop it.
+    assert sum(sim.engines[p].drops for p in (0, 1, 2)) >= adv.injected
     highs = {metrics.output_value(p, "high") for p in (0, 1, 2)}
     assert len(highs) == 1
     for p in (0, 1, 2):
@@ -293,9 +320,7 @@ def test_empty_view_with_unknown_reference_dropped():
     engine = SpcEngine(cfg, 0, scheme)
     sig = scheme.sign_vector(1, crypto.EMPTY_VIEW, cfg.instance, skip_statement(2, 0))
     ev = EmptyView(cfg.instance, 2, 0, (), None, sig)
-    before = engine.dropped
-    assert engine.on_message(1, ev) == []
-    assert engine.dropped == before + 1
+    assert engine.on_message(1, ev) == [DROP]
 
 
 def test_skip_cert_with_malformed_statement_is_dropped():
@@ -316,8 +341,8 @@ def test_skip_cert_with_malformed_statement_is_dropped():
         agg = scheme.aggregate(crypto.EMPTY_VIEW, cfg.instance, entries)
         engine = SpcEngine(cfg, 0, scheme)
         nv = NewView(cfg.instance, 3, SkipCert(2, 1, value, proof, agg))
-        assert engine.on_message(3, nv) == [], bad
-        assert engine.dropped == 1 and engine.view == 1, bad
+        assert engine.on_message(3, nv) == [DROP], bad
+        assert engine.view == 1, bad
 
 
 def test_skip_cert_with_list_instance_is_dropped():
@@ -329,8 +354,8 @@ def test_skip_cert_with_list_instance_is_dropped():
     agg = scheme.aggregate(crypto.EMPTY_VIEW, cfg.instance, entries)
     listed = crypto.AggregateSignature(agg.kind, list(agg.instance), agg.signers, agg.messages, agg.blob)
     engine = SpcEngine(cfg, 0, scheme)
-    assert engine.on_message(3, NewView(cfg.instance, 3, SkipCert(2, 1, value, proof, listed))) == []
-    assert engine.dropped == 1 and engine.view == 1
+    assert engine.on_message(3, NewView(cfg.instance, 3, SkipCert(2, 1, value, proof, listed))) == [DROP]
+    assert engine.view == 1
 
 
 @pytest.mark.parametrize("field, bad", [
@@ -345,8 +370,8 @@ def test_skip_cert_with_malformed_aggregate_is_dropped(field, bad):
     entries = [(p, stmt, scheme.sign_vector(p, crypto.EMPTY_VIEW, cfg.instance, stmt)) for p in (1, 3)]
     agg = dataclasses.replace(scheme.aggregate(crypto.EMPTY_VIEW, cfg.instance, entries), **{field: bad})
     engine = SpcEngine(cfg, 0, scheme)
-    assert engine.on_message(3, NewView(cfg.instance, 3, SkipCert(2, 1, value, proof, agg))) == []
-    assert engine.dropped == 1 and engine.view == 1
+    assert engine.on_message(3, NewView(cfg.instance, 3, SkipCert(2, 1, value, proof, agg))) == [DROP]
+    assert engine.view == 1
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +387,7 @@ def test_view_vote_replayed_into_next_view_is_dropped():
     vote = Vote(inst2, 1, 1, value, scheme.sign_vector(1, crypto.VOTE1, inst2, value))
     assert engine.on_message(1, Nested(cfg.instance, 2, vote)) == []
     assert engine.views.children[2].votes[1] == {1: vote}
-    assert engine.dropped == 0
-    assert engine.on_message(1, Nested(cfg.instance, 3, vote)) == []
-    assert engine.dropped == 1
+    assert engine.on_message(1, Nested(cfg.instance, 3, vote)) == [DROP]
     assert engine.views.children[3].votes[1] == {}
 
 
@@ -391,8 +414,8 @@ def test_vote_verdict_is_not_reused_across_schemes():
 def test_unencodable_fetch_response_is_dropped(obj):
     cfg = SpcConfig(4, 1, 4, 1, ("t", "spc"))
     engine = SpcEngine(cfg, 0, MacScheme(4))
-    assert engine.on_message(1, FetchResp(cfg.instance, b"d", obj)) == []
-    assert engine.dropped == 1 and engine.store == {}
+    assert engine.on_message(1, FetchResp(cfg.instance, b"d", obj)) == [DROP]
+    assert engine.store == {}
 
 
 def test_parked_work_runs_only_at_the_engine_that_parked_it():
@@ -421,16 +444,15 @@ def test_encoded_object_bytes_do_not_answer_an_object_fetch():
     digest = proposal_digest(nv)
     assert crypto.hash_bytes(wire.encode(nv)) == digest
     assert engine._commit(2, (digest,)) == [Broadcast(FetchReq(cfg.instance, digest))]
-    assert engine.on_message(1, FetchResp(cfg.instance, digest, wire.encode(nv))) == []
-    assert engine.dropped == 1 and engine.store == {}
+    assert engine.on_message(1, FetchResp(cfg.instance, digest, wire.encode(nv))) == [DROP]
+    assert engine.store == {}
     assert engine.on_message(1, FetchResp(cfg.instance, digest, nv)) == [Output("high", value)]
 
 
 def test_fetch_request_with_non_bytes_digest_is_dropped():
     cfg = SpcConfig(4, 1, 4, 1, ("t", "spc"))
     engine = SpcEngine(cfg, 0, MacScheme(4))
-    assert engine.on_message(1, FetchReq(cfg.instance, [1])) == []
-    assert engine.dropped == 1
+    assert engine.on_message(1, FetchReq(cfg.instance, [1])) == [DROP]
 
 
 _EV_SIG = MacScheme(4).sign_vector(1, crypto.EMPTY_VIEW, ("t", "spc"), skip_statement(2, 1))
@@ -445,5 +467,5 @@ _EV_SIG = MacScheme(4).sign_vector(1, crypto.EMPTY_VIEW, ("t", "spc"), skip_stat
 def test_empty_view_with_bad_shape_is_dropped(ref_view, ref_value, sig):
     cfg = SpcConfig(4, 1, 4, 1, ("t", "spc"))
     engine = SpcEngine(cfg, 0, MacScheme(4))
-    assert engine.on_message(1, EmptyView(cfg.instance, 2, ref_view, ref_value, None, sig)) == []
-    assert engine.dropped == 1 and engine.empty_votes == {}
+    assert engine.on_message(1, EmptyView(cfg.instance, 2, ref_view, ref_value, None, sig)) == [DROP]
+    assert engine.empty_votes == {}
