@@ -116,9 +116,14 @@ def _positive(text: str) -> int:
 
 
 def sweep_scenario(template: dict, n: int) -> dict:
-    """The document a sweep runs at size ``n``: the largest ``f`` that
-    ``n >= 3f + 1`` allows, and ``L = n`` when the template sets ``L``."""
-    scn = {**template, "n": n, "f": (n - 1) // 3}
+    """The document a sweep runs at size ``n``: the largest ``f`` that the
+    protocol's bound ``n >= resilience * f + 1`` allows, and ``L = n`` when
+    the template sets ``L``.  An unknown protocol keeps the template's
+    ``f``, for ``validate`` to report."""
+    scn = {**template, "n": n}
+    protocol = template.get("protocol")
+    if isinstance(protocol, str) and protocol in scn_mod.PROTOCOL_TABLE:
+        scn["f"] = (n - 1) // scn_mod.PROTOCOL_TABLE[protocol].resilience
     if "L" in scn:
         scn["L"] = n
     return scn

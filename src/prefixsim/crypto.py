@@ -254,14 +254,14 @@ class Ed25519Scheme(Scheme):
 
     sig_size = 64
 
-    def __init__(self, n: int, seed: bytes = b"prefixsim-ed25519"):
+    def __init__(self, n: int):
         super().__init__(n)
         from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
         self._private = []
         self._public = []
         for i in range(n):
-            material = hashlib.sha256(seed + b"|" + str(i).encode()).digest()
+            material = hashlib.sha256(b"prefixsim-ed25519|" + str(i).encode()).digest()
             key = Ed25519PrivateKey.from_private_bytes(material)
             self._private.append(key)
             self._public.append(key.public_key())

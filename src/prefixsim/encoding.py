@@ -27,8 +27,8 @@ def cached(obj, key: Hashable, compute: Callable[..., Any], *args) -> Any:
 
     * a vote or certificate keeps its verdict under ``(cfg, scheme)``;
     * a certificate (``QC``) keeps what it certifies under
-      ``("qc1", cfg)`` ... ``("qc4", cfg)``; certification reads no
-      signature, so the scheme is not part of that key;
+      ``("qc", cfg)``; certification reads no signature, so the scheme
+      is not part of that key;
     * a vote that carries certificates keeps its encoding (``"bytes"``),
       a registered object its plain size (``"plain"``), a view-entry
       object its digest (``"digest"``), a strong-agreement config one

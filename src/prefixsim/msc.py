@@ -119,7 +119,7 @@ class MscEngine:
 
     # ------------------------------------------------------------------
 
-    def on_input(self, _value=None) -> list:
+    def on_input(self, _value) -> list:
         return self._new_slot(1)
 
     def _new_slot(self, slot: int) -> list:

@@ -13,28 +13,29 @@ the quorum certificate (the plain vote set) both drives the later rounds
 and serves as the publicly checkable proof for the verification
 predicates.
 
-The variants differ only in their round schedule, written once:
-:data:`CARRIES` lists the rounds whose certificates each round's vote
-carries, :func:`vote_value` is the value such a vote holds and
-:func:`certified_outputs` is what a certificate proves.  The engine votes
-and outputs from them, :func:`verify_vote` recomputes every vote's value
-with :func:`vote_value`, and both predicates read
-:func:`certified_outputs`.
+Each variant is one row of :data:`VARIANT_TABLE`: its resilience bound,
+its round-1 support threshold and, per round, the rounds whose
+certificates its vote carries and what its quorum certifies.
+:func:`certify` reads the row.  :func:`vote_value` is the value a vote
+holds and :func:`certified_outputs` is what a certificate proves; they
+add the optimistic votes and outputs, and are the only code that tests
+the variant.  The engine votes and outputs from them, :func:`verify_vote`
+recomputes every vote's value with :func:`vote_value`, and both
+predicates read :func:`certified_outputs`.
 
 Verification accepts any field shape (a malformed vote is just invalid)
 and caches its verdict on the vote or certificate under the key
 ``(cfg, scheme)`` (:func:`encoding.cached`): all parties share it, and
 no other view or slot reuses it.  A certificate likewise keeps what it
-certifies (``qc1_certify`` ... ``qc4_certify``) under ``("qc<r>",
-cfg)``, so its creator, every verifier, both predicates and the
-invariant checks derive it once.
+certifies under ``("qc", cfg)``, so its creator, every verifier, both
+predicates and the invariant checks derive it once.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Set, Tuple
 
 from . import crypto
 from .actions import DROP, Broadcast, Output
@@ -51,14 +52,6 @@ class Variant(enum.Enum):
 
 VOTE_KIND = {1: crypto.VOTE1, 2: crypto.VOTE2, 3: crypto.VOTE3, 4: crypto.VOTE4}
 
-# Per variant, each round and the rounds whose quorum certificates its
-# vote carries, in order.
-CARRIES = {
-    Variant.THREE_ROUND: {1: (), 2: (1,), 3: (2,)},
-    Variant.OPTIMISTIC: {1: (), 2: (1,), 3: (1, 2), 4: (3,)},
-    Variant.FAST_5F1: {1: (), 2: (1,)},
-}
-
 
 class ProtocolViolation(Exception):
     """A certified vote set broke quorum intersection; the instance is unsound."""
@@ -66,6 +59,46 @@ class ProtocolViolation(Exception):
 
 class ConfigError(ValueError):
     pass
+
+
+# What a round's quorum certifies, from its votes' values, its round and
+# the config.
+_supported = lambda values, r, cfg: longest_supported_prefix(values, cfg.support)
+_common = lambda values, r, cfg: mcp(values)
+_supported_and_common = lambda values, r, cfg: (_supported(values, r, cfg), mcp(values))
+
+
+def _extremes(values, r, cfg):
+    ext = mce(values)
+    if ext is None:
+        raise ProtocolViolation(f"conflicting certified prefixes in qc{r}; quorum intersection broken")
+    return mcp(values), ext
+
+
+class Round(NamedTuple):
+    carries: Tuple[int, ...]  # the rounds whose certificates its vote carries, in order
+    certify: Callable  # (quorum values, round, cfg) -> what its quorum certifies
+
+
+class Schedule(NamedTuple):
+    """One variant's row of :data:`VARIANT_TABLE`."""
+
+    resilience: int  # n >= resilience * f + 1
+    support: Callable[[int, int], int]  # (n, f) -> the vote count that pins a round-1 certified prefix
+    rounds: Dict[int, Round]
+
+
+_f_plus_1 = lambda n, f: f + 1
+
+VARIANT_TABLE: Dict[Variant, Schedule] = {
+    Variant.THREE_ROUND: Schedule(3, _f_plus_1, {
+        1: Round((), _supported), 2: Round((1,), _common), 3: Round((2,), _extremes)}),
+    Variant.OPTIMISTIC: Schedule(3, _f_plus_1, {
+        1: Round((), _supported_and_common), 2: Round((1,), _extremes),
+        3: Round((1, 2), _common), 4: Round((3,), _extremes)}),
+    Variant.FAST_5F1: Schedule(5, lambda n, f: n - 2 * f, {
+        1: Round((), _supported), 2: Round((1,), _extremes)}),
+}
 
 
 @dataclass(frozen=True)
@@ -79,20 +112,18 @@ class PcConfig:
     def __post_init__(self):
         if self.f < 0 or self.n <= 0 or self.L <= 0:
             raise ConfigError("n, L must be positive and f non-negative")
-        if self.variant is Variant.FAST_5F1:
-            if self.n < 5 * self.f + 1:
-                raise ConfigError(f"{self.variant.value} requires n >= 5f+1, got n={self.n} f={self.f}")
-        elif self.n < 3 * self.f + 1:
-            raise ConfigError(f"{self.variant.value} requires n >= 3f+1, got n={self.n} f={self.f}")
+        schedule = VARIANT_TABLE[self.variant]
+        if self.n < schedule.resilience * self.f + 1:
+            raise ConfigError(f"{self.variant.value} requires n >= {schedule.resilience}f+1, "
+                              f"got n={self.n} f={self.f}")
         # Every verdict and certification lookup hashes its config; the
         # generated hash would rehash each field, the variant in Python.
         object.__setattr__(self, "_hash", hash((self.n, self.f, self.L, self.variant, self.instance)))
         object.__setattr__(self, "quorum", self.n - self.f)
-        # The vote count that pins a round-1 certified prefix.
-        object.__setattr__(self, "support", self.n - 2 * self.f if self.variant is Variant.FAST_5F1 else self.f + 1)
-        # The round schedule, read at every quorum: kept here, as a lookup
-        # by variant would hash the variant in Python each time.
-        object.__setattr__(self, "carries", CARRIES[self.variant])
+        object.__setattr__(self, "support", schedule.support(self.n, self.f))
+        # The row's rounds, read at every quorum: kept here, as a lookup by
+        # variant would hash the variant in Python each time.
+        object.__setattr__(self, "rounds", schedule.rounds)
 
     def __hash__(self) -> int:
         return self._hash
@@ -117,76 +148,22 @@ class QC:
         return tuple(v.value for v in self.votes)
 
 
-def _values(votes) -> List[Vector]:
-    return [item.value if isinstance(item, Vote) else tuple(item) for item in votes]
+def certify(qc: QC, cfg: PcConfig):
+    """What ``qc`` certifies: its round's quorum function of its values.
 
-
-def _mce_or_fault(values, where: str) -> Vector:
-    ext = mce(values)
-    if ext is None:
-        raise ProtocolViolation(f"conflicting certified prefixes in {where}; quorum intersection broken")
-    return ext
-
-
-# Each ``qc<r>_certify`` takes a ``QC`` or a list of votes or vectors.  A
-# ``QC`` is immutable, so its result is kept on it under ``("qc<r>",
-# cfg)``; a list is certified afresh.  A ``ProtocolViolation`` (or
-# ``ConfigError``) raises on every call and keeps nothing.
-
-
-def qc1_certify(votes, cfg: PcConfig):
-    """Round-1 certification.
-
-    THREE_ROUND / FAST_5F1 return the deepest prefix with the variant's
-    support threshold; OPTIMISTIC additionally returns the common prefix
-    of the whole quorum.
+    The result is kept on ``qc`` under ``("qc", cfg)``; a
+    ``ProtocolViolation`` raises on every call and keeps nothing.
     """
-    if isinstance(votes, QC):
-        return cached(votes, ("qc1", cfg), qc1_certify, votes.votes, cfg)
-    values = _values(votes)
-    supported = longest_supported_prefix(values, cfg.support)
-    if cfg.variant is Variant.OPTIMISTIC:
-        return supported, mcp(values)
-    return supported
+    return cached(qc, ("qc", cfg), _certify, qc, cfg)
 
 
-def qc2_certify(votes, cfg: PcConfig):
-    """Round-2 certification: mcp for THREE_ROUND, (mcp, mce) pairs for
-    the variants whose round-2 values are guaranteed mutually consistent."""
-    if isinstance(votes, QC):
-        return cached(votes, ("qc2", cfg), qc2_certify, votes.votes, cfg)
-    values = _values(votes)
-    if cfg.variant is Variant.THREE_ROUND:
-        return mcp(values)
-    return mcp(values), _mce_or_fault(values, "qc2")
-
-
-def qc3_certify(votes, cfg: PcConfig):
-    if isinstance(votes, QC):
-        return cached(votes, ("qc3", cfg), qc3_certify, votes.votes, cfg)
-    values = _values(votes)
-    if cfg.variant is Variant.THREE_ROUND:
-        return mcp(values), _mce_or_fault(values, "qc3")
-    if cfg.variant is Variant.OPTIMISTIC:
-        return mcp(values)
-    raise ConfigError("no round 3 in this variant")
-
-
-def qc4_certify(votes, cfg: PcConfig):
-    if cfg.variant is not Variant.OPTIMISTIC:
-        raise ConfigError("no round 4 in this variant")
-    if isinstance(votes, QC):
-        return cached(votes, ("qc4", cfg), qc4_certify, votes.votes, cfg)
-    values = _values(votes)
-    return mcp(values), _mce_or_fault(values, "qc4")
-
-
-_CERTIFY = {1: qc1_certify, 2: qc2_certify, 3: qc3_certify, 4: qc4_certify}
+def _certify(qc: QC, cfg: PcConfig):
+    return cfg.rounds[qc.round].certify(qc.values(), qc.round, cfg)
 
 
 def vote_value(r: int, qcs: tuple, cfg: PcConfig) -> Vector:
     """The value a round-``r`` vote carrying ``qcs`` (certificates of the
-    rounds ``cfg.carries[r]``) holds.
+    rounds ``cfg.rounds[r].carries``) holds.
 
     OPTIMISTIC votes its round-1 common prefix in round 2 and, in round 3,
     its round-1 supported prefix when the round-2 extension is a prefix of
@@ -194,12 +171,12 @@ def vote_value(r: int, qcs: tuple, cfg: PcConfig) -> Vector:
     certificate certifies.
     """
     if cfg.variant is Variant.OPTIMISTIC and r < 4:
-        supported, common = qc1_certify(qcs[0], cfg)
+        supported, common = certify(qcs[0], cfg)
         if r == 2:
             return common
-        _, extension = qc2_certify(qcs[1], cfg)
+        _, extension = certify(qcs[1], cfg)
         return supported if is_prefix(extension, supported) else extension
-    return _CERTIFY[r - 1](qcs[0], cfg)
+    return certify(qcs[0], cfg)
 
 
 def certified_outputs(qc: QC, cfg: PcConfig) -> Dict[str, Vector]:
@@ -211,12 +188,12 @@ def certified_outputs(qc: QC, cfg: PcConfig) -> Dict[str, Vector]:
     votes agree.
     """
     r = qc.round
-    if r == len(cfg.carries):
-        low, high = _CERTIFY[r](qc, cfg)
+    if r == len(cfg.rounds):
+        low, high = certify(qc, cfg)
         return {"low": low, "high": high}
     if cfg.variant is Variant.OPTIMISTIC:
         if r == 2:
-            early, _ = qc2_certify(qc, cfg)
+            early, _ = certify(qc, cfg)
             return {"opt": early, "low": early, "high": early} if len(early) == cfg.L else {"opt": early}
         if r == 3:
             ext = mce(qc.values())
@@ -244,16 +221,16 @@ def _verify_vote_inner(vote: Vote, cfg: PcConfig, scheme: Scheme) -> bool:
             and isinstance(value, tuple) and all(isinstance(elem, bytes) for elem in value)
             and isinstance(qcs, tuple) and all(isinstance(qc, QC) for qc in qcs)):
         return False
-    carried = cfg.carries.get(vote.round)
-    if carried is None or vote.inst != cfg.instance or len(qcs) != len(carried) or len(value) > cfg.L:
+    round_ = cfg.rounds.get(vote.round)
+    if round_ is None or vote.inst != cfg.instance or len(qcs) != len(round_.carries) or len(value) > cfg.L:
         return False
     if not scheme.verify_vector(vote.sender, VOTE_KIND[vote.round], cfg.instance, value, vote.sig):
         return False
-    for qc, want in zip(qcs, carried):
+    for qc, want in zip(qcs, round_.carries):
         if qc.round != want or not verify_qc(qc, cfg, scheme):
             return False
     try:
-        return not carried or vote_value(vote.round, qcs, cfg) == value
+        return not round_.carries or vote_value(vote.round, qcs, cfg) == value
     except ProtocolViolation:
         return False
 
@@ -312,7 +289,7 @@ class PcEngine:
         self.cfg = cfg
         self.party = party
         self.scheme = scheme
-        self.votes: Dict[int, Dict[int, Vote]] = {r: {} for r in cfg.carries}
+        self.votes: Dict[int, Dict[int, Vote]] = {r: {} for r in cfg.rounds}
         self.own_qcs: Dict[int, QC] = {}
         self.voted: Set[int] = set()  # the rounds past the first voted in
         self.outputs: Dict[str, Tuple[Vector, Optional[QC]]] = {}
@@ -360,7 +337,7 @@ class PcEngine:
         # Quorums close in any order under asynchrony, and a vote of our
         # own can close one while this loop runs: the check on ``voted``
         # keeps it to one vote per round.
-        for vr, carried in self.cfg.carries.items():
+        for vr, (carried, _) in self.cfg.rounds.items():
             if r in carried and vr not in self.voted and all(c in own_qcs for c in carried):
                 self.voted.add(vr)
                 actions += self._vote(vr, tuple(own_qcs[c] for c in carried))

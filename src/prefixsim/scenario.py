@@ -25,7 +25,7 @@ from . import adversaries, checks, crypto, wire
 from .crypto import Scheme, make_scheme
 from .derived import BinaryEngine, GradedEngine, ValidatedEngine
 from .msc import MscConfig, MscEngine
-from .pc import PcConfig, PcEngine, Variant
+from .pc import VARIANT_TABLE, PcConfig, PcEngine, Variant
 from .simnet import Adversary, DelayPolicy, Simulation
 from .spc import SpcConfig, SpcEngine
 
@@ -170,10 +170,13 @@ def _msc_invariants(r, cfg, scheme):
                                   r.scenario["gst"], r.metrics) + checks.msc_commit_prefix(sim, r.honest, slots))
 
 
+_pc_row = lambda name, invariants, compact: Protocol(  # the resilience is the variant's
+    VARIANT_TABLE[VARIANTS[name]].resilience, VECTOR, False, _shaped_inputs, _pc_engines, invariants, compact)
+
 PROTOCOL_TABLE: Dict[str, Protocol] = {
-    "pc3": Protocol(3, VECTOR, False, _shaped_inputs, _pc_engines, _pc_invariants, True),
-    "pc_opt": Protocol(3, VECTOR, False, _shaped_inputs, _pc_engines, _pc_opt_invariants, True),
-    "pc_5f1": Protocol(5, VECTOR, False, _shaped_inputs, _pc_engines, _pc_invariants, False),
+    "pc3": _pc_row("pc3", _pc_invariants, True),
+    "pc_opt": _pc_row("pc_opt", _pc_opt_invariants, True),
+    "pc_5f1": _pc_row("pc_5f1", _pc_invariants, False),
     "spc": Protocol(3, VECTOR, False, _shaped_inputs, _spc_engines, lambda r, cfg, scheme: (
         checks.spc_violations(r.sim, r.inputs, r.honest, r.metrics)), False),
     "msc": Protocol(3, None, True, lambda scn: [None] * scn["n"],  # msc_payload_fn makes the payloads

@@ -116,10 +116,6 @@ class Adversary:
         """Engine run for a Byzantine party; None means fully scripted."""
         return build(party)
 
-    def on_input(self, party: int, value) -> bool:
-        """Whether a Byzantine party's engine receives its scenario input."""
-        return True
-
     def on_send(self, party: int, msg, receivers) -> List[Tuple[int, Any, Optional[Time]]]:
         """Rewrite a Byzantine party's outgoing broadcast.
 
@@ -272,11 +268,11 @@ class Simulation:
     def schedule_input(self, party: int, value, at: Time = 0) -> None:
         self._push(self._ticks(at), party, party, ("input", value, ""))
 
-    def byz_send(self, sender: int, receiver: int, msg, delay: Optional[Time] = None) -> None:
+    def byz_send(self, sender: int, receiver: int, msg) -> None:
         """Adversary-initiated message from a Byzantine party."""
         if sender not in self.adversary.byzantine:
             raise SimulationError("byz_send from an honest party")
-        self._send(sender, ((receiver, msg, delay),))
+        self._send(sender, ((receiver, msg, None),))
 
     def _send(self, sender: int, sends) -> None:
         """Post every ``(receiver, message, delay override)`` of one send.
@@ -363,8 +359,6 @@ class Simulation:
                     continue
                 actions = () if engine is None else engine.on_message(sender, arg)
             elif kind == "input":
-                if party in byz and not adversary.on_input(party, arg):
-                    continue
                 actions = () if engine is None else engine.on_input(arg)
             else:
                 actions = () if engine is None else engine.on_timer(arg)

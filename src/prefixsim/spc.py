@@ -245,9 +245,7 @@ class SpcEngine:
         self.store = store if store is not None else Store()
         self.ran_vpc: set = set()
         self.emitted_empty: set = set()
-        self.skip_built: set = set()
         self.commit_broadcast: set = set()
-        self.view_commits: Dict[int, str] = {}
         self.built_skips: List[SkipCert] = []
         self.outputs: Dict[str, tuple] = {}
         # One verifiable prefix-consensus instance per view, built on contact.
@@ -463,12 +461,11 @@ class SpcEngine:
         except _Missing as miss:
             return self._park(miss.digest, SpcEngine.on_message, sender, ev)
         bucket = self.empty_votes.setdefault(ev.view, {})
-        if sender in bucket or ev.view in self.skip_built:
+        if sender in bucket or any(cert.prev_view == ev.view for cert in self.built_skips):
             return []
         bucket[sender] = ev
         if len(bucket) < self.cfg.f + 1:
             return []
-        self.skip_built.add(ev.view)
         entries = [
             (party, skip_statement(ev.view, vote.ref_view), vote.sig)
             for party, vote in bucket.items()
@@ -504,7 +501,6 @@ class SpcEngine:
                 parent = self._parent_of(value)
             except _Missing as miss:
                 return self._park(miss.digest, SpcEngine._commit, view, value)
-            self.view_commits.setdefault(view, "non-empty" if parent else "empty")
             if parent is None:
                 return []
             pview, pvalue = parent

@@ -180,6 +180,23 @@ def test_sweep_validates_the_sizes_it_runs(tmp_path):
     assert cli.main(["--quiet", "sweep", "--scenario", str(path), "--ns", "4,7"]) == 0
 
 
+def test_sweep_takes_f_from_the_protocol_bound(tmp_path, capsys):
+    # pc_5f1 needs n >= 5f+1; with the f of n >= 3f+1, n=11 ran f=3 and exited 2.
+    fast = json.load(open(scenario_path("pc_5f1_faultfree_n6.json")))
+    assert [cli.sweep_scenario(fast, n)["f"] for n in (6, 11, 16)] == [1, 2, 3]
+    assert cli.main(["--quiet", "sweep", "--scenario", scenario_path("pc_5f1_faultfree_n6.json"),
+                     "--ns", "6,11"]) == 0
+    pc3 = json.load(open(scenario_path("sweep_pc3.json")))
+    assert [cli.sweep_scenario(pc3, n)["f"] for n in (4, 7, 10, 11)] == [1, 2, 3, 3]
+    # A protocol with no row still reaches validate's protocol error.
+    for protocol in ("nope", ["pc3"]):
+        path = tmp_path / "unknown.json"
+        path.write_text(json.dumps({**pc3, "protocol": protocol}))
+        assert cli.main(["--quiet", "sweep", "--scenario", str(path), "--ns", "4,7"]) == 2
+        err = capsys.readouterr().err
+        assert "scenario.protocol: one of" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("name", ["graded_faultfree_n4.json", "binary_mixed_n4.json",
                                   "validated_faultfree_n4.json"])
 def test_byte_accounting_covers_derived_protocols(name):

@@ -69,7 +69,7 @@ def test_early_slot_traffic_waits_for_its_slot():
 
     cfg = MscConfig(4, 1, 1, ("t", "msc"), slots=2)
     engine = MscEngine(cfg, 0, MacScheme(4), lambda s: b"tx-%d" % s)
-    engine.on_input()
+    engine.on_input(None)
     for slot in (2, 3):  # slot 3 is past the configured run
         assert engine.on_message(1, Nested(cfg.instance, slot, "vote")) == []
     assert engine.slots.waiting == {2: [(1, "vote")]}

@@ -16,11 +16,9 @@ from prefixsim.pc import (
     QC,
     Variant,
     Vote,
+    certify,
     predicate_high,
     predicate_low,
-    qc1_certify,
-    qc2_certify,
-    qc3_certify,
     verify_qc,
 )
 from prefixsim.prefixes import is_prefix, mce, mcp
@@ -42,14 +40,19 @@ def test_config_bounds():
     assert PcConfig(6, 1, 4, Variant.FAST_5F1).quorum == 5
 
 
+def bare_qc(r, values):
+    """A round-``r`` certificate of unsigned votes: certification reads no signature."""
+    return QC(r, tuple(Vote(("t",), r, p, tuple(v), Signature(p, b"")) for p, v in enumerate(values)))
+
+
 def test_qc1_certify_examples():
     cfg = cfg3()
-    assert qc1_certify([(a, b), (a, b), (a, c)], cfg) == (a, b)
+    assert certify(bare_qc(1, [(a, b), (a, b), (a, c)]), cfg) == (a, b)
     opt = PcConfig(4, 1, 4, Variant.OPTIMISTIC)
-    assert qc1_certify([(a, b), (a, b), (a, c)], opt) == ((a, b), (a,))
+    assert certify(bare_qc(1, [(a, b), (a, b), (a, c)]), opt) == ((a, b), (a,))
     fast = PcConfig(6, 1, 4, Variant.FAST_5F1)
     votes = [(a, b)] * 4 + [(a, c)]
-    assert qc1_certify(votes, fast) == (a, b)
+    assert certify(bare_qc(1, votes), fast) == (a, b)
     # Brute-force over size-4 subsets agrees.
     best = ()
     for sub in itertools.combinations(votes, 4):
@@ -61,18 +64,18 @@ def test_qc1_certify_examples():
 
 def test_qc2_certify_examples():
     fast = PcConfig(6, 1, 4, Variant.FAST_5F1)
-    assert qc2_certify([(a,), (a, b), (a, b)], fast) == ((a,), (a, b))
+    assert certify(bare_qc(2, [(a,), (a, b), (a, b)]), fast) == ((a,), (a, b))
     cfg = cfg3()
-    assert qc2_certify([(a, b)] * 3, cfg) == (a, b)
+    assert certify(bare_qc(2, [(a, b)] * 3), cfg) == (a, b)
     opt = PcConfig(4, 1, 1, Variant.OPTIMISTIC)
-    assert qc2_certify([(a,), (a,)], opt) == ((a,), (a,))
+    assert certify(bare_qc(2, [(a,), (a,)]), opt) == ((a,), (a,))
 
 
 def test_qc3_certify_examples():
     cfg = cfg3()
-    assert qc3_certify([(a,), (a, b), (a, b)], cfg) == ((a,), (a, b))
+    assert certify(bare_qc(3, [(a,), (a, b), (a, b)]), cfg) == ((a,), (a, b))
     opt = PcConfig(4, 1, 4, Variant.OPTIMISTIC)
-    assert qc3_certify([(a, b), (a, c), (a,)], opt) == ((a,),)[0]
+    assert certify(bare_qc(3, [(a, b), (a, c), (a,)]), opt) == ((a,),)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +262,11 @@ def test_conflicting_certified_prefixes_fault():
     # A vote set whose round-2 values conflict breaks the quorum
     # intersection assumption; certification faults loudly instead of
     # producing garbage.
-    from prefixsim.pc import ProtocolViolation, qc3_certify as q3
+    from prefixsim.pc import ProtocolViolation
 
     cfg = cfg3()
     with pytest.raises(ProtocolViolation):
-        q3([(a, b), (a, c), (a,)], cfg)
+        certify(bare_qc(3, [(a, b), (a, c), (a,)]), cfg)
 
 
 def test_wrong_quorum_size_rejected():
@@ -315,7 +318,7 @@ def test_fast_variant_certified_values_pairwise_consistent():
             sim.schedule_input(party, vec)
         sim.run()
         certified = [
-            qc1_certify(sim.engines[p].own_qcs[1], cfg)
+            certify(sim.engines[p].own_qcs[1], cfg)
             for p in range(6)
             if 1 in sim.engines[p].own_qcs
         ]
@@ -343,17 +346,17 @@ def test_certify_results_live_on_the_qc_keyed_by_cfg():
     qc1 = sim.engines[0].own_qcs[1]
     proof = metrics.outputs[0]["low"][1]
     # The engine certified both on the way to its outputs.
-    assert ("qc1", cfg) in vars(qc1)["_cached"]
-    assert ("qc3", cfg) in vars(proof)["_cached"]
-    assert qc1_certify(qc1, cfg) == qc1_certify(list(qc1.votes), cfg)
-    assert qc3_certify(proof, cfg) == qc3_certify(list(proof.values()), cfg)
+    assert ("qc", cfg) in vars(qc1)["_cached"]
+    assert ("qc", cfg) in vars(proof)["_cached"]
+    assert certify(qc1, cfg) == certify(QC(1, qc1.votes), cfg)
+    assert certify(proof, cfg) == certify(bare_qc(3, proof.values()), cfg)
     # Another config keeps its own result next to it, never the first one.
     opt = PcConfig(4, 1, 4, Variant.OPTIMISTIC, ("t", "pc3"))
-    assert qc1_certify(qc1, opt) == qc1_certify(list(qc1.values()), opt) != qc1_certify(qc1, cfg)
-    assert vars(qc1)["_cached"][("qc1", opt)] != vars(qc1)["_cached"][("qc1", cfg)]
+    assert certify(qc1, opt) == certify(bare_qc(1, qc1.values()), opt) != certify(qc1, cfg)
+    assert vars(qc1)["_cached"][("qc", opt)] != vars(qc1)["_cached"][("qc", cfg)]
     # Nothing derived from a certificate sits on its votes.
     for vote in qc1.votes + proof.votes:
-        assert not any(isinstance(key, tuple) and key[0] in ("qc1", "qc2", "qc3") for key in vars(vote).get("_cached", {}))
+        assert not any(isinstance(key, tuple) and key[0] == "qc" for key in vars(vote).get("_cached", {}))
 
 
 def test_conflicting_qc_raises_every_time_and_caches_nothing():
@@ -368,8 +371,8 @@ def test_conflicting_qc_raises_every_time_and_caches_nothing():
     qc = QC(3, votes)
     for _ in range(2):
         with pytest.raises(ProtocolViolation):
-            qc3_certify(qc, cfg)
-    assert ("qc3", cfg) not in vars(qc).get("_cached", {})
+            certify(qc, cfg)
+    assert ("qc", cfg) not in vars(qc).get("_cached", {})
     assert not predicate_high((a, b), qc, cfg, scheme)
 
 
@@ -408,7 +411,7 @@ def test_mutant_low_is_a_verifiability_violation_with_warm_caches():
     for p in range(4):
         low, proof, _ = metrics.outputs[p]["low"]
         assert low == (a, b, c)
-        assert vars(proof)["_cached"][("qc3", cfg)] == ((a, b, c, d), (a, b, c, d))
+        assert vars(proof)["_cached"][("qc", cfg)] == ((a, b, c, d), (a, b, c, d))
     violations = checks.pc_violations(cfg, scheme, inputs, range(4), metrics)
     assert sum(v.invariant == "verifiability" for v in violations) == 4
 
@@ -447,7 +450,7 @@ def test_one_vote_per_round_whatever_order_quorums_close(order):
     vec = (a, b, c, d)
     ones = [_signed_vote(scheme, cfg, 1, p, vec) for p in range(4)]
     qc1 = QC(1, tuple(ones[1:]))
-    twos = [_signed_vote(scheme, cfg, 2, p, qc1_certify(qc1, cfg)[1], (qc1,)) for p in range(4)]
+    twos = [_signed_vote(scheme, cfg, 2, p, certify(qc1, cfg)[1], (qc1,)) for p in range(4)]
     engine = PcEngine(cfg, 0, scheme)
     actions = engine.on_input(vec)
     # (a) all of round 2 from others closes before our round-1 quorum;
@@ -466,7 +469,7 @@ def test_predicates_reject_what_a_certificate_does_not_prove():
     sim, _ = run_pc(Variant.THREE_ROUND, 4, 1, 4, inputs)
     cfg = PcConfig(4, 1, 4, Variant.THREE_ROUND, ("t", "pc3"))
     qcs = sim.engines[0].own_qcs
-    for qc, certified in ((qcs[1], qc1_certify(qcs[1], cfg)), (qcs[2], qc2_certify(qcs[2], cfg))):
+    for qc, certified in ((qcs[1], certify(qcs[1], cfg)), (qcs[2], certify(qcs[2], cfg))):
         for value in (certified, None, (), inputs[0]):
             assert not predicate_low(value, qc, cfg, scheme)
             assert not predicate_high(value, qc, cfg, scheme)
@@ -476,11 +479,26 @@ def test_predicates_reject_what_a_certificate_does_not_prove():
     # A round-3 certificate whose votes agree proves a high, never a low.
     agreed = mce(qcs[3].values())
     assert agreed is not None and predicate_high(agreed, qcs[3], opt, scheme)
-    for value in (agreed, qc3_certify(qcs[3], opt), None):
+    for value in (agreed, certify(qcs[3], opt), None):
         assert not predicate_low(value, qcs[3], opt, scheme)
     # A round-2 certificate short of full length proves only the opt output.
-    early, _ = qc2_certify(qcs[2], opt)
+    early, _ = certify(qcs[2], opt)
     assert len(early) < opt.L
     for value in (early, None):
         assert not predicate_low(value, qcs[2], opt, scheme)
         assert not predicate_high(value, qcs[2], opt, scheme)
+
+
+def test_predicates_reject_a_round_the_variant_lacks():
+    # A vote of a round outside the variant's schedule fails verify_vote,
+    # so neither predicate reaches certification for its certificate.
+    fast, fast_scheme = PcConfig(6, 1, 4, Variant.FAST_5F1, ("t", "pc_5f1")), MacScheme(6)
+    threes = QC(3, tuple(_signed_vote(fast_scheme, fast, 3, p, (a, b)) for p in range(fast.quorum)))
+    cfg, scheme = cfg3(), MacScheme(4)
+    fours = QC(4, tuple(_signed_vote(scheme, cfg, 4, p, (a, b)) for p in range(cfg.quorum)))
+    for qc, qc_cfg, qc_scheme in ((threes, fast, fast_scheme), (fours, cfg, scheme)):
+        assert not verify_qc(qc, qc_cfg, qc_scheme)
+        for value in ((a, b), None):
+            assert not predicate_low(value, qc, qc_cfg, qc_scheme)
+            assert not predicate_high(value, qc, qc_cfg, qc_scheme)
+        assert ("qc", qc_cfg) not in vars(qc).get("_cached", {})

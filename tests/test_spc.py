@@ -104,7 +104,8 @@ def test_silent_first_ranked_within_latency_bound():
     assert len(highs) == 1
     # The silent first slot agrees on the placeholder digest, so view 2
     # still commits a parented value directly.
-    assert any("non-empty" in e.view_commits.values() for e in sim.engines.values() if e)
+    assert any(e._parent_of(outs["low"][0]) for e in sim.engines.values() if e
+               for view, outs in e.vpc_outputs.items() if view > 1 and "low" in outs)
 
 
 def test_split_view_forces_empty_view_and_skip_certificates():

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from prefixsim import crypto, encoding, wire
 from prefixsim.crypto import MacScheme, Signature
 from prefixsim.encoding import DecodeError
-from prefixsim.pc import PcConfig, PcEngine, QC, Variant, Vote, qc1_certify, qc2_certify
+from prefixsim.pc import PcConfig, PcEngine, QC, Variant, Vote, certify
 from prefixsim.nest import Nested
 from prefixsim.prefixes import BOT, mcp
 from prefixsim.simnet import DelayPolicy, Simulation
@@ -34,18 +34,17 @@ def pipeline(values, cfg=CFG, scheme=SCHEME, seed=1):
     rng = random.Random(seed)
     vote1s = [make_vote1(p, v, cfg, scheme) for p, v in enumerate(values)]
     qc1 = QC(1, tuple(rng.sample(vote1s, cfg.quorum)))
-    x = qc1_certify(qc1, cfg)
     vote2s = []
     for p in range(cfg.n):
         q = QC(1, tuple(rng.sample(vote1s, cfg.quorum)))
-        val = qc1_certify(q, cfg)
+        val = certify(q, cfg)
         sig = scheme.sign_vector(p, crypto.VOTE2, cfg.instance, val)
         vote2s.append(Vote(cfg.instance, 2, p, val, sig, (q,)))
     qc2 = QC(2, tuple(rng.sample(vote2s, cfg.quorum)))
     vote3s = []
     for p in range(cfg.n):
         q = QC(2, tuple(rng.sample(vote2s, cfg.quorum)))
-        val = qc2_certify(q, cfg)
+        val = certify(q, cfg)
         sig = scheme.sign_vector(p, crypto.VOTE3, cfg.instance, val)
         vote3s.append(Vote(cfg.instance, 3, p, val, sig, (q,)))
     qc3 = QC(3, tuple(rng.sample(vote3s, cfg.quorum)))
@@ -93,7 +92,7 @@ def test_compact_qc1_completeness_and_recompute_rule():
     compact = wire.build_cqc1(qc1, CFG, SCHEME)
     ok, why = wire.verify_cqc1(compact, CFG, SCHEME)
     assert ok, why
-    assert wire.cqc1_value(compact) == qc1_certify(qc1, CFG)
+    assert wire.cqc_value(compact) == certify(qc1, CFG)
     # Claimed prefix shortened: recompute check must fire.
     shorter = wire.CQC1(
         compact.inst, wire.pad(wire.strip(compact.value)[:-1], CFG.L),
@@ -128,16 +127,16 @@ def test_compact_qc2_full_length_anchor():
     assert compact.anchor is not None and compact.witnesses is None
     ok, why = wire.verify_cqc2(compact, CFG, SCHEME)
     assert ok, why
-    assert wire.cqc2_value(compact) == (a, b, c, d)
+    assert wire.cqc_value(compact) == (a, b, c, d)
 
 
 def test_compact_qc2_divergence_witnesses():
     _, qc2, _ = pipeline(DIVERGENT, seed=3)
-    plain = qc2_certify(qc2, CFG)
+    plain = certify(qc2, CFG)
     compact = wire.build_cqc2(qc2, CFG, SCHEME)
     ok, why = wire.verify_cqc2(compact, CFG, SCHEME)
     assert ok, why
-    assert wire.cqc2_value(compact) == plain
+    assert wire.cqc_value(compact) == plain
     if compact.witnesses is not None:
         w1, w2 = compact.witnesses
         equal = (wire.Witness2(w2.party, w1.elem, w1.sig, w1.qc1), w1)
@@ -148,9 +147,7 @@ def test_compact_qc2_divergence_witnesses():
 
 def test_compact_qc3_extremes():
     _, _, qc3 = pipeline(DIVERGENT, seed=5)
-    from prefixsim.pc import qc3_certify
-
-    low, high = qc3_certify(qc3, CFG)
+    low, high = certify(qc3, CFG)
     compact = wire.build_cqc3(qc3, CFG, SCHEME)
     ok, why = wire.verify_cqc3(compact, CFG, SCHEME)
     assert ok, why
@@ -218,16 +215,14 @@ def test_optimistic_compact_roundtrip_and_verify():
     oqc1 = wire.build_oqc1(engine.own_qcs[1], cfg, scheme)
     ok, why = wire.verify_oqc1(oqc1, cfg, scheme)
     assert ok, why
-    from prefixsim.pc import qc1_certify as q1
-
-    supported, common = q1(engine.own_qcs[1], cfg)
+    supported, common = certify(engine.own_qcs[1], cfg)
     assert wire.strip(oqc1.xpart.value) == supported
     assert wire.strip(oqc1.common) == common
 
     oqc2 = wire.build_oqc2(engine.own_qcs[2], cfg, scheme)
     ok, why = wire.verify_oqc2(oqc2, cfg, scheme)
     assert ok, why
-    early, ext = qc2_certify(engine.own_qcs[2], cfg)
+    early, ext = certify(engine.own_qcs[2], cfg)
     assert wire.chain_values(oqc2) == (early, ext)
 
     oqc3 = wire.build_oqc3(engine.own_qcs[3], cfg, scheme)
