@@ -151,7 +151,8 @@ def msc_violations(sim, honest, byzantine, payload_fn, slots, gst, metrics) -> L
             if slot not in e.slot_outputs or "high" not in e.slot_outputs[slot]:
                 bad.append(Violation("termination", f"party {p} never finished slot {slot}"))
     if len(censored) > len(byzantine):
-        bad.append(Violation("censorship", f"{len(censored)} censored slots exceed f"))
+        detail = f"{len(censored)} censored slots exceed the {len(byzantine)} Byzantine parties"
+        bad.append(Violation("censorship", detail))
     bad.extend(msc_demotions_byzantine(sim, honest, byzantine, slots, gst, metrics))
     return bad
 

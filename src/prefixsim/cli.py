@@ -25,7 +25,7 @@ from typing import List, Optional
 
 from . import catalogue, checks, scenario as scn_mod, wire
 from .crypto import make_scheme
-from .pc import PcConfig, Variant
+from .pc import VARIANT_TABLE, PcConfig
 from .scenario import ScenarioError, load_scenario, run_scenario
 from .simnet import SimulationError
 
@@ -50,11 +50,27 @@ def _say(args, text: str) -> None:
         print(text)
 
 
-def cmd_run(args) -> int:
+def _report(errors, where: str) -> int:
+    for path, msg in errors:
+        print(f"scenario.{path}: {msg}{where}" if path else f"scenario: {msg}{where}", file=sys.stderr)
+    return EXIT_SCHEMA
+
+
+def _load(path: str) -> Optional[dict]:
+    """The scenario file at ``path``, or None once it is reported as
+    unreadable or not an object."""
     try:
-        scn = load_scenario(args.scenario)
+        return load_scenario(path)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"scenario: unreadable ({exc})", file=sys.stderr)
+    except ScenarioError as exc:
+        _report(exc.errors, "")
+    return None
+
+
+def cmd_run(args) -> int:
+    scn = _load(args.scenario)
+    if scn is None:
         return EXIT_SCHEMA
     if args.seed is not None:
         scn["seed"] = args.seed
@@ -64,9 +80,7 @@ def cmd_run(args) -> int:
     try:
         result = run_scenario(scn, record=True)
     except ScenarioError as exc:
-        for path, msg in exc.errors:
-            print(f"scenario.{path}: {msg}" if path else f"scenario: {msg}", file=sys.stderr)
-        return EXIT_SCHEMA
+        return _report(exc.errors, "")
     except SimulationError as exc:
         # Engine assertion mid-run: dump what we have and fail loudly.
         print(f"simulation aborted: {exc}", file=sys.stderr)
@@ -147,10 +161,8 @@ def sweep_rows(template: dict, ns: List[int]) -> List[dict]:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        template = load_scenario(args.scenario)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"scenario: unreadable ({exc})", file=sys.stderr)
+    template = _load(args.scenario)
+    if template is None:
         return EXIT_SCHEMA
     ns = args.ns
     if args.codec is not None:
@@ -158,10 +170,8 @@ def cmd_sweep(args) -> int:
     template["measure_bytes"] = True
     for n in ns:
         errors = scn_mod.validate(sweep_scenario(template, n))
-        for path, msg in errors:
-            print(f"scenario.{path}: {msg} (n={n})", file=sys.stderr)
         if errors:
-            return EXIT_SCHEMA
+            return _report(errors, f" (n={n})")
     try:
         rows = sweep_rows(template, ns)
     except ScenarioError as exc:
@@ -190,19 +200,21 @@ SUITES = tuple(dict.fromkeys(s.tag for s in catalogue.STRATA)) + ("determinism",
 def run_suite(name: str, opts) -> tuple:
     """Returns (runs, first_failure | None).  Raises ValueError, before
     any run, for an ``--n`` the suite does not have."""
-    if name == "equivalence":
+    if name == "equivalence":  # every variant, with the largest f its bound allows
         n = opts.n
-        cfg = PcConfig(n, (n - 1) // 3, n, Variant.THREE_ROUND, ("chk", "eq"))
         scheme = make_scheme("mac", n)
-        rng = random.Random(opts.seed)
         alphabet = [b"a", b"b", b"c"]
-        for i in range(opts.runs):
-            values = [tuple(rng.choice(alphabet) for _ in range(cfg.L)) for _ in range(n)]
-            try:
-                wire.equivalence_harness(values, cfg, scheme, rng)
-            except AssertionError as exc:
-                return i + 1, (opts.seed, checks.Violation("equivalence", str(exc)))
-        return opts.runs, None
+        for k, (variant, row) in enumerate(VARIANT_TABLE.items()):
+            cfg = PcConfig(n, (n - 1) // row.resilience, n, variant, ("chk", "eq"))
+            rng = random.Random(opts.seed)
+            for i in range(opts.runs):
+                values = [tuple(rng.choice(alphabet) for _ in range(cfg.L)) for _ in range(n)]
+                try:
+                    wire.equivalence_harness(values, cfg, scheme, rng)
+                except AssertionError as exc:
+                    failure = checks.Violation("equivalence", f"{variant.value}: {exc}")
+                    return k * opts.runs + i + 1, (opts.seed, failure)
+        return len(VARIANT_TABLE) * opts.runs, None
     replay = name == "determinism"
     scenarios = catalogue.suite("fuzz" if replay else name, opts.n, opts.runs, opts.seed)
     for i, scn in enumerate(scenarios, 1):

@@ -5,7 +5,9 @@ Three deterministic message-driven variants share one chassis:
 * ``THREE_ROUND`` -- the asynchronous baseline: three all-to-all voting
   rounds; the third quorum certifies a (low, high) output pair.
 * ``OPTIMISTIC`` -- four rounds with an optimistic output after the
-  second quorum and an early high output when round-3 votes agree.
+  second quorum and an early high output when round-3 votes agree: its
+  round-3 quorum certifies ``(mcp, mce)``: the common prefix and, unless
+  the votes conflict (then None), their minimum common extension.
 * ``FAST_5F1`` -- two rounds under the stronger ``n >= 5f+1`` resilience.
 
 Every round-``r`` quorum is the first ``n-f`` verified votes to arrive;
@@ -17,7 +19,8 @@ Each variant is one row of :data:`VARIANT_TABLE`: its resilience bound,
 its round-1 support threshold and, per round, the rounds whose
 certificates its vote carries and what its quorum certifies.
 :func:`certify` reads the row.  :func:`vote_value` is the value a vote
-holds and :func:`certified_outputs` is what a certificate proves; they
+holds, from what its carried certificates certify, and
+:func:`certified_outputs` is what a certificate proves; they
 add the optimistic votes and outputs, and are the only code that tests
 the variant.  The engine votes and outputs from them, :func:`verify_vote`
 recomputes every vote's value with :func:`vote_value`, and both
@@ -62,13 +65,14 @@ class ConfigError(ValueError):
 
 
 # What a round's quorum certifies, from its votes' values, its round and
-# the config.
-_supported = lambda values, r, cfg: longest_supported_prefix(values, cfg.support)
-_common = lambda values, r, cfg: mcp(values)
-_supported_and_common = lambda values, r, cfg: (_supported(values, r, cfg), mcp(values))
+# the config.  ``wire.FORMS`` keys each one's compact certificate by it.
+supported_prefix = lambda values, r, cfg: longest_supported_prefix(values, cfg.support)
+common_prefix = lambda values, r, cfg: mcp(values)
+supported_and_common = lambda values, r, cfg: (supported_prefix(values, r, cfg), mcp(values))
+common_and_extension = lambda values, r, cfg: (mcp(values), mce(values))  # mce is None on conflict
 
 
-def _extremes(values, r, cfg):
+def extremes(values, r, cfg):
     ext = mce(values)
     if ext is None:
         raise ProtocolViolation(f"conflicting certified prefixes in qc{r}; quorum intersection broken")
@@ -92,12 +96,12 @@ _f_plus_1 = lambda n, f: f + 1
 
 VARIANT_TABLE: Dict[Variant, Schedule] = {
     Variant.THREE_ROUND: Schedule(3, _f_plus_1, {
-        1: Round((), _supported), 2: Round((1,), _common), 3: Round((2,), _extremes)}),
+        1: Round((), supported_prefix), 2: Round((1,), common_prefix), 3: Round((2,), extremes)}),
     Variant.OPTIMISTIC: Schedule(3, _f_plus_1, {
-        1: Round((), _supported_and_common), 2: Round((1,), _extremes),
-        3: Round((1, 2), _common), 4: Round((3,), _extremes)}),
+        1: Round((), supported_and_common), 2: Round((1,), extremes),
+        3: Round((1, 2), common_and_extension), 4: Round((3,), extremes)}),
     Variant.FAST_5F1: Schedule(5, lambda n, f: n - 2 * f, {
-        1: Round((), _supported), 2: Round((1,), _extremes)}),
+        1: Round((), supported_prefix), 2: Round((1,), extremes)}),
 }
 
 
@@ -161,22 +165,23 @@ def _certify(qc: QC, cfg: PcConfig):
     return cfg.rounds[qc.round].certify(qc.values(), qc.round, cfg)
 
 
-def vote_value(r: int, qcs: tuple, cfg: PcConfig) -> Vector:
-    """The value a round-``r`` vote carrying ``qcs`` (certificates of the
-    rounds ``cfg.rounds[r].carries``) holds.
+def vote_value(r: int, certified: tuple, cfg: PcConfig) -> Vector:
+    """The value a round-``r`` vote holds, from what the certificates it
+    carries (of the rounds ``cfg.rounds[r].carries``) certify.
 
-    OPTIMISTIC votes its round-1 common prefix in round 2 and, in round 3,
-    its round-1 supported prefix when the round-2 extension is a prefix of
-    that, else the extension; every other vote holds what its one
-    certificate certifies.
+    OPTIMISTIC votes its round-1 common prefix in round 2, in round 3 its
+    round-1 supported prefix when the round-2 extension is a prefix of
+    that, else the extension, and its round-3 common prefix in round 4;
+    every other vote holds what its one certificate certifies.
     """
-    if cfg.variant is Variant.OPTIMISTIC and r < 4:
-        supported, common = certify(qcs[0], cfg)
+    if cfg.variant is Variant.OPTIMISTIC:
+        if r == 3:
+            (supported, _), (_, extension) = certified
+            return supported if is_prefix(extension, supported) else extension
         if r == 2:
-            return common
-        _, extension = certify(qcs[1], cfg)
-        return supported if is_prefix(extension, supported) else extension
-    return certify(qcs[0], cfg)
+            return certified[0][1]  # the round-1 common prefix
+        return certified[0][0]  # round 4: the round-3 common prefix
+    return certified[0]
 
 
 def certified_outputs(qc: QC, cfg: PcConfig) -> Dict[str, Vector]:
@@ -196,7 +201,7 @@ def certified_outputs(qc: QC, cfg: PcConfig) -> Dict[str, Vector]:
             early, _ = certify(qc, cfg)
             return {"opt": early, "low": early, "high": early} if len(early) == cfg.L else {"opt": early}
         if r == 3:
-            ext = mce(qc.values())
+            _, ext = certify(qc, cfg)
             return {} if ext is None else {"high": ext}
     return {}
 
@@ -230,7 +235,7 @@ def _verify_vote_inner(vote: Vote, cfg: PcConfig, scheme: Scheme) -> bool:
         if qc.round != want or not verify_qc(qc, cfg, scheme):
             return False
     try:
-        return not round_.carries or vote_value(vote.round, qcs, cfg) == value
+        return not round_.carries or vote_value(vote.round, tuple(certify(qc, cfg) for qc in qcs), cfg) == value
     except ProtocolViolation:
         return False
 
@@ -344,7 +349,7 @@ class PcEngine:
         return actions
 
     def _vote(self, r: int, qcs: tuple) -> list:
-        value = vote_value(r, qcs, self.cfg)
+        value = vote_value(r, tuple(certify(qc, self.cfg) for qc in qcs), self.cfg)
         sig = self.scheme.sign_vector(self.party, VOTE_KIND[r], self.cfg.instance, value)
         return self._broadcast_and_record(Vote(self.cfg.instance, r, self.party, value, sig, qcs))
 

@@ -5,7 +5,7 @@ and timing model, the adversary, the inputs, and the invariant checks to
 enforce.  Every rule that differs by protocol or by adversary kind is a
 row of one of two tables: ``PROTOCOL_TABLE`` (:class:`Protocol`: the
 resilience bound, the inputs :class:`Shape`, the engine builder, the
-invariant checks, compact-codec admission) and ``KIND_TABLE``
+invariant checks) and ``KIND_TABLE``
 (:class:`Kind`: the builder, the fields read, each checked by ``FIELDS``,
 the source of the Byzantine parties, the Byzantine bound, the jitter
 field).  ``validate``, the builders, ``run_scenario`` and ``run_checks``
@@ -106,7 +106,6 @@ class Protocol(NamedTuple):
     inputs: Callable[[dict], list]  # per-party inputs of a defaulted scenario
     engines: Callable[[dict, Scheme], tuple]  # (pc config or None, party -> engine)
     invariants: Callable[["RunResult", object, Scheme], list]  # (result, pc config, scheme)
-    compact: bool  # admits the compact codec
 
 
 def _shaped_inputs(scn: dict) -> list:
@@ -170,32 +169,31 @@ def _msc_invariants(r, cfg, scheme):
                                   r.scenario["gst"], r.metrics) + checks.msc_commit_prefix(sim, r.honest, slots))
 
 
-_pc_row = lambda name, invariants, compact: Protocol(  # the resilience is the variant's
-    VARIANT_TABLE[VARIANTS[name]].resilience, VECTOR, False, _shaped_inputs, _pc_engines, invariants, compact)
+_pc_row = lambda name, invariants: Protocol(  # the resilience is the variant's
+    VARIANT_TABLE[VARIANTS[name]].resilience, VECTOR, False, _shaped_inputs, _pc_engines, invariants)
 
 PROTOCOL_TABLE: Dict[str, Protocol] = {
-    "pc3": _pc_row("pc3", _pc_invariants, True),
-    "pc_opt": _pc_row("pc_opt", _pc_opt_invariants, True),
-    "pc_5f1": _pc_row("pc_5f1", _pc_invariants, False),
+    "pc3": _pc_row("pc3", _pc_invariants),
+    "pc_opt": _pc_row("pc_opt", _pc_opt_invariants),
+    "pc_5f1": _pc_row("pc_5f1", _pc_invariants),
     "spc": Protocol(3, VECTOR, False, _shaped_inputs, _spc_engines, lambda r, cfg, scheme: (
-        checks.spc_violations(r.sim, r.inputs, r.honest, r.metrics)), False),
+        checks.spc_violations(r.sim, r.inputs, r.honest, r.metrics))),
     "msc": Protocol(3, None, True, lambda scn: [None] * scn["n"],  # msc_payload_fn makes the payloads
-                    _msc_engines, _msc_invariants, False),
+                    _msc_engines, _msc_invariants),
     "graded": Protocol(
         3, VALUE, False, _shaped_inputs, lambda scn, scheme: (
             None, lambda p: GradedEngine(scn["n"], scn["f"], p, scheme)),
-        lambda r, cfg, scheme: checks.graded_violations(r.inputs, r.honest, r.metrics), False),
+        lambda r, cfg, scheme: checks.graded_violations(r.inputs, r.honest, r.metrics)),
     "binary": Protocol(
         3, BIT, False, _shaped_inputs, lambda scn, scheme: (
             None, lambda p: BinaryEngine(scn["n"], scn["f"], scn["delta_cap"], p, scheme)),
-        lambda r, cfg, scheme: checks.binary_violations(r.inputs, r.honest, r.metrics), False),
+        lambda r, cfg, scheme: checks.binary_violations(r.inputs, r.honest, r.metrics)),
     "validated": Protocol(
         3, None, False, lambda scn: [b"payload-%d-%d" % (p, scn["seed"]) for p in range(scn["n"])],
         lambda scn, scheme: (None, lambda p: ValidatedEngine(scn["n"], scn["f"], scn["delta_cap"], p, scheme)),
-        lambda r, cfg, scheme: checks.validated_violations(r.honest, r.metrics), False),
+        lambda r, cfg, scheme: checks.validated_violations(r.honest, r.metrics)),
 }
 PROTOCOLS = tuple(PROTOCOL_TABLE)
-_COMPACT = "/".join(name for name, row in PROTOCOL_TABLE.items() if row.compact)
 
 _POSITIVE = (lambda v: isinstance(v, int) and v >= 1, "positive integer required")
 _PARTY_IDS = (_party_ids, "list of party ids required")
@@ -281,8 +279,8 @@ def validate(scn: dict) -> List[Tuple[str, str]]:
         need("L", not (unanimous and isinstance(L, int) and L > 256), "at most 256 with unanimous inputs")
     codec = scn.get("codec", DEFAULTS["codec"])
     need("codec", codec in ("plain", "compact"), "plain or compact")
-    if codec == "compact":
-        need("codec", row is not None and row.compact, f"compact codec covers {_COMPACT} only")
+    if codec == "compact":  # the compact forms are those of the pc round schedules
+        need("codec", row is not None and protocol in VARIANTS, f"compact codec covers {'/'.join(VARIANTS)} only")
     need("crypto", scn.get("crypto", "mac") in crypto.SCHEMES, "unknown backend")
     gst = scn.get("gst", DEFAULTS["gst"])
     need("gst", gst is None or (isinstance(gst, int) and gst >= 0), "integer time or null")
@@ -418,10 +416,10 @@ class RunResult:
 
 
 def run_scenario(scn: dict, record: bool = False) -> RunResult:
-    scn = {**DEFAULTS, **scn}
-    errors = validate(scn)
+    errors = validate(scn)  # reads every field it checks with its default
     if errors:
         raise ScenarioError(errors)
+    scn = {**DEFAULTS, **scn}
     n = scn["n"]
     scheme = make_scheme(scn["crypto"], n)
     policy = build_policy(scn)
@@ -429,7 +427,7 @@ def run_scenario(scn: dict, record: bool = False) -> RunResult:
     inputs = make_inputs(scn)
     cfg, build = PROTOCOL_TABLE[scn["protocol"]].engines(scn, scheme)
     measure = None
-    if scn["measure_bytes"]:  # validate admits the compact codec for rows with a pc config only
+    if scn["measure_bytes"]:  # validate admits the compact codec for the pc variants only
         codec = wire.CompactCodec(cfg, scheme) if scn["codec"] == "compact" else wire.PlainCodec()
         measure = codec.measure
 
@@ -453,5 +451,9 @@ def run_checks(result: RunResult, cfg, scheme) -> list:
 
 
 def load_scenario(path: str) -> dict:
+    """The JSON document at ``path``; a ``ScenarioError`` unless it is an object."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        scn = json.load(fh)
+    if not isinstance(scn, dict):
+        raise ScenarioError(validate(scn))
+    return scn

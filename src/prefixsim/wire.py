@@ -59,46 +59,57 @@ few shared vote objects.  Only such votes keep bytes:
 Compact certificates
 --------------------
 The communication-optimized representations replace embedded vote sets
-with aggregated signatures plus compressed per-signer descriptors:
+with aggregated signatures plus compressed per-signer descriptors.  Each
+quorum function of ``pc`` (a ``pc.Round.certify``) has one compact
+form, a row of :data:`FORMS`: its class, builder, verifier and a reader
+of what it certifies, which is what ``pc.certify`` returns for the plain
+quorum.  So the round schedule picks the form of every certificate:
 
-* round-1 votes carry signatures on *all prefixes* of the input, so
-  later quorums can aggregate at any cut;
-* a compact first-round certificate stores, per signer, only the
-  divergence point from the certified prefix ``(length, next element)``;
-* a compact second-round certificate is a multi-signature plus either a
-  full-length anchor certificate or two divergence witnesses;
-* chain-shaped certificates (mutually consistent prefixes) store the
-  shortest and longest values with their evidence plus per-signer
-  logical lengths.
+* supported prefix (``CQC1``): the certified prefix and, per signer,
+  only the divergence point from it ``(length, next element)``;
+* common prefix (``CQC2``): a multi-signature on it plus either a
+  full-length anchor or two divergence witnesses;
+* supported and common prefix (``OQC1``): a ``CQC1`` plus the common
+  part of a ``CQC2``, whose witnesses are round-1 votes;
+* extremes (``ChainQC``, mutually consistent prefixes): the shortest and
+  longest values and per-signer logical lengths;
+* common prefix and extension (``StemQC``, possibly conflicting
+  prefixes): a shared stem plus per-signer suffixes.
 
-Three constructions are shared: prefix-signature votes (``CVote1``,
-``CVote2``, ``OVote2``), a quorum's common prefix with its
-multi-signature and divergence witnesses (``CQC2``, the common part of
-``OQC1``), and the ``ChainQC`` of pc3 round 3 and optimistic rounds 2
-and 4.
+A certificate that proves what some vote holds carries that vote's
+*evidence*: the compact form of each certificate the vote carries,
+stored bare when there is one (None for a round-1 vote).  That is the
+``CQC2`` anchor and witnesses and the extremes of ``ChainQC`` and
+``StemQC``; the check runs :func:`verify_compact` on each piece and
+``pc.vote_value`` on what they certify.  The entry points are
+:func:`compact_qc`, :func:`compact_vote`, :func:`verify_compact` and
+:func:`compact_value`.  :data:`VOTE_FORMS`, the one per-variant column,
+names each round's compact vote class; round-1 votes, and the round-2
+votes of ``pc3`` and ``pc_opt``, carry signatures on *all prefixes* of
+their value, so later quorums can aggregate at any cut.
 
 Vectors inside compact structures are padded with BOT to the instance
 capacity ``L``; logical values ignore the padding.  Every certificate
 verifier returns ``(ok, reason)`` and re-derives the certified values
 from the signed material, so a compact certificate certifies exactly
-what the plain vote-set certification computes (checked end-to-end by
-:func:`equivalence_harness`).  Compact forms are only measured
-(``CompactCodec``); engines receive plain votes, so compact votes have
-no receive path and no verifier, except ``verify_cvote1`` for the
-round-1 prefix signatures.
+what the plain vote-set certification computes (checked end-to-end for
+every variant by :func:`equivalence_harness`).  Compact forms are only
+measured (``CompactCodec``); engines receive plain votes, so compact
+votes have no receive path and no verifier, except ``verify_cvote1`` for
+the round-1 prefix signatures.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from . import crypto, encoding, pc
 from .crypto import AggregateSignature, Scheme, Signature
 from .encoding import DecodeError, cached
 from .pc import PcConfig, QC, Variant, Vote
-from .prefixes import BOT, Vector, _Bot, is_prefix, longest_supported_prefix, mcp
+from .prefixes import BOT, Vector, _Bot, longest_supported_prefix, mce, mcp
 
 # ---------------------------------------------------------------------------
 # Generic self-describing codec
@@ -325,14 +336,6 @@ def _prefix_msg(vec_padded: Vector, k: int) -> Vector:
     return strip(vec_padded[:k])
 
 
-def prefix_signatures(scheme: Scheme, party: int, kind: str, instance: tuple, vec_padded: Vector) -> tuple:
-    """Signatures on every prefix (lengths 0..L) of a padded vector."""
-    return tuple(
-        scheme.sign_vector(party, kind, instance, _prefix_msg(vec_padded, k))
-        for k in range(len(vec_padded) + 1)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Compact structures
 
@@ -371,7 +374,7 @@ class Witness2:
     party: int
     elem: object
     sig: Signature
-    qc1: object  # CQC1 (three-round) or OQC1 (optimistic y-part witnesses carry no qc)
+    qc1: object  # the witness vote's evidence: a CQC1, or None for a round-1 vote
 
 
 @register(13)
@@ -405,7 +408,7 @@ class CVote3:
     sender: int
     value: Vector  # padded
     sig: Signature
-    qc2: CQC2
+    qc2: object  # CQC2 (three-round) or CQC1 (two-round)
 
 
 @register(16)
@@ -413,10 +416,8 @@ class CVote3:
 class ChainQC:
     """Shortest/longest packaging of mutually consistent certified
     prefixes: per-signer logical lengths relative to the longest, plus
-    evidence certificates for both extremes.
-
-    Parameterizes the round-3 certificate of the three-round protocol
-    and the round-2/round-4 certificates of the optimistic variant.
+    the evidence of both extremes.  The compact form of ``pc.extremes``:
+    pc3 round 3, pc_opt rounds 2 and 4, pc_5f1 round 2.
     """
 
     inst: tuple
@@ -472,7 +473,7 @@ class OVote3:
 class StemQC:
     """Round-3 certificate of the optimistic variant: possibly
     conflicting votes stored as a shared stem plus per-signer suffixes,
-    with derivation evidence for the shortest and longest votes."""
+    with the evidence of the shortest and longest votes."""
 
     inst: tuple
     stem: Vector  # padded mcp of all votes
@@ -497,23 +498,29 @@ class OVote4:
 # Builders (plain -> compact)
 
 
-def _prefix_sig_vote(cls, kind: str, vote: Vote, cfg: PcConfig, scheme: Scheme, *rest):
-    """A ``cls`` vote carrying the sender's ``kind`` signatures on every
-    prefix of its padded value, followed by ``rest``."""
+def compact_qc(qc: QC, cfg: PcConfig, scheme: Scheme):
+    """``qc`` in the compact form of its round's quorum function."""
+    return FORMS[cfg.rounds[qc.round].certify].build(qc, cfg, scheme)
+
+
+def compact_vote(vote: Vote, cfg: PcConfig, scheme: Scheme):
+    """``vote`` as its variant's compact class for its round
+    (``VOTE_FORMS``): prefix signatures when the class has them, else the
+    vote's signature, then the compact form of each certificate it carries."""
+    cls = VOTE_FORMS[cfg.variant][vote.round]
     padded = pad(vote.value, cfg.L)
-    sigs = prefix_signatures(scheme, vote.sender, kind, cfg.instance, padded)
-    return cls(cfg.instance, vote.sender, padded, sigs, *rest)
+    sig = vote.sig
+    if "prefix_sigs" in _LAYOUT[cls][1]:  # on every prefix, of lengths 0..L
+        sig = tuple(scheme.sign_vector(vote.sender, pc.VOTE_KIND[vote.round], cfg.instance, _prefix_msg(padded, k))
+                    for k in range(cfg.L + 1))
+    return cls(cfg.instance, vote.sender, padded, sig, *(compact_qc(qc, cfg, scheme) for qc in vote.qcs))
 
 
-def build_cvote1(vote: Vote, cfg: PcConfig, scheme: Scheme) -> CVote1:
-    return _prefix_sig_vote(CVote1, crypto.VOTE1, vote, cfg, scheme)
-
-
-def _desc_for(vote_padded: Vector, certified_padded: Vector, L: int):
-    if vote_padded == certified_padded:
-        return (L, BOT)
-    cut = _pmcp_len(vote_padded, certified_padded)
-    return (cut, vote_padded[cut])
+def _evidence(vote: Vote, cfg: PcConfig, scheme: Scheme):
+    """The evidence of ``vote``: the compact form of each certificate it
+    carries, bare when there is one, None when there is none."""
+    forms = tuple(compact_qc(qc, cfg, scheme) for qc in vote.qcs)
+    return forms[0] if len(forms) == 1 else forms or None
 
 
 def build_cqc1(qc: QC, cfg: PcConfig, scheme: Scheme) -> CQC1:
@@ -523,32 +530,26 @@ def build_cqc1(qc: QC, cfg: PcConfig, scheme: Scheme) -> CQC1:
     entries = []
     for vote in sorted(qc.votes, key=lambda v: v.sender):
         vpad = pad(vote.value, cfg.L)
-        cut, elem = _desc_for(vpad, cpad, cfg.L)
+        cut = cfg.L if vpad == cpad else _pmcp_len(vpad, cpad)  # where it leaves the certified prefix
+        elem = vpad[cut] if cut < cfg.L else BOT
         trunc = _prefix_msg(vpad, min(cut + 1, cfg.L))
-        sig = scheme.sign_vector(vote.sender, crypto.VOTE1, cfg.instance, trunc)
+        sig = scheme.sign_vector(vote.sender, pc.VOTE_KIND[qc.round], cfg.instance, trunc)
         entries.append((vote.sender, (cut, elem), sig))
-    return CQC1(
-        cfg.instance,
-        cpad,
-        tuple(e[0] for e in entries),
-        tuple(e[1] for e in entries),
-        b"".join(e[2].blob for e in entries),
-    )
+    signers, descs, sigs = zip(*entries)
+    return CQC1(cfg.instance, cpad, signers, descs, b"".join(sig.blob for sig in sigs))
 
 
-def _multi_blob(scheme: Scheme, kind: str, instance: tuple, signers, message: Vector) -> bytes:
-    return b"".join(scheme.sign_vector(party, kind, instance, message).blob for party in signers)
-
-
-def _common_prefix(qc: QC, cfg: PcConfig, scheme: Scheme, kind: str, witness_qc: Callable):
-    """A quorum's padded common prefix, its signers, their ``kind``
-    multi-signature over it and, unless the prefix fills the capacity,
-    two ``Witness2`` whose certificate is ``witness_qc(vote)``."""
+def _common_prefix(qc: QC, cfg: PcConfig, scheme: Scheme):
+    """A quorum's padded common prefix, its signers, their multi-signature
+    over it and, unless the prefix fills the capacity, two ``Witness2``
+    with their votes' evidence: the fields of ``CQC2`` and of the common
+    part of ``OQC1``, in order."""
+    kind = pc.VOTE_KIND[qc.round]
     padded = [pad(v.value, cfg.L) for v in qc.votes]
     cut = min(_pmcp_len(padded[0], p) for p in padded)
     common = padded[0][:cut] + (BOT,) * (cfg.L - cut)
     signers = tuple(sorted(v.sender for v in qc.votes))
-    blob = _multi_blob(scheme, kind, cfg.instance, signers, strip(common))
+    blob = b"".join(scheme.sign_vector(party, kind, cfg.instance, strip(common)).blob for party in signers)
     if cut == cfg.L:
         return common, signers, blob, None
     by_elem: Dict[object, Vote] = {}
@@ -557,126 +558,95 @@ def _common_prefix(qc: QC, cfg: PcConfig, scheme: Scheme, kind: str, witness_qc:
     wits = []
     for elem, vote in list(by_elem.items())[:2]:
         sig = scheme.sign_vector(vote.sender, kind, cfg.instance, _prefix_msg(pad(vote.value, cfg.L), cut + 1))
-        wits.append(Witness2(vote.sender, elem, sig, witness_qc(vote)))
+        wits.append(Witness2(vote.sender, elem, sig, _evidence(vote, cfg, scheme)))
     return common, signers, blob, tuple(wits)
 
 
 def build_cqc2(qc: QC, cfg: PcConfig, scheme: Scheme) -> CQC2:
-    common, signers, blob, wits = _common_prefix(
-        qc, cfg, scheme, crypto.VOTE2, lambda vote: build_cqc1(vote.qcs[0], cfg, scheme)
-    )
-    anchor = build_cqc1(qc.votes[0].qcs[0], cfg, scheme) if wits is None else None
+    common, signers, blob, wits = _common_prefix(qc, cfg, scheme)
+    anchor = _evidence(qc.votes[0], cfg, scheme) if wits is None else None
     return CQC2(cfg.instance, common, signers, blob, anchor, wits)
 
 
-def build_cvote2(vote: Vote, cfg: PcConfig, scheme: Scheme) -> CVote2:
-    return _prefix_sig_vote(CVote2, crypto.VOTE2, vote, cfg, scheme, build_cqc1(vote.qcs[0], cfg, scheme))
+def build_oqc1(qc: QC, cfg: PcConfig, scheme: Scheme) -> OQC1:
+    return OQC1(cfg.instance, build_cqc1(qc, cfg, scheme), *_common_prefix(qc, cfg, scheme))
 
 
-def _extremes(qc: QC):
+def _shortest_longest(qc: QC):
     """A quorum's shortest and longest votes, and its votes by sender."""
     shortest = min(qc.votes, key=lambda v: len(v.value))
     longest = max(qc.votes, key=lambda v: len(v.value))
     return shortest, longest, sorted(qc.votes, key=lambda v: v.sender)
 
 
-def _build_chain(qc: QC, cfg: PcConfig, scheme: Scheme, kind: str, build_ev: Callable) -> ChainQC:
-    """The ``ChainQC`` of a quorum of ``kind`` votes whose values are
-    mutually consistent; ``build_ev`` builds each extreme's evidence from
-    its vote's certificate."""
-    shortest, longest, entries = _extremes(qc)
+def build_chain(qc: QC, cfg: PcConfig, scheme: Scheme) -> ChainQC:
+    shortest, longest, entries = _shortest_longest(qc)
     return ChainQC(
         cfg.instance,
         qc.round,
-        kind,
+        pc.VOTE_KIND[qc.round],
         pad(shortest.value, cfg.L),
-        build_ev(shortest.qcs[0], cfg, scheme),
+        _evidence(shortest, cfg, scheme),
         pad(longest.value, cfg.L),
-        build_ev(longest.qcs[0], cfg, scheme),
+        _evidence(longest, cfg, scheme),
         tuple(v.sender for v in entries),
         tuple(len(v.value) for v in entries),
         b"".join(v.sig.blob for v in entries),
     )
 
 
-def build_cqc3(qc: QC, cfg: PcConfig, scheme: Scheme) -> ChainQC:
-    return _build_chain(qc, cfg, scheme, crypto.VOTE3, build_cqc2)
-
-
-def build_cvote3(vote: Vote, cfg: PcConfig, scheme: Scheme) -> CVote3:
-    return CVote3(cfg.instance, vote.sender, pad(vote.value, cfg.L), vote.sig, build_cqc2(vote.qcs[0], cfg, scheme))
-
-
-# -- optimistic builders
-
-
-def build_oqc1(qc: QC, cfg: PcConfig, scheme: Scheme) -> OQC1:
-    xpart = build_cqc1(qc, cfg, scheme)
-    common, signers, blob, wits = _common_prefix(qc, cfg, scheme, crypto.VOTE1, lambda vote: None)
-    return OQC1(cfg.instance, xpart, common, signers, blob, wits)
-
-
-def build_ovote2(vote: Vote, cfg: PcConfig, scheme: Scheme) -> OVote2:
-    return _prefix_sig_vote(OVote2, crypto.VOTE2, vote, cfg, scheme, build_oqc1(vote.qcs[0], cfg, scheme))
-
-
-def build_oqc2(qc: QC, cfg: PcConfig, scheme: Scheme) -> ChainQC:
-    return _build_chain(qc, cfg, scheme, crypto.VOTE2, build_oqc1)
-
-
-def build_ovote3(vote: Vote, cfg: PcConfig, scheme: Scheme) -> OVote3:
-    qc1, qc2 = vote.qcs
-    return OVote3(
-        cfg.instance,
-        vote.sender,
-        pad(vote.value, cfg.L),
-        vote.sig,
-        build_oqc1(qc1, cfg, scheme),
-        build_oqc2(qc2, cfg, scheme),
-    )
-
-
-def build_oqc3(qc: QC, cfg: PcConfig, scheme: Scheme) -> StemQC:
+def build_stem(qc: QC, cfg: PcConfig, scheme: Scheme) -> StemQC:
     stem = mcp(qc.values())
-    shortest, longest, entries = _extremes(qc)
-
-    def evidence(vote: Vote):
-        qc1, qc2 = vote.qcs
-        return (build_oqc1(qc1, cfg, scheme), build_oqc2(qc2, cfg, scheme))
-
+    shortest, longest, entries = _shortest_longest(qc)
     return StemQC(
         cfg.instance,
         pad(stem, cfg.L),
         tuple(tuple(v.value[len(stem) :]) for v in entries),
         tuple(v.sender for v in entries),
         b"".join(v.sig.blob for v in entries),
-        evidence(shortest),
-        evidence(longest),
+        _evidence(shortest, cfg, scheme),
+        _evidence(longest, cfg, scheme),
     )
-
-
-def build_ovote4(vote: Vote, cfg: PcConfig, scheme: Scheme) -> OVote4:
-    return OVote4(cfg.instance, vote.sender, pad(vote.value, cfg.L), vote.sig, build_oqc3(vote.qcs[0], cfg, scheme))
-
-
-def build_oqc4(qc: QC, cfg: PcConfig, scheme: Scheme) -> ChainQC:
-    return _build_chain(qc, cfg, scheme, crypto.VOTE4, build_oqc3)
 
 
 # ---------------------------------------------------------------------------
 # Verification
 
 
-def _check_multi(scheme: Scheme, kind: str, inst: tuple, signers, message: Vector, blob: bytes):
-    if len(set(signers)) != len(signers):
-        return False, "duplicate signer"
-    if len(blob) != scheme.sig_size * len(signers):
-        return False, "blob length"
-    for idx, party in enumerate(signers):
-        sig = scheme.constituent(blob, idx, party)
-        if not scheme.verify_vector(party, kind, inst, message, sig):
-            return False, f"signature of {party}"
-    return True, ""
+def verify_compact(q, r: int, cfg: PcConfig, scheme: Scheme):
+    """``(ok, reason)``: whether ``q`` is a valid compact certificate of a
+    round-``r`` quorum of ``cfg``'s schedule."""
+    return _verify_form(FORMS[cfg.rounds[r].certify], q, r, cfg, scheme)
+
+
+def compact_value(q, r: int, cfg: PcConfig):
+    """What the compact round-``r`` certificate ``q`` certifies, as
+    ``pc.certify`` returns it for the plain one."""
+    return FORMS[cfg.rounds[r].certify].value(q)
+
+
+def _verify_form(form, q, r: int, cfg: PcConfig, scheme: Scheme):
+    if not isinstance(q, form.cls):
+        return False, f"not a {form.cls.__name__}"
+    return form.verify(q, r, cfg, scheme)
+
+
+def _evidence_value(ev, r: int, cfg: PcConfig, scheme: Scheme):
+    """``(reason, value)`` of ``ev``, the evidence of a round-``r`` vote:
+    ``reason`` is empty when each piece verifies, and ``value`` is what a
+    vote carrying such certificates holds (None for round 1, whose votes
+    carry none, so that nothing but their signature shows their value)."""
+    carries = cfg.rounds[r].carries
+    if not carries:
+        return ("", None) if ev is None else ("evidence of a vote that carries none", None)
+    pieces = (ev,) if len(carries) == 1 else ev
+    if not isinstance(pieces, tuple) or len(pieces) != len(carries):
+        return "malformed", None
+    for piece, c in zip(pieces, carries):
+        ok, why = verify_compact(piece, c, cfg, scheme)
+        if not ok:
+            return f"qc{c}: {why}", None
+    return "", pc.vote_value(r, tuple(compact_value(p, c, cfg) for p, c in zip(pieces, carries)), cfg)
 
 
 def verify_cvote1(v: CVote1, cfg: PcConfig, scheme: Scheme):
@@ -692,7 +662,7 @@ def verify_cvote1(v: CVote1, cfg: PcConfig, scheme: Scheme):
     return True, ""
 
 
-def verify_cqc1(q: CQC1, cfg: PcConfig, scheme: Scheme):
+def verify_cqc1(q: CQC1, r: int, cfg: PcConfig, scheme: Scheme):
     if q.inst != cfg.instance:
         return False, "instance"
     if not _padded_ok(q.value, cfg.L):
@@ -718,7 +688,7 @@ def verify_cqc1(q: CQC1, cfg: PcConfig, scheme: Scheme):
                 return False, f"descriptor {idx}: cut beyond certified prefix"
             truncated = strip(base + (elem,))
         sig = scheme.constituent(q.blob, idx, party)
-        if not scheme.verify_vector(party, crypto.VOTE1, cfg.instance, truncated, sig):
+        if not scheme.verify_vector(party, pc.VOTE_KIND[r], cfg.instance, truncated, sig):
             return False, f"truncated-vote signature of {party}"
         reconstructed.append(truncated)
     if longest_supported_prefix(reconstructed, cfg.support) != strip(q.value):
@@ -726,12 +696,26 @@ def verify_cqc1(q: CQC1, cfg: PcConfig, scheme: Scheme):
     return True, ""
 
 
-def _verify_witnesses(q_value: Vector, witnesses, cfg: PcConfig, scheme: Scheme, kind: str,
-                      verify_qc: Optional[Callable], qc_value: Optional[Callable]):
-    """Common divergence-proof checks; witnesses must extend the claimed
-    common prefix with two different next elements.  ``verify_qc`` checks
-    each witness's certificate and ``qc_value`` reads the padded value it
-    certifies; without them the witness signatures alone suffice."""
+def _verify_common(value: Vector, signers, blob: bytes, r: int, cfg: PcConfig, scheme: Scheme):
+    """The common-prefix part of a ``CQC2`` or ``OQC1``: a padded prefix
+    that the whole quorum signed."""
+    if not _padded_ok(value, cfg.L):
+        return False, "common prefix malformed"
+    if len(signers) != cfg.quorum or len(set(signers)) != cfg.quorum:
+        return False, "signer set"
+    if len(blob) != scheme.sig_size * cfg.quorum:
+        return False, "multi-signature: blob length"
+    for idx, party in enumerate(signers):
+        sig = scheme.constituent(blob, idx, party)
+        if not scheme.verify_vector(party, pc.VOTE_KIND[r], cfg.instance, strip(value), sig):
+            return False, f"multi-signature: signature of {party}"
+    return True, ""
+
+
+def _verify_witnesses(q_value: Vector, witnesses, r: int, cfg: PcConfig, scheme: Scheme):
+    """Divergence-proof checks: two round-``r`` votes extend the claimed
+    common prefix with different next elements, and each one's evidence
+    makes it vote that extension."""
     if len(witnesses) != 2:
         return False, "witness arity"
     w1, w2 = witnesses
@@ -744,53 +728,68 @@ def _verify_witnesses(q_value: Vector, witnesses, cfg: PcConfig, scheme: Scheme,
         return False, "witnesses for full-length prefix"
     for w in (w1, w2):
         claimed = strip(q_value[:cut] + (w.elem,))
-        if not scheme.verify_vector(w.party, kind, cfg.instance, claimed, w.sig):
+        if not scheme.verify_vector(w.party, pc.VOTE_KIND[r], cfg.instance, claimed, w.sig):
             return False, f"witness signature of {w.party}"
-        if verify_qc is None:
-            continue
-        ok, why = verify_qc(w.qc1)
-        if not ok:
-            return False, f"witness qc1: {why}"
-        if qc_value(w.qc1)[: cut + 1] != q_value[:cut] + (w.elem,):
-            return False, "witness qc1 does not certify the extension"
+        why, value = _evidence_value(w.qc1, r, cfg, scheme)
+        if why:
+            return False, f"witness evidence: {why}"
+        if value is not None and pad(value, cfg.L)[: cut + 1] != q_value[:cut] + (w.elem,):
+            return False, "witness evidence does not certify the extension"
     return True, ""
 
 
-def verify_cqc2(q: CQC2, cfg: PcConfig, scheme: Scheme):
+def verify_cqc2(q: CQC2, r: int, cfg: PcConfig, scheme: Scheme):
     if q.inst != cfg.instance:
         return False, "instance"
-    if not _padded_ok(q.value, cfg.L):
-        return False, "common prefix malformed"
-    if len(q.signers) != cfg.quorum:
-        return False, "signer set"
-    ok, why = _check_multi(scheme, crypto.VOTE2, cfg.instance, q.signers, strip(q.value), q.blob)
+    ok, why = _verify_common(q.value, q.signers, q.blob, r, cfg, scheme)
     if not ok:
-        return False, f"multi-signature: {why}"
+        return False, why
     if (q.anchor is None) == (q.witnesses is None):
         return False, "proof must be an anchor or witnesses"
-    if q.anchor is not None:
-        # Anchor branch: the claimed prefix is one certified vote in full
-        # (all quorum votes identical, padded representation included);
-        # the guard that the prefix fills the whole padded vector is what
-        # the anchor-identity check enforces.
-        ok, why = verify_cqc1(q.anchor, cfg, scheme)
-        if not ok:
-            return False, f"anchor qc1: {why}"
-        if q.anchor.value != q.value:
-            return False, "anchor does not certify the prefix"
+    if q.witnesses is not None:
+        return _verify_witnesses(q.value, q.witnesses, r, cfg, scheme)
+    # Anchor branch: every signer signed the prefix as its whole vote, and
+    # the anchor is the evidence of one such vote.
+    why, value = _evidence_value(q.anchor, r, cfg, scheme)
+    if why:
+        return False, f"anchor: {why}"
+    if value != strip(q.value):
+        return False, "anchor does not certify the prefix"
+    return True, ""
+
+
+def verify_oqc1(q: OQC1, r: int, cfg: PcConfig, scheme: Scheme):
+    if q.inst != cfg.instance:
+        return False, "instance"
+    ok, why = _verify_form(FORMS[pc.supported_prefix], q.xpart, r, cfg, scheme)
+    if not ok:
+        return False, f"supported part: {why}"
+    ok, why = _verify_common(q.common, q.c_signers, q.c_blob, r, cfg, scheme)
+    if not ok:
+        return False, why
+    if len(strip(q.common)) == cfg.L:
+        if q.c_witnesses is not None:
+            return False, "witnesses with full-length common prefix"
         return True, ""
-    return _verify_witnesses(
-        q.value, q.witnesses, cfg, scheme, crypto.VOTE2,
-        lambda qc1: verify_cqc1(qc1, cfg, scheme) if isinstance(qc1, CQC1) else (False, "type"),
-        lambda qc1: qc1.value,
-    )
+    if q.c_witnesses is None:
+        return False, "missing witnesses"
+    return _verify_witnesses(q.common, q.c_witnesses, r, cfg, scheme)
 
 
-def _verify_chain(q: ChainQC, cfg: PcConfig, scheme: Scheme, r: int, ev_type: type,
-                  verify_ev: Callable, ev_value: Callable):
-    """Check a round-``r`` ``ChainQC`` whose extremes' evidence is an
-    ``ev_type`` certificate, checked by ``verify_ev`` and read by
-    ``ev_value``."""
+def _verify_extremes(short_ev, shortest: Vector, long_ev, longest: Vector, r: int, cfg: PcConfig,
+                     scheme: Scheme):
+    """The evidence of a quorum's shortest and longest round-``r`` votes
+    must verify and make each vote its claimed value."""
+    for label, ev, expect in (("short", short_ev, shortest), ("long", long_ev, longest)):
+        why, value = _evidence_value(ev, r, cfg, scheme)
+        if why:
+            return False, f"{label} evidence: {why}"
+        if value != expect:
+            return False, f"{label} evidence certifies a different value"
+    return True, ""
+
+
+def verify_chain(q: ChainQC, r: int, cfg: PcConfig, scheme: Scheme):
     if q.round != r or q.kind != pc.VOTE_KIND[r]:
         return False, "wrong round"
     if q.inst != cfg.instance:
@@ -816,46 +815,10 @@ def _verify_chain(q: ChainQC, cfg: PcConfig, scheme: Scheme, r: int, ev_type: ty
         return False, "claimed shortest not minimal"
     if max(q.lengths) != len(long_logical):
         return False, "claimed longest not maximal"
-    for label, ev, expect in (("short", q.short_ev, short_logical), ("long", q.long_ev, long_logical)):
-        ok, why = verify_ev(ev, cfg, scheme) if isinstance(ev, ev_type) else (False, "type")
-        if not ok:
-            return False, f"{label} evidence: {why}"
-        if ev_value(ev) != expect:
-            return False, f"{label} evidence certifies a different value"
-    return True, ""
+    return _verify_extremes(q.short_ev, short_logical, q.long_ev, long_logical, r, cfg, scheme)
 
 
-def verify_cqc3(q: ChainQC, cfg: PcConfig, scheme: Scheme):
-    return _verify_chain(q, cfg, scheme, 3, CQC2, verify_cqc2, cqc_value)
-
-
-def verify_oqc1(q: OQC1, cfg: PcConfig, scheme: Scheme):
-    if q.inst != cfg.instance:
-        return False, "instance"
-    ok, why = verify_cqc1(q.xpart, cfg, scheme)
-    if not ok:
-        return False, f"supported part: {why}"
-    if not _padded_ok(q.common, cfg.L):
-        return False, "common prefix malformed"
-    if len(q.c_signers) != cfg.quorum:
-        return False, "signer set"
-    ok, why = _check_multi(scheme, crypto.VOTE1, cfg.instance, q.c_signers, strip(q.common), q.c_blob)
-    if not ok:
-        return False, f"common multi-signature: {why}"
-    if len(strip(q.common)) == cfg.L:
-        if q.c_witnesses is not None:
-            return False, "witnesses with full-length common prefix"
-        return True, ""
-    if q.c_witnesses is None:
-        return False, "missing witnesses"
-    return _verify_witnesses(q.common, q.c_witnesses, cfg, scheme, crypto.VOTE1, None, None)
-
-
-def verify_oqc2(q: ChainQC, cfg: PcConfig, scheme: Scheme):
-    return _verify_chain(q, cfg, scheme, 2, OQC1, verify_oqc1, lambda ev: strip(ev.common))
-
-
-def verify_oqc3(q: StemQC, cfg: PcConfig, scheme: Scheme):
+def verify_stem(q: StemQC, r: int, cfg: PcConfig, scheme: Scheme):
     if q.inst != cfg.instance:
         return False, "instance"
     if not _padded_ok(q.stem, cfg.L):
@@ -873,50 +836,52 @@ def verify_oqc3(q: StemQC, cfg: PcConfig, scheme: Scheme):
         if len(value) > cfg.L:
             return False, f"suffix {idx} overlong"
         sig = scheme.constituent(q.blob, idx, party)
-        if not scheme.verify_vector(party, crypto.VOTE3, cfg.instance, value, sig):
+        if not scheme.verify_vector(party, pc.VOTE_KIND[r], cfg.instance, value, sig):
             return False, f"signature of {party}"
         votes.append(value)
     if mcp(votes) != stem:
         return False, "stem not the common prefix"
-    shortest = min(votes, key=len)
-    longest = max(votes, key=len)
-    for label, ev, expect in (("short", q.short_ev, shortest), ("long", q.long_ev, longest)):
-        if not isinstance(ev, tuple) or len(ev) != 2:
-            return False, f"{label} evidence malformed"
-        qc1, qc2 = ev
-        ok, why = verify_oqc1(qc1, cfg, scheme)
-        if not ok:
-            return False, f"{label} evidence qc1: {why}"
-        ok, why = verify_oqc2(qc2, cfg, scheme)
-        if not ok:
-            return False, f"{label} evidence qc2: {why}"
-        supported = strip(qc1.xpart.value)
-        extension = strip(qc2.long)
-        merged = supported if is_prefix(extension, supported) else extension
-        if merged != expect:
-            return False, f"{label} evidence derives a different vote"
-    return True, ""
+    return _verify_extremes(q.short_ev, min(votes, key=len), q.long_ev, max(votes, key=len), r, cfg, scheme)
 
 
-def verify_oqc4(q: ChainQC, cfg: PcConfig, scheme: Scheme):
-    return _verify_chain(q, cfg, scheme, 4, StemQC, verify_oqc3, stemqc_common)
+# ---------------------------------------------------------------------------
+# The compact form of each quorum function, and of each variant's votes
 
 
-# -- certified-value accessors
+class Form(NamedTuple):
+    """The compact certificate of one quorum function (a ``pc.Round.certify``)."""
+
+    cls: type
+    build: Callable  # (plain qc, cfg, scheme) -> compact certificate
+    verify: Callable  # (compact, round, cfg, scheme) -> (ok, reason), for a ``cls`` object
+    value: Callable  # compact -> what the quorum function returns
 
 
-def cqc_value(q) -> Vector:
-    """The value a ``CQC1`` or ``CQC2`` certifies."""
-    return strip(q.value)
+def _stem_value(q: StemQC):
+    votes = [strip(q.stem) + suffix for suffix in q.suffixes]
+    return mcp(votes), mce(votes)
 
 
-def chain_values(q: ChainQC) -> Tuple[Vector, Vector]:
-    return strip(q.short), strip(q.long)
+_prefix_value = lambda q: strip(q.value)
 
+FORMS: Dict[Callable, Form] = {
+    pc.supported_prefix: Form(CQC1, build_cqc1, verify_cqc1, _prefix_value),
+    pc.common_prefix: Form(CQC2, build_cqc2, verify_cqc2, _prefix_value),
+    pc.supported_and_common: Form(OQC1, build_oqc1, verify_oqc1, lambda q: (strip(q.xpart.value), strip(q.common))),
+    pc.extremes: Form(ChainQC, build_chain, verify_chain, lambda q: (strip(q.short), strip(q.long))),
+    pc.common_and_extension: Form(StemQC, build_stem, verify_stem, _stem_value),
+}
 
-def stemqc_common(q: StemQC) -> Vector:
-    stem = strip(q.stem)
-    return mcp([stem + suffix for suffix in q.suffixes])
+#: Each variant's compact vote class per round.  A class with
+#: ``prefix_sigs`` signs every prefix of its value; the rest keep the
+#: vote's signature.  The classes do not follow from the quorum functions:
+#: ``OVote2`` carries prefix signatures that the ``ChainQC`` of its round
+#: never reads, and its bytes are pinned.
+VOTE_FORMS: Dict[Variant, Dict[int, type]] = {
+    Variant.THREE_ROUND: {1: CVote1, 2: CVote2, 3: CVote3},
+    Variant.OPTIMISTIC: {1: CVote1, 2: OVote2, 3: OVote3, 4: OVote4},
+    Variant.FAST_5F1: {1: CVote1, 2: CVote3},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -924,50 +889,40 @@ def stemqc_common(q: StemQC) -> Vector:
 
 
 def equivalence_harness(vote1_values: Sequence[Vector], cfg: PcConfig, scheme: Scheme, rng) -> tuple:
-    """Drive one three-round pipeline over a round-1 vote multiset both
-    ways and compare every certified value.
+    """Drive one pipeline of ``cfg``'s schedule over a round-1 vote
+    multiset both ways and compare every certified value.
 
     ``vote1_values[p]`` is party ``p``'s (possibly Byzantine-chosen)
     round-1 value.  Each party certifies a random quorum at every round,
-    exactly as an asynchronous schedule would.  Returns the plain
-    (low, high) pair; raises AssertionError on any plain/compact
-    disagreement.
+    exactly as an asynchronous schedule would, and votes from its own
+    certificates.  Returns the plain (low, high) pair of the last round;
+    raises AssertionError on any plain/compact disagreement.
     """
-    if cfg.variant is not Variant.THREE_ROUND:
-        raise ValueError("harness covers the three-round protocol")
-    n = cfg.n
     votes = []
     for party, value in enumerate(vote1_values):
         sig = scheme.sign_vector(party, crypto.VOTE1, cfg.instance, tuple(value))
         votes.append(Vote(cfg.instance, 1, party, tuple(value), sig))
-
-    def quorum(pool):
-        return tuple(sorted(rng.sample(pool, cfg.quorum), key=lambda v: v.sender))
-
-    for r, build, verify, kind in ((1, build_cqc1, verify_cqc1, crypto.VOTE2),
-                                   (2, build_cqc2, verify_cqc2, crypto.VOTE3)):
-        next_votes = []
-        for party in range(n):
-            qc = QC(r, quorum(votes))
-            certified = pc.certify(qc, cfg)
-            compact = build(qc, cfg, scheme)
-            ok, why = verify(compact, cfg, scheme)
-            assert ok, f"compact qc{r} rejected: {why}"
-            assert cqc_value(compact) == certified, f"qc{r} certification mismatch"
-            sig = scheme.sign_vector(party, kind, cfg.instance, certified)
-            next_votes.append(Vote(cfg.instance, r + 1, party, certified, sig, (qc,)))
-        votes = next_votes
-
+    own = [{} for _ in range(cfg.n)]  # each party's certificate of each round
     results = set()
-    for party in range(n):
-        qc3 = QC(3, quorum(votes))
-        low, high = pc.certify(qc3, cfg)
-        compact = build_cqc3(qc3, cfg, scheme)
-        ok, why = verify_cqc3(compact, cfg, scheme)
-        assert ok, f"compact qc3 rejected: {why}"
-        assert chain_values(compact) == (low, high), "qc3 certification mismatch"
-        results.add((low, high))
-    return results.pop() if len(results) == 1 else sorted(results, key=lambda lh: (len(lh[0]), len(lh[1])))[0]
+    for r in cfg.rounds:
+        following = cfg.rounds.get(r + 1)
+        next_votes = []
+        for party in range(cfg.n):
+            qc = own[party][r] = QC(r, tuple(sorted(rng.sample(votes, cfg.quorum), key=lambda v: v.sender)))
+            certified = pc.certify(qc, cfg)
+            compact = compact_qc(qc, cfg, scheme)
+            ok, why = verify_compact(compact, r, cfg, scheme)
+            assert ok, f"compact qc{r} rejected: {why}"
+            assert compact_value(compact, r, cfg) == certified, f"qc{r} certification mismatch"
+            if following is None:
+                results.add(certified)
+                continue
+            qcs = tuple(own[party][c] for c in following.carries)
+            value = pc.vote_value(r + 1, tuple(pc.certify(q, cfg) for q in qcs), cfg)
+            sig = scheme.sign_vector(party, pc.VOTE_KIND[r + 1], cfg.instance, value)
+            next_votes.append(Vote(cfg.instance, r + 1, party, value, sig, qcs))
+        votes = next_votes
+    return min(results, key=lambda lh: (len(lh[0]), len(lh[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -979,31 +934,21 @@ class PlainCodec:
         return measure(msg)
 
 
-_COMPACTORS = {
-    Variant.THREE_ROUND: {1: build_cvote1, 2: build_cvote2, 3: build_cvote3},
-    Variant.OPTIMISTIC: {1: build_cvote1, 2: build_ovote2, 3: build_ovote3, 4: build_ovote4},
-}
-
-
 class CompactCodec:
     """Measures protocol votes at their communication-optimized size.
 
     Compact forms are synthesized on the sender's side of the boundary
-    (prefix signatures need the sender's key); non-vote messages use the
-    plain layout.
+    (prefix signatures need the sender's key); non-vote messages, and
+    votes of a round the schedule lacks, use the plain layout.
     """
 
     def __init__(self, cfg: PcConfig, scheme: Scheme):
-        if cfg.variant not in _COMPACTORS:
-            raise ValueError(f"no compact codec for {cfg.variant.value}")
         self.cfg = cfg
         self.scheme = scheme
 
     def to_compact(self, msg):
-        if isinstance(msg, Vote) and msg.inst == self.cfg.instance:
-            builder = _COMPACTORS[self.cfg.variant].get(msg.round)
-            if builder is not None:
-                return builder(msg, self.cfg, self.scheme)
+        if isinstance(msg, Vote) and msg.inst == self.cfg.instance and msg.round in self.cfg.rounds:
+            return compact_vote(msg, self.cfg, self.scheme)
         return msg
 
     def measure(self, msg) -> int:

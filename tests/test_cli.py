@@ -6,7 +6,7 @@ import os
 import pytest
 
 from prefixsim import cli, wire
-from prefixsim.scenario import ADVERSARIES, run_scenario, validate
+from prefixsim.scenario import ADVERSARIES, ScenarioError, run_scenario, validate
 
 SCENARIOS = os.path.join(os.path.dirname(cli.__file__), "scenarios")
 
@@ -320,3 +320,35 @@ def test_decode_of_unreadable_input_is_exit_2(tmp_path, capsys, args):
     assert cli.main(["decode", *args]) == 2
     err = capsys.readouterr().err
     assert "unreadable" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [[], ["--seed", "3"], ["--codec", "plain"], ["sweep"]],
+                         ids=["run", "run-seed", "run-codec", "sweep"])
+def test_scenario_file_that_is_not_an_object_is_exit_2(tmp_path, capsys, args):
+    # Each used to end in a TypeError traceback.
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    if args == ["sweep"]:
+        argv = ["sweep", "--scenario", str(path), "--ns", "4,7"]
+    else:
+        argv = ["run", "--scenario", str(path), *args]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "scenario: scenario must be an object\n"
+    with pytest.raises(ScenarioError, match="scenario must be an object"):
+        run_scenario([1, 2])
+
+
+def test_equivalence_runs_every_variant(capsys):
+    assert cli.main(["check", "equivalence", "--n", "7", "--runs", "2"]) == 0
+    assert capsys.readouterr().out == "PASS equivalence: 6 runs, no violations\n"
+
+
+def test_censorship_message_names_what_it_compares(tmp_path, capsys):
+    # The suspender finding of ROADMAP item 1: the count is compared with
+    # the Byzantine parties (none here), not with f.
+    scn = {"version": 1, "protocol": "msc", "n": 4, "f": 1, "slots": 2, "gst": 0, "delta": 1, "delta_cap": 1,
+           "adversary": {"kind": "suspender", "round_len": 1}}
+    path = tmp_path / "suspender.json"
+    path.write_text(json.dumps(scn))
+    assert cli.main(["--quiet", "run", "--scenario", str(path)]) == 3
+    assert "censorship: 1 censored slots exceed the 0 Byzantine parties" in capsys.readouterr().err

@@ -75,7 +75,10 @@ def test_qc3_certify_examples():
     cfg = cfg3()
     assert certify(bare_qc(3, [(a,), (a, b), (a, b)]), cfg) == ((a,), (a, b))
     opt = PcConfig(4, 1, 4, Variant.OPTIMISTIC)
-    assert certify(bare_qc(3, [(a, b), (a, c), (a,)]), opt) == ((a,),)[0]
+    # Optimistic round 3: the common prefix, and the common extension
+    # unless the votes conflict.
+    assert certify(bare_qc(3, [(a, b), (a, c), (a,)]), opt) == ((a,), None)
+    assert certify(bare_qc(3, [(a, b), (a,), (a, b, c)]), opt) == ((a,), (a, b, c))
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +482,7 @@ def test_predicates_reject_what_a_certificate_does_not_prove():
     # A round-3 certificate whose votes agree proves a high, never a low.
     agreed = mce(qcs[3].values())
     assert agreed is not None and predicate_high(agreed, qcs[3], opt, scheme)
-    for value in (agreed, certify(qcs[3], opt), None):
+    for value in (agreed, certify(qcs[3], opt)[0], None):
         assert not predicate_low(value, qcs[3], opt, scheme)
     # A round-2 certificate short of full length proves only the opt output.
     early, _ = certify(qcs[2], opt)

@@ -96,3 +96,12 @@ def test_no_gst_counts_no_censored_slot():
     for gst in (None, 0):
         for seed in range(20):
             assert run_scenario({**scn, "gst": gst, "seed": seed}).violations == [], (gst, seed)
+
+
+def test_compact_codec_covers_the_pc_variants_only():
+    for protocol in scenario.PROTOCOLS:
+        scn = {"version": 1, "protocol": protocol, "n": 7, "f": 1, "L": 4, "codec": "compact"}
+        want = [] if protocol in scenario.VARIANTS else [("codec", "compact codec covers pc3/pc_opt/pc_5f1 only")]
+        assert validate(scn) == want, protocol
+    bad = {"version": 1, "protocol": ["pc3"], "n": 7, "f": 1, "L": 4, "codec": "compact"}
+    assert ("codec", "compact codec covers pc3/pc_opt/pc_5f1 only") in validate(bad)

@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 from prefixsim import crypto, encoding, wire
 from prefixsim.crypto import MacScheme, Signature
 from prefixsim.encoding import DecodeError
-from prefixsim.pc import PcConfig, PcEngine, QC, Variant, Vote, certify
+from prefixsim.pc import VARIANT_TABLE, PcConfig, PcEngine, QC, Variant, Vote, certify
 from prefixsim.nest import Nested
-from prefixsim.prefixes import BOT, mcp
+from prefixsim.prefixes import BOT, is_prefix, mcp
+from prefixsim.scenario import VARIANTS
 from prefixsim.simnet import DelayPolicy, Simulation
 from prefixsim.spc import DirectCert, NewView, SpcConfig
 from test_spc import make_view1_high
@@ -89,69 +90,70 @@ def test_pad_strip():
 
 def test_compact_qc1_completeness_and_recompute_rule():
     qc1, _, _ = pipeline(DIVERGENT)
-    compact = wire.build_cqc1(qc1, CFG, SCHEME)
-    ok, why = wire.verify_cqc1(compact, CFG, SCHEME)
+    compact = wire.compact_qc(qc1, CFG, SCHEME)
+    assert isinstance(compact, wire.CQC1)
+    ok, why = wire.verify_compact(compact, 1, CFG, SCHEME)
     assert ok, why
-    assert wire.cqc_value(compact) == certify(qc1, CFG)
+    assert wire.compact_value(compact, 1, CFG) == certify(qc1, CFG)
     # Claimed prefix shortened: recompute check must fire.
     shorter = wire.CQC1(
         compact.inst, wire.pad(wire.strip(compact.value)[:-1], CFG.L),
         compact.signers, compact.descs, compact.blob,
     )
-    ok, why = wire.verify_cqc1(shorter, CFG, SCHEME)
+    ok, why = wire.verify_compact(shorter, 1, CFG, SCHEME)
     assert not ok
     # Descriptor cut beyond capacity: malformed.
     bad_desc = (compact.descs[0], (CFG.L + 1, BOT)) + compact.descs[2:]
     bad = wire.CQC1(compact.inst, compact.value, compact.signers, bad_desc, compact.blob)
-    ok, why = wire.verify_cqc1(bad, CFG, SCHEME)
+    ok, why = wire.verify_compact(bad, 1, CFG, SCHEME)
     assert not ok and "cut" in why
 
 
 def test_compact_qc1_blob_tamper():
     qc1, _, _ = pipeline(DIVERGENT)
-    compact = wire.build_cqc1(qc1, CFG, SCHEME)
+    compact = wire.compact_qc(qc1, CFG, SCHEME)
     flipped = bytes([compact.blob[0] ^ 1]) + compact.blob[1:]
     bad = wire.CQC1(compact.inst, compact.value, compact.signers, compact.descs, flipped)
-    ok, _ = wire.verify_cqc1(bad, CFG, SCHEME)
+    ok, _ = wire.verify_compact(bad, 1, CFG, SCHEME)
     assert not ok
     blob = wire.encode(compact)
     corrupted = wire.decode(blob[: len(blob) - 2] + bytes([blob[-2] ^ 0xFF]) + blob[-1:])
-    ok, _ = wire.verify_cqc1(corrupted, CFG, SCHEME)
+    ok, _ = wire.verify_compact(corrupted, 1, CFG, SCHEME)
     assert not ok
 
 
 def test_compact_qc2_full_length_anchor():
     unanimous = [(a, b, c, d)] * 4
     _, qc2, _ = pipeline(unanimous)
-    compact = wire.build_cqc2(qc2, CFG, SCHEME)
+    compact = wire.compact_qc(qc2, CFG, SCHEME)
     assert compact.anchor is not None and compact.witnesses is None
-    ok, why = wire.verify_cqc2(compact, CFG, SCHEME)
+    ok, why = wire.verify_compact(compact, 2, CFG, SCHEME)
     assert ok, why
-    assert wire.cqc_value(compact) == (a, b, c, d)
+    assert wire.compact_value(compact, 2, CFG) == (a, b, c, d)
 
 
 def test_compact_qc2_divergence_witnesses():
     _, qc2, _ = pipeline(DIVERGENT, seed=3)
     plain = certify(qc2, CFG)
-    compact = wire.build_cqc2(qc2, CFG, SCHEME)
-    ok, why = wire.verify_cqc2(compact, CFG, SCHEME)
+    compact = wire.compact_qc(qc2, CFG, SCHEME)
+    ok, why = wire.verify_compact(compact, 2, CFG, SCHEME)
     assert ok, why
-    assert wire.cqc_value(compact) == plain
+    assert wire.compact_value(compact, 2, CFG) == plain
     if compact.witnesses is not None:
         w1, w2 = compact.witnesses
         equal = (wire.Witness2(w2.party, w1.elem, w1.sig, w1.qc1), w1)
         bad = wire.CQC2(compact.inst, compact.value, compact.signers, compact.blob, None, equal)
-        ok, why = wire.verify_cqc2(bad, CFG, SCHEME)
+        ok, why = wire.verify_compact(bad, 2, CFG, SCHEME)
         assert not ok and "equal" in why
 
 
 def test_compact_qc3_extremes():
     _, _, qc3 = pipeline(DIVERGENT, seed=5)
     low, high = certify(qc3, CFG)
-    compact = wire.build_cqc3(qc3, CFG, SCHEME)
-    ok, why = wire.verify_cqc3(compact, CFG, SCHEME)
+    compact = wire.compact_qc(qc3, CFG, SCHEME)
+    ok, why = wire.verify_compact(compact, 3, CFG, SCHEME)
     assert ok, why
-    assert wire.chain_values(compact) == (low, high)
+    assert wire.compact_value(compact, 3, CFG) == (low, high)
     if len(low) < len(high):
         # Claimed shortest not minimal among the encoded lengths.
         forged = wire.ChainQC(
@@ -159,7 +161,7 @@ def test_compact_qc3_extremes():
             compact.long, compact.long_ev, compact.long, compact.long_ev,
             compact.signers, compact.lengths, compact.blob,
         )
-        ok, why = wire.verify_cqc3(forged, CFG, SCHEME)
+        ok, why = wire.verify_compact(forged, 3, CFG, SCHEME)
         assert not ok
 
 
@@ -169,7 +171,7 @@ def test_vote_sizes_follow_backend_constants():
     cfg = PcConfig(4, 1, L, Variant.THREE_ROUND, ("w", "sz"))
     value = tuple(bytes([i]) for i in range(L))
     vote = Vote(cfg.instance, 1, 0, value, SCHEME.sign_vector(0, crypto.VOTE1, cfg.instance, value))
-    compact = wire.build_cvote1(vote, cfg, SCHEME)
+    compact = wire.compact_vote(vote, cfg, SCHEME)
     ok, why = wire.verify_cvote1(compact, cfg, SCHEME)
     assert ok, why
     size = wire.measure(compact)
@@ -179,23 +181,37 @@ def test_vote_sizes_follow_backend_constants():
     assert 0 < headers <= 10 * (L + 1) + 48
 
 
-def test_equivalence_random_and_adversarial():
+_HARNESS_SIZES = pytest.mark.parametrize("protocol, n", [
+    ("pc3", 4), ("pc_opt", 4), ("pc_opt", 7), ("pc_5f1", 6), ("pc_5f1", 11)])
+
+
+def _harness_cfg(protocol, n):
+    """A config of ``protocol`` at ``n`` with the largest f its bound allows, and L = 4."""
+    variant = VARIANTS[protocol]
+    return PcConfig(n, (n - 1) // VARIANT_TABLE[variant].resilience, 4, variant, ("w", protocol)), MacScheme(n)
+
+
+@_HARNESS_SIZES
+def test_equivalence_random_and_adversarial(protocol, n):
+    cfg, scheme = _harness_cfg(protocol, n)
     rng = random.Random(424242)
     alphabet = [a, b, c]
     for trial in range(60):
         values = []
-        for party in range(4):
-            if trial % 3 == 2 and party == 3:
+        for party in range(n):
+            if trial % 3 == 2 and party >= n - cfg.f:
                 # Byzantine-chosen vote: shares a short prefix then conflicts.
                 values.append((a,) + tuple(rng.choice(alphabet) for _ in range(3)))
             else:
                 values.append(tuple(rng.choice(alphabet) for _ in range(4)))
-        wire.equivalence_harness(values, CFG, SCHEME, rng)
+        low, high = wire.equivalence_harness(values, cfg, scheme, rng)
+        assert is_prefix(low, high)
 
 
-def test_equivalence_unanimous():
-    rng = random.Random(7)
-    low, high = wire.equivalence_harness([(a, b, c, d)] * 4, CFG, SCHEME, rng)
+@_HARNESS_SIZES
+def test_equivalence_unanimous(protocol, n):
+    cfg, scheme = _harness_cfg(protocol, n)
+    low, high = wire.equivalence_harness([(a, b, c, d)] * n, cfg, scheme, random.Random(7))
     assert low == high == (a, b, c, d)
 
 
@@ -211,30 +227,19 @@ def run_opt(inputs, L=4):
 
 def test_optimistic_compact_roundtrip_and_verify():
     cfg, scheme, sim = run_opt(DIVERGENT)
-    engine = sim.engines[0]
-    oqc1 = wire.build_oqc1(engine.own_qcs[1], cfg, scheme)
-    ok, why = wire.verify_oqc1(oqc1, cfg, scheme)
-    assert ok, why
-    supported, common = certify(engine.own_qcs[1], cfg)
-    assert wire.strip(oqc1.xpart.value) == supported
-    assert wire.strip(oqc1.common) == common
-
-    oqc2 = wire.build_oqc2(engine.own_qcs[2], cfg, scheme)
-    ok, why = wire.verify_oqc2(oqc2, cfg, scheme)
-    assert ok, why
-    early, ext = certify(engine.own_qcs[2], cfg)
-    assert wire.chain_values(oqc2) == (early, ext)
-
-    oqc3 = wire.build_oqc3(engine.own_qcs[3], cfg, scheme)
-    ok, why = wire.verify_oqc3(oqc3, cfg, scheme)
-    assert ok, why
-    assert wire.stemqc_common(oqc3) == mcp(engine.own_qcs[3].values())
-
-    oqc4 = wire.build_oqc4(engine.own_qcs[4], cfg, scheme)
-    ok, why = wire.verify_oqc4(oqc4, cfg, scheme)
-    assert ok, why
-    blob = wire.encode(oqc4)
-    assert wire.decode(blob) == oqc4
+    qcs = sim.engines[0].own_qcs
+    forms = {r: wire.compact_qc(qcs[r], cfg, scheme) for r in (1, 2, 3, 4)}
+    assert [type(q).__name__ for q in forms.values()] == ["OQC1", "ChainQC", "StemQC", "ChainQC"]
+    for r, compact in forms.items():
+        ok, why = wire.verify_compact(compact, r, cfg, scheme)
+        assert ok, why
+        assert wire.compact_value(compact, r, cfg) == certify(qcs[r], cfg)
+    supported, common = certify(qcs[1], cfg)
+    assert wire.strip(forms[1].xpart.value) == supported
+    assert wire.strip(forms[1].common) == common
+    assert wire.compact_value(forms[3], 3, cfg)[0] == mcp(qcs[3].values())
+    blob = wire.encode(forms[4])
+    assert wire.decode(blob) == forms[4]
 
 
 OPT_CFG = PcConfig(4, 1, 4, Variant.OPTIMISTIC, ("scn", "pc_opt"))
@@ -251,31 +256,94 @@ def _opt_qcs(seed):
 
 
 def test_optimistic_qc1_witness_forgeries():
-    oqc1 = next(q for q in (wire.build_oqc1(qcs[1], OPT_CFG, SCHEME) for qcs in _opt_qcs(5)) if q.c_witnesses)
-    ok, why = wire.verify_oqc1(oqc1, OPT_CFG, SCHEME)
+    oqc1 = next(q for q in (wire.compact_qc(qcs[1], OPT_CFG, SCHEME) for qcs in _opt_qcs(5)) if q.c_witnesses)
+    ok, why = wire.verify_compact(oqc1, 1, OPT_CFG, SCHEME)
     assert ok, why
     w1, w2 = oqc1.c_witnesses
     # One signer cannot witness a divergence with itself.
-    ok, why = wire.verify_oqc1(dataclasses.replace(oqc1, c_witnesses=(w1, w1)), OPT_CFG, SCHEME)
+    ok, why = wire.verify_compact(dataclasses.replace(oqc1, c_witnesses=(w1, w1)), 1, OPT_CFG, SCHEME)
     assert not ok and "equal" in why
     bad_sig = Signature(w2.sig.signer, bytes([w2.sig.blob[0] ^ 1]) + w2.sig.blob[1:])
     flipped = dataclasses.replace(oqc1, c_witnesses=(w1, dataclasses.replace(w2, sig=bad_sig)))
-    ok, why = wire.verify_oqc1(flipped, OPT_CFG, SCHEME)
+    ok, why = wire.verify_compact(flipped, 1, OPT_CFG, SCHEME)
     assert not ok and "witness signature" in why
 
 
-@pytest.mark.parametrize("r, build, verify, seed", [
-    (2, wire.build_oqc2, wire.verify_oqc2, 8),
-    (4, wire.build_oqc4, wire.verify_oqc4, 5),
-], ids=["oqc2", "oqc4"])
-def test_optimistic_chain_shortest_must_be_minimal(r, build, verify, seed):
-    chain = next(c for c in (build(qcs[r], OPT_CFG, SCHEME) for qcs in _opt_qcs(seed)) if c.short != c.long)
-    ok, why = verify(chain, OPT_CFG, SCHEME)
+@pytest.mark.parametrize("r, seed", [(2, 8), (4, 5)], ids=["oqc2", "oqc4"])
+def test_optimistic_chain_shortest_must_be_minimal(r, seed):
+    chain = next(c for c in (wire.compact_qc(qcs[r], OPT_CFG, SCHEME) for qcs in _opt_qcs(seed)) if c.short != c.long)
+    ok, why = wire.verify_compact(chain, r, OPT_CFG, SCHEME)
     assert ok, why
     # The longest vote and its evidence, claimed as the shortest too.
     forged = dataclasses.replace(chain, short=chain.long, short_ev=chain.long_ev)
-    ok, why = verify(forged, OPT_CFG, SCHEME)
+    ok, why = wire.verify_compact(forged, r, OPT_CFG, SCHEME)
     assert not ok and "shortest not minimal" in why
+
+
+def _nested_forgeries():
+    """Per nested certificate field: a round, its config and scheme, a
+    valid compact certificate of that round, and copies of it whose field
+    holds a value of the wrong type."""
+    rep = dataclasses.replace
+    anchored = wire.compact_qc(pipeline([(a, b, c, d)] * 4)[1], CFG, SCHEME)
+    witnessed = next(q for q in (wire.compact_qc(pipeline(DIVERGENT, seed=s)[1], CFG, SCHEME) for s in range(20))
+                     if q.witnesses)
+    w1, w2 = witnessed.witnesses
+    chain = wire.compact_qc(pipeline(DIVERGENT, seed=5)[2], CFG, SCHEME)
+    opt, opt_scheme, sim = run_opt(DIVERGENT)
+    oqc1 = wire.compact_qc(sim.engines[0].own_qcs[1], opt, opt_scheme)
+    stem = wire.compact_qc(sim.engines[0].own_qcs[3], opt, opt_scheme)
+    return {
+        "anchor": (2, CFG, SCHEME, anchored, [rep(anchored, anchor=5)]),
+        "witness-qc1": (2, CFG, SCHEME, witnessed, [rep(witnessed, witnesses=(rep(w1, qc1=5), w2))]),
+        "xpart": (1, opt, opt_scheme, oqc1, [rep(oqc1, xpart=5)]),
+        "chain-evidence": (3, CFG, SCHEME, chain, [rep(chain, short_ev=5), rep(chain, long_ev=(chain.long_ev,))]),
+        "stem-evidence": (3, opt, opt_scheme, stem, [
+            rep(stem, short_ev=(5, 6)), rep(stem, short_ev=(stem.short_ev[0], 6)), rep(stem, long_ev=5)]),
+    }
+
+
+@pytest.mark.parametrize("field", ["anchor", "witness-qc1", "xpart", "chain-evidence", "stem-evidence"])
+def test_nested_certificate_of_the_wrong_type_is_rejected(field):
+    r, cfg, scheme, valid, forged = _nested_forgeries()[field]
+    ok, why = wire.verify_compact(valid, r, cfg, scheme)
+    assert ok, why
+    for q in forged:
+        ok, why = wire.verify_compact(q, r, cfg, scheme)
+        assert not ok and why
+
+
+def _swapped_evidence(protocol, r):
+    """A valid compact round-``r`` certificate of ``protocol`` whose two
+    pieces of evidence make different votes, the same with them swapped,
+    its config and scheme."""
+    from prefixsim.scenario import run_scenario
+
+    n = 6 if protocol == "pc_5f1" else 4
+    cfg = PcConfig(n, 1, 4, VARIANTS[protocol], ("scn", protocol))
+    scheme = MacScheme(n)
+    rep = dataclasses.replace
+    for seed in range(40):
+        result = run_scenario({"version": 1, "protocol": protocol, "n": n, "f": 1, "L": 4, "gst": None, "seed": seed,
+                               "adversary": {"kind": "fuzz"}})
+        for party in result.honest:
+            q = wire.compact_qc(result.sim.engines[party].own_qcs[r], cfg, scheme)
+            if isinstance(q, wire.CQC2) and q.witnesses:
+                w1, w2 = q.witnesses
+                return q, rep(q, witnesses=(rep(w1, qc1=w2.qc1), rep(w2, qc1=w1.qc1))), cfg, scheme
+            if isinstance(q, (wire.ChainQC, wire.StemQC)) and q.short_ev != q.long_ev:
+                return q, rep(q, short_ev=q.long_ev, long_ev=q.short_ev), cfg, scheme
+    raise AssertionError("no certificate with two different votes")
+
+
+@pytest.mark.parametrize("protocol, r", [("pc3", 2), ("pc3", 3), ("pc_opt", 2), ("pc_opt", 3), ("pc_opt", 4),
+                                         ("pc_5f1", 2)])
+def test_evidence_must_make_the_vote_it_backs(protocol, r):
+    valid, swapped, cfg, scheme = _swapped_evidence(protocol, r)
+    ok, why = wire.verify_compact(valid, r, cfg, scheme)
+    assert ok, why
+    ok, why = wire.verify_compact(swapped, r, cfg, scheme)
+    assert not ok and ("different value" in why or "extension" in why), why
 
 
 def test_compact_codec_measures_votes():
@@ -284,10 +352,16 @@ def test_compact_codec_measures_votes():
     codec = wire.CompactCodec(cfg, scheme)
     plain = wire.PlainCodec()
     vote1 = Vote(cfg.instance, 1, 0, (a, b, c, d), scheme.sign_vector(0, crypto.VOTE1, cfg.instance, (a, b, c, d)))
-    assert codec.measure(vote1) == wire.measure(wire.build_cvote1(vote1, cfg, scheme))
+    assert codec.measure(vote1) == wire.measure(wire.compact_vote(vote1, cfg, scheme))
     assert plain.measure(vote1) == wire.measure(vote1)
-    with pytest.raises(ValueError):
-        wire.CompactCodec(PcConfig(6, 1, 4, Variant.FAST_5F1, ("w", "f")), scheme)
+    # A two-round vote carries its round-1 certificate as a CQC1.
+    fast, fast_scheme = PcConfig(6, 1, 4, Variant.FAST_5F1, ("w", "f")), MacScheme(6)
+    qc1 = QC(1, tuple(make_vote1(p, (a, b, c, p.to_bytes(1, "big")), fast, fast_scheme) for p in range(5)))
+    value = certify(qc1, fast)
+    vote2 = Vote(fast.instance, 2, 0, value, fast_scheme.sign_vector(0, crypto.VOTE2, fast.instance, value), (qc1,))
+    compact = wire.compact_vote(vote2, fast, fast_scheme)
+    assert type(compact) is wire.CVote3 and type(compact.qc2) is wire.CQC1
+    assert wire.CompactCodec(fast, fast_scheme).measure(vote2) == wire.measure(compact) < plain.measure(vote2)
 
 
 def test_hexdump_and_describe():
@@ -499,70 +573,65 @@ def test_encoding_is_the_same_from_warm_and_fresh_objects(value):
 
 
 # ---------------------------------------------------------------------------
-# compact encodings: every builder's bytes are pinned
+# compact encodings: every form's bytes are pinned
 
 
-_COMPACT_BUILDERS = {
-    "pc3": {"votes": {1: wire.build_cvote1, 2: wire.build_cvote2, 3: wire.build_cvote3},
-            "qcs": {1: wire.build_cqc1, 2: wire.build_cqc2, 3: wire.build_cqc3}},
-    "pc_opt": {"votes": {1: wire.build_cvote1, 2: wire.build_ovote2, 3: wire.build_ovote3, 4: wire.build_ovote4},
-               "qcs": {1: wire.build_oqc1, 2: wire.build_oqc2, 3: wire.build_oqc3, 4: wire.build_oqc4}},
-}
-
-# SHA-256 over the encodings of one builder's outputs, recorded before the
-# chain, common-prefix and prefix-signature builders were merged.
+# SHA-256 over the encodings of the compact forms of each round's
+# certificates and votes, recorded before the chain, common-prefix and
+# prefix-signature builders were merged, and again before the per-round
+# builders became one table of forms: the bytes did not move.
 _COMPACT_PINS = {
     ("pc3", 4): {
-        "build_cqc1": "5fc2bf8826359d107678970bdcff2b075e12ee1c3b1455fe9a7948bfe2e82f36",
-        "build_cqc2": "a0eb2e60262dbda45ff8110bd098cd96292b241194f335f74049e6a7ef9baf3f",
-        "build_cqc3": "b6e764216d1cc3f8acbf8b5dcdc6c7e77c8449a0bc5ef5233eeb67ea6645dd84",
-        "build_cvote1": "8013b45a3adc05e52b6a3c27afaf34b0ef65d80ee3b6c1f5f4a97d4874e7cc26",
-        "build_cvote2": "bf9dae74c3fd0098ae96910d2880c3c269eccc4062b53ca6cb7ecc2909dd3e03",
-        "build_cvote3": "2af0896ad99315154ec092f4da4bf151ae353efd815a7d7f8ab7a02a5c9e0f95",
+        "qc1": "5fc2bf8826359d107678970bdcff2b075e12ee1c3b1455fe9a7948bfe2e82f36",
+        "qc2": "a0eb2e60262dbda45ff8110bd098cd96292b241194f335f74049e6a7ef9baf3f",
+        "qc3": "b6e764216d1cc3f8acbf8b5dcdc6c7e77c8449a0bc5ef5233eeb67ea6645dd84",
+        "vote1": "8013b45a3adc05e52b6a3c27afaf34b0ef65d80ee3b6c1f5f4a97d4874e7cc26",
+        "vote2": "bf9dae74c3fd0098ae96910d2880c3c269eccc4062b53ca6cb7ecc2909dd3e03",
+        "vote3": "2af0896ad99315154ec092f4da4bf151ae353efd815a7d7f8ab7a02a5c9e0f95",
     },
     ("pc3", 7): {
-        "build_cqc1": "f840f1a022f31da56f3f8210ca03de6d26cdee3db0fbae4668cce2dc508ba731",
-        "build_cqc2": "b263d49b479069ae00d87e8845e253d856af112af5615be0d5a5c23dd72af500",
-        "build_cqc3": "83dca0112c49e8fa61485ee8c1faec581f70777bc3976bfd92c215cbd8bd01db",
-        "build_cvote1": "746b5f390f6ab07ff79d551124ac24837e2503d57f507b94c047692b0d2a0e6d",
-        "build_cvote2": "ac6aee65dd1a9a546e2199696df70a08945ea4b22208bb40e515cf36f2b07625",
-        "build_cvote3": "bb433251f7e637fdeff240f7dca17c47948694af5e25307c744ac64dbcb05905",
+        "qc1": "f840f1a022f31da56f3f8210ca03de6d26cdee3db0fbae4668cce2dc508ba731",
+        "qc2": "b263d49b479069ae00d87e8845e253d856af112af5615be0d5a5c23dd72af500",
+        "qc3": "83dca0112c49e8fa61485ee8c1faec581f70777bc3976bfd92c215cbd8bd01db",
+        "vote1": "746b5f390f6ab07ff79d551124ac24837e2503d57f507b94c047692b0d2a0e6d",
+        "vote2": "ac6aee65dd1a9a546e2199696df70a08945ea4b22208bb40e515cf36f2b07625",
+        "vote3": "bb433251f7e637fdeff240f7dca17c47948694af5e25307c744ac64dbcb05905",
     },
     ("pc_opt", 4): {
-        "build_cvote1": "a0b3db6b2213cdb7fee63492e86b1fec343e7526fc6c54fa6aa974db06c0f4f9",
-        "build_oqc1": "5cc3dac2c6077151b9c44c46e871ca686bd14313d67db92b42514c0fcd4d823c",
-        "build_oqc2": "f4be482c4d4263d4b0744122a120aebc6c73a6a43691a8777e3ecd2a7a172c19",
-        "build_oqc3": "ba4bf66ccf84e364dd308339079a1511e8b025dc8e6f1ebfe4153cf1f2514721",
-        "build_oqc4": "420e09d0918d5ab03b7366cd2b0ed204c2580b34df18443f8bc58f215a45dbd9",
-        "build_ovote2": "6645f8275b3c347b2640eec12d20847ef886f8fead7b0473d84e008fa044a08e",
-        "build_ovote3": "1a5c76a3c5358c95f1fdf17b39e80973a76c978e49158c7343666d764329c0cc",
-        "build_ovote4": "1f75ec578a8c7683a4d6eeea91e7bdc8da6c297f2a11f1c04fd8966cfb78d2fd",
+        "qc1": "5cc3dac2c6077151b9c44c46e871ca686bd14313d67db92b42514c0fcd4d823c",
+        "qc2": "f4be482c4d4263d4b0744122a120aebc6c73a6a43691a8777e3ecd2a7a172c19",
+        "qc3": "ba4bf66ccf84e364dd308339079a1511e8b025dc8e6f1ebfe4153cf1f2514721",
+        "qc4": "420e09d0918d5ab03b7366cd2b0ed204c2580b34df18443f8bc58f215a45dbd9",
+        "vote1": "a0b3db6b2213cdb7fee63492e86b1fec343e7526fc6c54fa6aa974db06c0f4f9",
+        "vote2": "6645f8275b3c347b2640eec12d20847ef886f8fead7b0473d84e008fa044a08e",
+        "vote3": "1a5c76a3c5358c95f1fdf17b39e80973a76c978e49158c7343666d764329c0cc",
+        "vote4": "1f75ec578a8c7683a4d6eeea91e7bdc8da6c297f2a11f1c04fd8966cfb78d2fd",
     },
     ("pc_opt", 7): {
-        "build_cvote1": "4141b99c3e3c84d38c30989de9519b9a05508ef5919e7567a672a2ad10e56101",
-        "build_oqc1": "bfe7ab8e6c97f2c3a8a9851445852ab16969cfed9341694b5e0a4a5e46ba1966",
-        "build_oqc2": "a5de7dac93d2bfce8b7288f1a91e47bc9e8c34059bd91ac1aa4f2fe8d211ca92",
-        "build_oqc3": "6ce8885a47939066eeae8f3456c3ceb80edd389950faf25ab2e8cd2aa426bfb6",
-        "build_oqc4": "83d593d703cdc39a10758fabb087dc7fa1f9100eac64e373a6f7223f003a4752",
-        "build_ovote2": "c24346f2c9122ad2607ffe459616b08f52ad26f2b461336d537bc006cda445e4",
-        "build_ovote3": "47324af2cdd12692296d8396fd20a4344c71375bda6953740d078073fc143f6f",
-        "build_ovote4": "d6dad7dad89f84fa85722d758726b9874f0dd41ad6fbfe4e5adf1d279369cf00",
+        "qc1": "bfe7ab8e6c97f2c3a8a9851445852ab16969cfed9341694b5e0a4a5e46ba1966",
+        "qc2": "a5de7dac93d2bfce8b7288f1a91e47bc9e8c34059bd91ac1aa4f2fe8d211ca92",
+        "qc3": "6ce8885a47939066eeae8f3456c3ceb80edd389950faf25ab2e8cd2aa426bfb6",
+        "qc4": "83d593d703cdc39a10758fabb087dc7fa1f9100eac64e373a6f7223f003a4752",
+        "vote1": "4141b99c3e3c84d38c30989de9519b9a05508ef5919e7567a672a2ad10e56101",
+        "vote2": "c24346f2c9122ad2607ffe459616b08f52ad26f2b461336d537bc006cda445e4",
+        "vote3": "47324af2cdd12692296d8396fd20a4344c71375bda6953740d078073fc143f6f",
+        "vote4": "d6dad7dad89f84fa85722d758726b9874f0dd41ad6fbfe4e5adf1d279369cf00",
     },
 }
 
 
 def _compact_digests(protocol, n):
-    """Per builder, SHA-256 over ``wire.encode`` of its output for every
-    certificate the honest parties formed and every vote in it.  Two
-    jittered runs with an equivocating party reach divergence witnesses
-    and chains whose shortest and longest votes differ; a unanimous run
-    reaches full-length anchors and common prefixes."""
+    """Per round, SHA-256 over ``wire.encode`` of the compact form of every
+    certificate the honest parties formed (key ``qc<r>``) and of every
+    vote in it (``vote<r>``).  Two jittered runs with an equivocating
+    party reach divergence witnesses and chains whose shortest and
+    longest votes differ; a unanimous run reaches full-length anchors and
+    common prefixes."""
     from prefixsim.scenario import VARIANTS, run_scenario
 
     f = (n - 1) // 3
     cfg = PcConfig(n, f, n, VARIANTS[protocol], ("scn", protocol))
     scheme = MacScheme(n)
-    builders = _COMPACT_BUILDERS[protocol]
     hashes = {}
     for seed, inputs in ((5, "random"), (8, "random"), (1, "unanimous")):
         result = run_scenario({
@@ -571,10 +640,10 @@ def _compact_digests(protocol, n):
         })
         for party in result.honest:
             for r, qc in sorted(result.sim.engines[party].own_qcs.items()):
-                for fn, objs in ((builders["qcs"][r], (qc,)), (builders["votes"][r], qc.votes)):
-                    h = hashes.setdefault(fn.__name__, hashlib.sha256())
-                    for obj in objs:
-                        h.update(wire.encode(fn(obj, cfg, scheme)))
+                hashes.setdefault(f"qc{r}", hashlib.sha256()).update(wire.encode(wire.compact_qc(qc, cfg, scheme)))
+                h = hashes.setdefault(f"vote{r}", hashlib.sha256())
+                for vote in qc.votes:
+                    h.update(wire.encode(wire.compact_vote(vote, cfg, scheme)))
     return {name: h.hexdigest() for name, h in hashes.items()}
 
 
