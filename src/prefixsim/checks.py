@@ -27,6 +27,11 @@ class Violation:
         return f"{self.invariant}: {self.detail}"
 
 
+def _set_text(values) -> str:
+    """A set's text in sorted order, so it does not vary with the hash seed."""
+    return "{" + ", ".join(sorted(map(repr, values))) + "}"
+
+
 def _outputs(metrics, honest, kind):
     out = {}
     for p in honest:
@@ -185,7 +190,7 @@ def msc_demotions_byzantine(sim, honest, byzantine, slots, gst, metrics) -> List
             high = engine.slot_outputs[slot]["high"][0]
             if update_rank(rank, high) != nxt:
                 bad.append(Violation("demotion", f"slot {slot} ranking update mismatch"))
-            if nxt != rank and _slot_post_gst(metrics, honest, slot, gst):
+            if nxt != rank and len(high) < len(rank) and _slot_post_gst(metrics, honest, slot, gst):
                 demoted = rank[len(high)]
                 if demoted not in byzantine:
                     bad.append(
@@ -240,7 +245,7 @@ def graded_violations(inputs, honest, metrics) -> List[Violation]:
     if len(values) > 1:
         bad.append(Violation("graded-agreement", "distinct non-empty values"))
     honest_values = {inputs[p] for p in honest}
-    for v in values:
+    for v in sorted(values, key=repr):
         if v not in honest_values:
             bad.append(Violation("graded-validity", "decided value was never an honest input"))
     if len(honest_values) == 1:
@@ -259,10 +264,10 @@ def binary_violations(inputs, honest, metrics) -> List[Violation]:
             bad.append(Violation("termination", f"party {p} undecided"))
     decisions = {v for v, _, _ in outs.values()}
     if len(decisions) > 1:
-        bad.append(Violation("agreement", f"decisions {decisions}"))
+        bad.append(Violation("agreement", f"decisions {_set_text(decisions)}"))
     honest_bits = {inputs[p] for p in honest}
     if len(honest_bits) == 1 and decisions and decisions != honest_bits:
-        bad.append(Violation("validity", f"unanimous {honest_bits} but decided {decisions}"))
+        bad.append(Violation("validity", f"unanimous {_set_text(honest_bits)} but decided {_set_text(decisions)}"))
     return bad
 
 
@@ -273,7 +278,7 @@ def validated_violations(honest, metrics) -> List[Violation]:
     outs = {p: metrics.output_value(p, "decision") for p in honest}
     decided = {v for v in outs.values() if v is not None}
     if len(decided) > 1:
-        bad.append(Violation("agreement", f"decisions {decided}"))
+        bad.append(Violation("agreement", f"decisions {_set_text(decided)}"))
     for p, v in outs.items():
         if v is None and metrics.output_value(p, "undecided") is None:
             bad.append(Violation("termination", f"party {p} undecided"))
