@@ -1,20 +1,21 @@
 """Executable safety/liveness invariants over finished simulation runs.
 
-Each checker takes the simulation (white-box engine access), the ground
-truth the simulator injected (inputs, Byzantine set), and the collected
-metrics, and returns a list of violations.  Empty list = all invariants
-hold.  The acceptance suite and ``prefixsim check`` drive these over the
-seeded scenarios of ``prefixsim.catalogue``.
+Each protocol has one check of the finished run, ``check(run) -> List[Violation]``,
+where ``run`` is the :class:`~prefixsim.scenario.RunResult`: the simulation
+(white-box engine access), the injected inputs, the pc config and scheme, and
+the metrics.  No violation means every invariant holds.  ``scenario.run_checks``
+runs the protocol's check, and ``model_soundness`` too for a recorded run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import List
 
 from .msc import update_rank
-from .pc import PcConfig, Variant, predicate_high, predicate_low
+from .pc import Variant, predicate_high, predicate_low
 from .prefixes import consistent, is_prefix, mcp
 
 
@@ -33,18 +34,29 @@ def _set_text(values) -> str:
 
 
 def _outputs(metrics, honest, kind):
-    out = {}
-    for p in honest:
-        entry = metrics.outputs.get(p, {}).get(kind)
-        if entry is not None:
-            out[p] = entry
-    return out
+    entries = ((p, metrics.outputs.get(p, {}).get(kind)) for p in honest)
+    return {p: entry for p, entry in entries if entry is not None}
+
+
+def _termination(metrics, honest, kinds, need, detail) -> List[Violation]:
+    """Honest parties whose outputs lack the ``kinds`` they must produce:
+    ``need`` is ``all`` or ``any``; ``detail`` names the party as ``{p}``."""
+    return [Violation("termination", detail.format(p=p)) for p in honest
+            if not need(kind in metrics.outputs.get(p, {}) for kind in kinds)]
+
+
+def _agreement(name, values, detail) -> List[Violation]:
+    """``name`` when the honest values are not all one; ``detail`` may
+    name their ``{count}`` and their sorted ``{values}``."""
+    distinct = set(values)
+    if len(distinct) < 2:
+        return []
+    return [Violation(name, detail.format(count=len(distinct), values=_set_text(distinct)))]
 
 
 def _prefix_violations(inputs, honest, lows, highs, groups) -> List[Violation]:
-    """Validity and upper bound of the honest lows, and availability of
-    each ``(name, outputs)`` group: every element of an output is some
-    honest input's element at the same index."""
+    """Validity and upper bound of the honest lows, and availability of each
+    ``(name, outputs)`` group: every element is an honest input's at its index."""
     bad: List[Violation] = []
     honest_inputs = [tuple(inputs[p]) for p in honest]
     common = mcp(honest_inputs)
@@ -63,226 +75,163 @@ def _prefix_violations(inputs, honest, lows, highs, groups) -> List[Violation]:
     return bad
 
 
-def pc_violations(cfg: PcConfig, scheme, inputs, honest, metrics) -> List[Violation]:
-    """Core prefix-consensus invariants plus verifiable-proof soundness."""
-    bad: List[Violation] = []
-    lows = _outputs(metrics, honest, "low")
-    highs = _outputs(metrics, honest, "high")
-    opts = _outputs(metrics, honest, "opt")
-    for p in honest:
-        if p not in lows or p not in highs:
-            bad.append(Violation("termination", f"party {p} missing outputs"))
+def pc(run) -> List[Violation]:
+    """Prefix Consensus, every variant: termination, the prefix invariants,
+    verifiable proofs, and consistent highs or, if optimistic, opts that are
+    prefixes of the lows and, with no Byzantine party, of the common prefix."""
+    cfg, honest, metrics = run.cfg, run.honest, run.metrics
+    lows, highs, opts = (_outputs(metrics, honest, kind) for kind in ("low", "high", "opt"))
+    optimistic = cfg.variant is Variant.OPTIMISTIC
+    bad = _termination(metrics, honest, ("low", "high"), all, "party {p} missing outputs")
+    late = []  # optimistic validity is checked even when no low or high landed
+    if optimistic and not run.sim.adversary.byzantine:
+        common = mcp([tuple(run.inputs[p]) for p in honest])
+        late = [Violation("optimistic-validity", f"opt of {p} misses the common prefix")
+                for p, (opt, _, _) in opts.items() if not is_prefix(common, opt)]
     if not lows or not highs:
-        return bad
-    bad += _prefix_violations(inputs, honest, lows, highs, (("low", lows), ("high", highs), ("opt", opts)))
-    if cfg.variant is not Variant.OPTIMISTIC:
-        items = list(highs.items())
-        for a in range(len(items)):
-            for b in range(a + 1, len(items)):
-                if not consistent(items[a][1][0], items[b][1][0]):
-                    bad.append(Violation("consistency", f"highs of {items[a][0]} and {items[b][0]} conflict"))
-    if cfg.variant is Variant.OPTIMISTIC:
-        for p, (opt, _, _) in opts.items():
-            if p in lows and not is_prefix(opt, lows[p][0]):
-                bad.append(Violation("optimistic-prefix", f"opt of {p} not a prefix of its low"))
-    for p, (low, proof, _) in lows.items():
-        if not predicate_low(low, proof, cfg, scheme):
-            bad.append(Violation("verifiability", f"low proof of {p} rejected"))
-    for p, (high, proof, _) in highs.items():
-        if not predicate_high(high, proof, cfg, scheme):
-            bad.append(Violation("verifiability", f"high proof of {p} rejected"))
-    return bad
+        return bad + late
+    bad += _prefix_violations(run.inputs, honest, lows, highs, (("low", lows), ("high", highs), ("opt", opts)))
+    if not optimistic:
+        for (i, (high_i, _, _)), (j, (high_j, _, _)) in combinations(highs.items(), 2):
+            if not consistent(high_i, high_j):
+                bad.append(Violation("consistency", f"highs of {i} and {j} conflict"))
+    for p, (opt, _, _) in opts.items():
+        if p in lows and not is_prefix(opt, lows[p][0]):
+            bad.append(Violation("optimistic-prefix", f"opt of {p} not a prefix of its low"))
+    for kind, outs, predicate in (("low", lows, predicate_low), ("high", highs, predicate_high)):
+        for p, (value, proof, _) in outs.items():
+            if not predicate(value, proof, cfg, run.scheme):
+                bad.append(Violation("verifiability", f"{kind} proof of {p} rejected"))
+    return bad + late
 
 
-def pc_optimistic_validity(inputs, honest, metrics, byzantine) -> List[Violation]:
-    """In all-honest runs the optimistic output extends the common prefix."""
-    if byzantine:
-        return []
-    bad = []
-    common = mcp([tuple(inputs[p]) for p in honest])
-    for p, (opt, _, _) in _outputs(metrics, honest, "opt").items():
-        if not is_prefix(common, opt):
-            bad.append(Violation("optimistic-validity", f"opt of {p} misses the common prefix"))
-    return bad
-
-
-def spc_violations(sim, inputs, honest, metrics) -> List[Violation]:
-    bad: List[Violation] = []
-    lows = _outputs(metrics, honest, "low")
-    highs = _outputs(metrics, honest, "high")
-    for p in honest:
-        if p not in lows or p not in highs:
-            bad.append(Violation("termination", f"party {p} missing outputs"))
+def spc(run) -> List[Violation]:
+    """Strong Prefix Consensus: termination, agreement on the high, the
+    prefix invariants, and skip certificates that jump only past views
+    whose honest lows are parentless."""
+    honest, metrics = run.honest, run.metrics
+    lows, highs = _outputs(metrics, honest, "low"), _outputs(metrics, honest, "high")
+    bad = _termination(metrics, honest, ("low", "high"), all, "party {p} missing outputs")
     if not highs:
         return bad
-    values = {v for v, _, _ in highs.values()}
-    if len(values) > 1:
-        bad.append(Violation("agreement", f"{len(values)} distinct high outputs"))
-    bad += _prefix_violations(inputs, honest, lows, highs, (("low", lows), ("high", highs)))
-    bad.extend(spc_skip_conservatism(sim, honest))
+    bad += _agreement("agreement", (v for v, _, _ in highs.values()), "{count} distinct high outputs")
+    bad += _prefix_violations(run.inputs, honest, lows, highs, (("low", lows), ("high", highs)))
+    engines = [run.sim.engines[p] for p in honest]
+    for cert in [cert for engine in engines for cert in engine.built_skips]:
+        for view in range(cert.ref_view + 1, cert.prev_view + 1):
+            for other in engines:
+                out = other.vpc_outputs.get(view, {})
+                if "low" in out and other._parent_of(out["low"][0]) is not None:
+                    bad.append(Violation("skip-conservatism", f"skip over view {view} despite a parented low"))
     return bad
 
 
-def spc_skip_conservatism(sim, honest) -> List[Violation]:
-    """Every skip certificate that jumps past views implies those views
-    produced only parentless lows at honest parties (of an spc run)."""
+def msc(run) -> List[Violation]:
+    """Multi-slot consensus: per slot, agreement of the commit logs and
+    rankings, and termination; no more censored slots than Byzantine
+    parties; rankings updated by each high, demoting only Byzantine parties
+    after GST; early (low-derived) commits that prefix the final slot log."""
+    honest, metrics, byzantine = run.honest, run.metrics, run.sim.adversary.byzantine
+    slots, gst = run.scenario["slots"], run.scenario["gst"]
+    engines = {p: run.sim.engines[p] for p in honest}
+    censored = censorship_audit(run)
+    commits = [e.committed_by_slot() for e in engines.values()]
     bad: List[Violation] = []
-    engines = [sim.engines[p] for p in honest]
-    for engine in engines:
-        for cert in engine.built_skips:
-            for view in range(cert.ref_view + 1, cert.prev_view + 1):
-                for other in engines:
-                    out = other.vpc_outputs.get(view, {})
-                    if "low" in out and other._parent_of(out["low"][0]) is not None:
-                        detail = f"skip over view {view} despite a parented low"
-                        bad.append(Violation("skip-conservatism", detail))
-    return bad
-
-
-def msc_violations(sim, honest, byzantine, payload_fn, slots, gst, metrics) -> List[Violation]:
-    bad: List[Violation] = []
-    engines = {p: sim.engines[p] for p in honest}
-    censored = censorship_audit(sim, honest, payload_fn, slots, gst, metrics)
-    commits = {p: e.committed_by_slot() for p, e in engines.items()}
     for slot in range(1, slots + 1):
-        logs = {p: by_slot.get(slot, []) for p, by_slot in commits.items()}
-        values = {tuple(log) for log in logs.values()}
-        if len(values) > 1:
-            bad.append(Violation("slot-agreement", f"slot {slot} logs differ"))
-        ranks = {e.ranks.get(slot) for e in engines.values() if slot in e.ranks}
-        if len(ranks) > 1:
-            bad.append(Violation("ranking-agreement", f"slot {slot} rankings differ"))
-        for p, e in engines.items():
-            if slot not in e.slot_outputs or "high" not in e.slot_outputs[slot]:
-                bad.append(Violation("termination", f"party {p} never finished slot {slot}"))
+        bad += _agreement("slot-agreement", (tuple(c.get(slot, [])) for c in commits), f"slot {slot} logs differ")
+        bad += _agreement("ranking-agreement", (e.ranks[slot] for e in engines.values() if slot in e.ranks),
+                          f"slot {slot} rankings differ")
+        bad += _termination(metrics, honest, (f"slot{slot}-high",), all, f"party {{p}} never finished slot {slot}")
     if len(censored) > len(byzantine):
         detail = f"{len(censored)} censored slots exceed the {len(byzantine)} Byzantine parties"
         bad.append(Violation("censorship", detail))
-    bad.extend(msc_demotions_byzantine(sim, honest, byzantine, slots, gst, metrics))
-    return bad
-
-
-def _slot_start(metrics, honest, slot):
-    """Earliest honest start of a slot, or None if no honest party
-    started it: slot 1 starts at input, slot s when slot s-1's agreement
-    lands."""
-    starts = [0 if slot == 1 else metrics.output_time(p, f"slot{slot - 1}-high") for p in honest]
-    return min((t for t in starts if t is not None), default=None)
-
-
-def _slot_post_gst(metrics, honest, slot, gst) -> bool:
-    """A slot counts as post-GST when its earliest honest start is."""
-    start = _slot_start(metrics, honest, slot)
-    return gst is not None and start is not None and start >= gst
-
-
-def msc_demotions_byzantine(sim, honest, byzantine, slots, gst, metrics) -> List[Violation]:
-    """Post-GST demotions must name Byzantine parties (pre-GST slots may
-    legitimately demote honest parties whose proposals were delayed)."""
-    bad: List[Violation] = []
-    for p in honest:
-        engine = sim.engines[p]
+    for engine in engines.values():
         for slot in range(1, slots):
-            rank = engine.ranks.get(slot)
-            nxt = engine.ranks.get(slot + 1)
+            rank, nxt = engine.ranks.get(slot), engine.ranks.get(slot + 1)
             if rank is None or nxt is None:
                 continue
             high = engine.slot_outputs[slot]["high"][0]
             if update_rank(rank, high) != nxt:
                 bad.append(Violation("demotion", f"slot {slot} ranking update mismatch"))
             if nxt != rank and len(high) < len(rank) and _slot_post_gst(metrics, honest, slot, gst):
-                demoted = rank[len(high)]
-                if demoted not in byzantine:
-                    bad.append(
-                        Violation("demotion", f"slot {slot} demoted honest party {demoted}")
-                    )
+                if rank[len(high)] not in byzantine:
+                    bad.append(Violation("demotion", f"slot {slot} demoted honest party {rank[len(high)]}"))
+    for engine in engines.values():
+        for slot in range(1, slots + 1):
+            outs = engine.slot_outputs.get(slot, {})
+            if "low" in outs and "high" in outs and not is_prefix(outs["low"][0], outs["high"][0]):
+                bad.append(Violation("commit-prefix", f"slot {slot} low not a prefix of high"))
     return bad
 
 
-def censorship_audit(sim, honest, payload_fn, slots, gst, metrics) -> List[int]:
+def _slot_post_gst(metrics, honest, slot, gst) -> bool:
+    """A slot counts as post-GST when its earliest honest start is: slot
+    1 starts at input, slot s when slot s-1's agreement lands."""
+    starts = [0 if slot == 1 else metrics.output_time(p, f"slot{slot - 1}-high") for p in honest]
+    start = min((t for t in starts if t is not None), default=None)
+    return gst is not None and start is not None and start >= gst
+
+
+def censorship_audit(run) -> List[int]:
     """Post-GST slots (``_slot_post_gst``) whose committed output misses
-    some honest input.  The bound holds "after GST", so a run with no GST
-    counts no slot."""
+    some honest party's proposal, read from its engine's ``input_for``.
+    The bound holds "after GST", so a run with no GST counts no slot."""
+    honest, gst = run.honest, run.scenario["gst"]
+    engines = [run.sim.engines[p] for p in honest]
+    commits = [e.committed_by_slot() for e in engines]
     censored = []
-    commits = {p: sim.engines[p].committed_by_slot() for p in honest}
-    for slot in range(1, slots + 1):
-        if not _slot_post_gst(metrics, honest, slot, gst):
+    for slot in range(1, run.scenario["slots"] + 1):
+        if not _slot_post_gst(run.metrics, honest, slot, gst):
             continue
-        for p in honest:
-            committed = {payload for _, _, payload in commits[p].get(slot, [])}
-            if not committed:
-                continue  # termination problems are reported elsewhere
-            if any(payload_fn(h, slot) not in committed for h in honest):
-                censored.append(slot)
-                break
+        proposals = {e.input_for(slot) for e in engines}
+        logs = ({payload for _, _, payload in by_slot.get(slot, [])} for by_slot in commits)
+        if any(log and not proposals <= log for log in logs):  # an empty log is a termination problem
+            censored.append(slot)
     return censored
 
 
-def msc_commit_prefix(sim, honest, slots) -> List[Violation]:
-    """Early (low-derived) commits are prefixes of the final slot log."""
-    bad = []
-    for p in honest:
-        engine = sim.engines[p]
-        for slot in range(1, slots + 1):
-            outs = engine.slot_outputs.get(slot, {})
-            if "low" in outs and "high" in outs:
-                if not is_prefix(outs["low"][0], outs["high"][0]):
-                    bad.append(Violation("commit-prefix", f"slot {slot} low not a prefix of high"))
-    return bad
-
-
-def graded_violations(inputs, honest, metrics) -> List[Violation]:
-    bad: List[Violation] = []
+def graded(run) -> List[Violation]:
+    """Graded consensus: termination, grades at most one apart, at most
+    one non-empty value and only honest inputs as values, and ``(v, 2)``
+    everywhere on unanimous input ``v``."""
+    honest, metrics = run.honest, run.metrics
     outs = _outputs(metrics, honest, "graded")
-    for p in honest:
-        if p not in outs:
-            bad.append(Violation("termination", f"party {p} missing graded output"))
+    bad = _termination(metrics, honest, ("graded",), all, "party {p} missing graded output")
     pairs = [v for v, _, _ in outs.values()]
     grades = [g for _, g in pairs]
     if grades and max(grades) - min(grades) > 1:
         bad.append(Violation("graded-agreement", f"grades spread {min(grades)}..{max(grades)}"))
     values = {v for v, g in pairs if v is not None}
-    if len(values) > 1:
-        bad.append(Violation("graded-agreement", "distinct non-empty values"))
-    honest_values = {inputs[p] for p in honest}
-    for v in sorted(values, key=repr):
-        if v not in honest_values:
-            bad.append(Violation("graded-validity", "decided value was never an honest input"))
+    bad += _agreement("graded-agreement", values, "distinct non-empty values")
+    honest_values = {run.inputs[p] for p in honest}
+    bad += [Violation("graded-validity", "decided value was never an honest input")
+            for v in sorted(values, key=repr) if v not in honest_values]
     if len(honest_values) == 1:
-        want = next(iter(honest_values))
-        for p, (pair, _, _) in outs.items():
-            if pair != (want, 2):
-                bad.append(Violation("graded-validity", f"unanimous input but party {p} output {pair}"))
+        (want,) = honest_values
+        bad += [Violation("graded-validity", f"unanimous input but party {p} output {pair}")
+                for p, (pair, _, _) in outs.items() if pair != (want, 2)]
     return bad
 
 
-def binary_violations(inputs, honest, metrics) -> List[Violation]:
-    bad: List[Violation] = []
-    outs = _outputs(metrics, honest, "decision")
-    for p in honest:
-        if p not in outs:
-            bad.append(Violation("termination", f"party {p} undecided"))
-    decisions = {v for v, _, _ in outs.values()}
-    if len(decisions) > 1:
-        bad.append(Violation("agreement", f"decisions {_set_text(decisions)}"))
-    honest_bits = {inputs[p] for p in honest}
+def binary(run) -> List[Violation]:
+    """Binary agreement: termination, agreement, and unanimous-input validity."""
+    honest, metrics = run.honest, run.metrics
+    decisions = {v for v, _, _ in _outputs(metrics, honest, "decision").values()}
+    bad = _termination(metrics, honest, ("decision",), all, "party {p} undecided")
+    bad += _agreement("agreement", decisions, "decisions {values}")
+    honest_bits = {run.inputs[p] for p in honest}
     if len(honest_bits) == 1 and decisions and decisions != honest_bits:
         bad.append(Violation("validity", f"unanimous {_set_text(honest_bits)} but decided {_set_text(decisions)}"))
     return bad
 
 
-def validated_violations(honest, metrics) -> List[Violation]:
-    """Agreement of the decisions; termination is a decision or an
-    ``undecided`` output (no entry of the agreed vector is valid)."""
-    bad: List[Violation] = []
-    outs = {p: metrics.output_value(p, "decision") for p in honest}
-    decided = {v for v in outs.values() if v is not None}
-    if len(decided) > 1:
-        bad.append(Violation("agreement", f"decisions {_set_text(decided)}"))
-    for p, v in outs.items():
-        if v is None and metrics.output_value(p, "undecided") is None:
-            bad.append(Violation("termination", f"party {p} undecided"))
-    return bad
+def validated(run) -> List[Violation]:
+    """Validated agreement: agreement of the decisions; termination is a decision
+    or an ``undecided`` output (no entry of the agreed vector is valid)."""
+    honest, metrics = run.honest, run.metrics
+    decided = {v for v, _, _ in _outputs(metrics, honest, "decision").values()}
+    return (_agreement("agreement", decided, "decisions {values}")
+            + _termination(metrics, honest, ("decision", "undecided"), any, "party {p} undecided"))
 
 
 def model_soundness(sim) -> List[Violation]:
@@ -291,19 +240,16 @@ def model_soundness(sim) -> List[Violation]:
     delivery time no later than ``max(send, gst) + cap``."""
     if not sim.record:
         raise ValueError("model_soundness reads the transcript of a run made with record=True")
-    gst = sim.policy.gst
+    gst, cap, byzantine = sim.policy.gst, sim.policy.cap, sim.adversary.byzantine
     if gst is None:
         return []
-    cap = sim.policy.cap
-    byzantine = sim.adversary.byzantine
     bad: List[Violation] = []
     for line in sim.records:
         at, event, rest = line.split(" ", 2)
         if event != "send":
             continue
         link, rest = rest.split(" ", 1)
-        sender, receiver = (int(p) for p in link.split("->"))
-        if sender in byzantine or receiver in byzantine:
+        if any(int(p) in byzantine for p in link.split("->")):
             continue
         send = Fraction(at[1:])
         deliver = Fraction(rest.rsplit(" ", 2)[1][len("deliver@"):])

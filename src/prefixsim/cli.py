@@ -85,8 +85,6 @@ def cmd_run(args) -> int:
         # Engine assertion mid-run: dump what we have and fail loudly.
         print(f"simulation aborted: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    if result.scenario["checks"] != "none":
-        result.violations += checks.model_soundness(result.sim)
     doc = result.metrics_doc()
     metrics_path = _emit(args, "metrics.json", json.dumps(doc, indent=2, sort_keys=True))
     transcript_path = _emit(args, "transcript.log", "\n".join(result.sim.records))

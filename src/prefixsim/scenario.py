@@ -105,7 +105,7 @@ class Protocol(NamedTuple):
     slots: bool
     inputs: Callable[[dict], list]  # per-party inputs of a defaulted scenario
     engines: Callable[[dict, Scheme], tuple]  # (pc config or None, party -> engine)
-    invariants: Callable[["RunResult", object, Scheme], list]  # (result, pc config, scheme)
+    invariants: Callable[["RunResult"], list]  # the check of the finished run
 
 
 def _shaped_inputs(scn: dict) -> list:
@@ -138,7 +138,6 @@ def msc_payload_fn(scn: dict) -> Callable[[int, int], bytes]:
 
 
 _rank0 = lambda scn: tuple(scn.get("rank0", ()) or range(scn["n"]))
-_pc_invariants = lambda r, cfg, scheme: checks.pc_violations(cfg, scheme, r.inputs, r.honest, r.metrics)
 
 
 def _pc_engines(scn, scheme):
@@ -158,40 +157,26 @@ def _msc_engines(scn, scheme):
     return None, lambda p: MscEngine(cfg, p, scheme, lambda s: payload_fn(p, s))
 
 
-def _pc_opt_invariants(r, cfg, scheme):
-    byz = r.sim.adversary.byzantine
-    return _pc_invariants(r, cfg, scheme) + checks.pc_optimistic_validity(r.inputs, r.honest, r.metrics, byz)
-
-
-def _msc_invariants(r, cfg, scheme):
-    sim, slots = r.sim, r.scenario["slots"]
-    return (checks.msc_violations(sim, r.honest, sim.adversary.byzantine, msc_payload_fn(r.scenario), slots,
-                                  r.scenario["gst"], r.metrics) + checks.msc_commit_prefix(sim, r.honest, slots))
-
-
-_pc_row = lambda name, invariants: Protocol(  # the resilience is the variant's
-    VARIANT_TABLE[VARIANTS[name]].resilience, VECTOR, False, _shaped_inputs, _pc_engines, invariants)
+_pc_row = lambda name: Protocol(  # the resilience is the variant's
+    VARIANT_TABLE[VARIANTS[name]].resilience, VECTOR, False, _shaped_inputs, _pc_engines, checks.pc)
 
 PROTOCOL_TABLE: Dict[str, Protocol] = {
-    "pc3": _pc_row("pc3", _pc_invariants),
-    "pc_opt": _pc_row("pc_opt", _pc_opt_invariants),
-    "pc_5f1": _pc_row("pc_5f1", _pc_invariants),
-    "spc": Protocol(3, VECTOR, False, _shaped_inputs, _spc_engines, lambda r, cfg, scheme: (
-        checks.spc_violations(r.sim, r.inputs, r.honest, r.metrics))),
+    "pc3": _pc_row("pc3"),
+    "pc_opt": _pc_row("pc_opt"),
+    "pc_5f1": _pc_row("pc_5f1"),
+    "spc": Protocol(3, VECTOR, False, _shaped_inputs, _spc_engines, checks.spc),
     "msc": Protocol(3, None, True, lambda scn: [None] * scn["n"],  # msc_payload_fn makes the payloads
-                    _msc_engines, _msc_invariants),
+                    _msc_engines, checks.msc),
     "graded": Protocol(
         3, VALUE, False, _shaped_inputs, lambda scn, scheme: (
-            None, lambda p: GradedEngine(scn["n"], scn["f"], p, scheme)),
-        lambda r, cfg, scheme: checks.graded_violations(r.inputs, r.honest, r.metrics)),
+            None, lambda p: GradedEngine(scn["n"], scn["f"], p, scheme)), checks.graded),
     "binary": Protocol(
         3, BIT, False, _shaped_inputs, lambda scn, scheme: (
-            None, lambda p: BinaryEngine(scn["n"], scn["f"], scn["delta_cap"], p, scheme)),
-        lambda r, cfg, scheme: checks.binary_violations(r.inputs, r.honest, r.metrics)),
+            None, lambda p: BinaryEngine(scn["n"], scn["f"], scn["delta_cap"], p, scheme)), checks.binary),
     "validated": Protocol(
         3, None, False, lambda scn: [b"payload-%d-%d" % (p, scn["seed"]) for p in range(scn["n"])],
         lambda scn, scheme: (None, lambda p: ValidatedEngine(scn["n"], scn["f"], scn["delta_cap"], p, scheme)),
-        lambda r, cfg, scheme: checks.validated_violations(r.honest, r.metrics)),
+        checks.validated),
 }
 PROTOCOLS = tuple(PROTOCOL_TABLE)
 
@@ -386,6 +371,8 @@ class RunResult:
     sim: Simulation
     metrics: object
     inputs: list
+    cfg: Optional[PcConfig]  # the pc config, for the pc variants
+    scheme: Scheme
     violations: list = field(default_factory=list)
 
     @property
@@ -439,15 +426,18 @@ def run_scenario(scn: dict, record: bool = False) -> RunResult:
         sim.schedule_input(party, inputs[party])
     metrics = sim.run()
 
-    result = RunResult(scn, sim, metrics, inputs)
-    result.violations = run_checks(result, cfg, scheme)
+    result = RunResult(scn, sim, metrics, inputs, cfg, scheme)
+    result.violations = run_checks(result)
     return result
 
 
-def run_checks(result: RunResult, cfg, scheme) -> list:
+def run_checks(result: RunResult) -> list:
+    """The protocol's check of the finished run, and for a recorded run
+    the delivery bound of partial synchrony (``checks.model_soundness``)."""
     if result.scenario.get("checks") == "none":
         return []
-    return PROTOCOL_TABLE[result.scenario["protocol"]].invariants(result, cfg, scheme)
+    bad = PROTOCOL_TABLE[result.scenario["protocol"]].invariants(result)
+    return bad + checks.model_soundness(result.sim) if result.sim.record else bad
 
 
 def load_scenario(path: str) -> dict:

@@ -115,7 +115,7 @@ def _run_censorship(n, f, byz, reveal, lag_victims, slots=100, kind="censor"):
     result = run(scn)
     honest = result.honest
     payload_fn = msc_payload_fn(result.scenario)
-    censored = checks.censorship_audit(result.sim, honest, payload_fn, slots, 0, result.metrics)
+    censored = checks.censorship_audit(result)
     assert len(censored) <= f, f"censored slots {censored}"
     engine = result.sim.engines[honest[0]]
     last_demotion = 0

@@ -4,12 +4,13 @@ seen to fire.
 *Outcome controls* run each protocol once, change one recorded output of
 party 0 in ``metrics.outputs`` (delete it, extend it, cut it, flip its
 first element, or change its decision or grade) and run the checks
-again.  *Engine-state controls* change what an engine recorded: an msc
-commit log, slot output or ranking, or an spc skip certificate.  Each
-case's violation list is pinned, so a refactor of the checks must keep
-every verdict and its text.  The coverage test reads every
-``Violation("...")`` name in ``src/prefixsim`` and asks that a control
-here or elsewhere fires it, or that ``UNREACHED`` says why none can.
+again.  *Engine-state controls* change what an engine recorded (an msc
+commit log, slot output or ranking, or an spc skip certificate), or
+delete an msc slot output.  Each case's violation list is pinned, so a
+refactor of the checks must keep every verdict and its text.  The
+coverage test reads every invariant name given to ``Violation`` or
+``_agreement`` in ``src/prefixsim`` and asks that a control here or
+elsewhere fires it, or that ``UNREACHED`` says why none can.
 """
 
 import ast
@@ -17,8 +18,7 @@ import os
 from functools import lru_cache
 
 from prefixsim import checks, cli
-from prefixsim.crypto import make_scheme
-from prefixsim.scenario import PROTOCOL_TABLE, run_checks, run_scenario
+from prefixsim.scenario import run_checks, run_scenario
 from prefixsim.spc import SkipCert
 
 SRC = os.path.dirname(checks.__file__)
@@ -47,10 +47,7 @@ MSC = {**BASE, "protocol": "msc", "slots": 3}
 
 
 def _recheck(result) -> list:
-    scn = result.scenario
-    scheme = make_scheme(scn["crypto"], scn["n"])
-    cfg, _ = PROTOCOL_TABLE[scn["protocol"]].engines(scn, scheme)
-    return [str(v) for v in run_checks(result, cfg, scheme)]
+    return [str(v) for v in run_checks(result)]
 
 
 def _tampers(kind, value):
@@ -92,33 +89,41 @@ def outcome_lists() -> dict:
     return got
 
 
-def _drop_last_commit(engines):
-    engines[0].commit_log.pop()
+def _drop_last_commit(run):
+    run.sim.engines[0].commit_log.pop()
 
 
-def _replace_low(engines):
-    high, proof = engines[0].slot_outputs[1]["high"]
-    engines[0].slot_outputs[1]["low"] = ((b"z",) + high[1:], proof)
+def _replace_low(run):
+    outputs = run.sim.engines[0].slot_outputs[1]
+    high, proof = outputs["high"]
+    outputs["low"] = ((b"z",) + high[1:], proof)
 
 
-def _censor_party_3(engines):
-    for engine in engines.values():
+def _censor_party_3(run):
+    for p in run.honest:
+        engine = run.sim.engines[p]
         engine.commit_log = [c for c in engine.commit_log if c[:3:2] != (1, 3)]
 
 
-def _reverse_ranking(engines):
-    engines[0].ranks[2] = engines[0].ranks[2][::-1]
+def _reverse_ranking(run):
+    ranks = run.sim.engines[0].ranks
+    ranks[2] = ranks[2][::-1]
 
 
-def _skip_parented_view(engines):
-    engines[1].built_skips.append(SkipCert(2, 1, (), None, None))
+def _forget_slot1_high(run):
+    del run.metrics.outputs[0]["slot1-high"]
 
 
-#: name -> (scenario, change to the honest engines by party).  The
-#: suspender run makes view 2 of every party but 0 end with a parented
-#: low, so a skip certificate over view 2 is not conservative.
+def _skip_parented_view(run):
+    run.sim.engines[1].built_skips.append(SkipCert(2, 1, (), None, None))
+
+
+#: name -> (scenario, change to the finished run).  The suspender run
+#: makes view 2 of every party but 0 end with a parented low, so a skip
+#: certificate over view 2 is not conservative.
 STATE_CONTROLS = {
     "msc drop-last-commit": (MSC, _drop_last_commit),
+    "msc delete-slot1-high": (MSC, _forget_slot1_high),
     "msc replace-slot1-low": (MSC, _replace_low),
     "msc censor-party-3-slot1": (MSC, _censor_party_3),
     "msc reverse-slot2-ranking": (MSC, _reverse_ranking),
@@ -134,7 +139,7 @@ def state_lists() -> dict:
     for name, (scn, change) in STATE_CONTROLS.items():
         result = run_scenario(scn)
         assert result.violations == [], name
-        change({p: result.sim.engines[p] for p in result.honest})
+        change(result)
         got[name] = _recheck(result)
     return got
 
@@ -194,6 +199,10 @@ UNREACHED = {
 }
 
 
+#: The calls whose first argument, a string literal, names an invariant.
+NAMING = {"Violation", "_agreement"}
+
+
 def _violation_names() -> set:
     names = set()
     for fname in sorted(os.listdir(SRC)):
@@ -202,7 +211,7 @@ def _violation_names() -> set:
         with open(os.path.join(SRC, fname), encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Violation"
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in NAMING
                     and node.args and isinstance(node.args[0], ast.Constant)):
                 names.add(node.args[0].value)
     return names
@@ -527,6 +536,7 @@ STATE_PINS = {
         "slot-agreement: slot 3 logs differ",
         "censorship: 1 censored slots exceed the 0 Byzantine parties",
     ],
+    "msc delete-slot1-high": ["termination: party 0 never finished slot 1"],
     "msc replace-slot1-low": ["commit-prefix: slot 1 low not a prefix of high"],
     "msc censor-party-3-slot1": ["censorship: 1 censored slots exceed the 0 Byzantine parties"],
     "msc reverse-slot2-ranking": [

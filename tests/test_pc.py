@@ -403,6 +403,7 @@ class _ShortLowEngine(PcEngine):
 
 def test_mutant_low_is_a_verifiability_violation_with_warm_caches():
     from prefixsim import checks
+    from prefixsim.scenario import RunResult
 
     cfg = cfg3()
     scheme = MacScheme(4)
@@ -415,7 +416,7 @@ def test_mutant_low_is_a_verifiability_violation_with_warm_caches():
         low, proof, _ = metrics.outputs[p]["low"]
         assert low == (a, b, c)
         assert vars(proof)["_cached"][("qc", cfg)] == ((a, b, c, d), (a, b, c, d))
-    violations = checks.pc_violations(cfg, scheme, inputs, range(4), metrics)
+    violations = checks.pc(RunResult({}, sim, metrics, inputs, cfg, scheme))
     assert sum(v.invariant == "verifiability" for v in violations) == 4
 
 
