@@ -109,7 +109,7 @@ from . import crypto, encoding, pc
 from .crypto import AggregateSignature, Scheme, Signature
 from .encoding import DecodeError, cached
 from .pc import PcConfig, QC, Variant, Vote
-from .prefixes import BOT, Vector, _Bot, longest_supported_prefix, mce, mcp
+from .prefixes import BOT, Element, Vector, _Bot, longest_supported_prefix, mce, mcp
 
 # ---------------------------------------------------------------------------
 # Generic self-describing codec
@@ -372,7 +372,7 @@ class Witness2:
     continues with ``elem`` right after the claimed common prefix."""
 
     party: int
-    elem: object
+    elem: Element
     sig: Signature
     qc1: object  # the witness vote's evidence: a CQC1, or None for a round-1 vote
 
@@ -625,10 +625,23 @@ def compact_value(q, r: int, cfg: PcConfig):
     return FORMS[cfg.rounds[r].certify].value(q)
 
 
+#: The type each field annotation asks of a compact certificate or witness
+#: (a nested certificate is checked by its own form's verifier).
+_FIELD_TYPES = {"int": int, "str": str, "bytes": bytes, "tuple": tuple, "Vector": tuple, "Signature": Signature,
+                "Element": (bytes, _Bot), "Optional[tuple]": (tuple, type(None))}
+
+
+def _shape_error(obj) -> str:
+    """The first field of ``obj`` that does not hold its annotated type, or ''."""
+    bad = (f for f in dataclasses.fields(obj) if not isinstance(getattr(obj, f.name), _FIELD_TYPES.get(f.type, object)))
+    return next((f"{f.name}: not {f.type}" for f in bad), "")
+
+
 def _verify_form(form, q, r: int, cfg: PcConfig, scheme: Scheme):
     if not isinstance(q, form.cls):
         return False, f"not a {form.cls.__name__}"
-    return form.verify(q, r, cfg, scheme)
+    why = _shape_error(q)
+    return (False, why) if why else form.verify(q, r, cfg, scheme)
 
 
 def _evidence_value(ev, r: int, cfg: PcConfig, scheme: Scheme):
@@ -721,6 +734,9 @@ def _verify_witnesses(q_value: Vector, witnesses, r: int, cfg: PcConfig, scheme:
     w1, w2 = witnesses
     if not isinstance(w1, Witness2) or not isinstance(w2, Witness2):
         return False, "witness type"
+    why = _shape_error(w1) or _shape_error(w2)
+    if why:
+        return False, f"witness {why}"
     if w1.elem == w2.elem:
         return False, "witness elements equal"
     cut = len(strip(q_value))

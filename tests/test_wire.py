@@ -313,6 +313,43 @@ def test_nested_certificate_of_the_wrong_type_is_rejected(field):
         assert not ok and why
 
 
+#: Values of the wrong shape for a certificate or witness field.
+MISSHAPEN = (5, None, b"x", ("x",), ([1],), (5, 5, 5), "s")
+
+
+def test_compact_verifiers_reject_every_misshapen_field():
+    """Each field of each round certificate of party 0, and of a witness,
+    replaced by each value of ``MISSHAPEN``: the verifier says no with a
+    reason and never raises."""
+    from prefixsim.scenario import run_scenario
+
+    rep = dataclasses.replace
+    cases = witnesses = 0
+    for protocol, n in (("pc3", 4), ("pc_opt", 4), ("pc_5f1", 6)):
+        for inputs in ("unanimous", "random"):
+            result = run_scenario({"version": 1, "protocol": protocol, "n": n, "f": 1, "L": 4, "seed": 3,
+                                   "inputs": {"kind": inputs}})
+            cfg, scheme = result.cfg, result.scheme
+            for r, qc in sorted(result.sim.engines[0].own_qcs.items()):
+                q = wire.compact_qc(qc, cfg, scheme)
+                assert wire.verify_compact(q, r, cfg, scheme) == (True, "")
+                targets = [(q, lambda obj: obj)]
+                for name in ("witnesses", "c_witnesses"):
+                    pair = getattr(q, name, None)
+                    if pair:
+                        targets.append((pair[0], lambda w, name=name, pair=pair: rep(q, **{name: (w, pair[1])})))
+                for obj, wrap in targets:
+                    witnesses += isinstance(obj, wire.Witness2)
+                    for field in dataclasses.fields(obj):
+                        for bad in MISSHAPEN:
+                            if bad == getattr(obj, field.name):
+                                continue
+                            ok, why = wire.verify_compact(wrap(rep(obj, **{field.name: bad})), r, cfg, scheme)
+                            assert not ok and why, (protocol, r, type(obj).__name__, field.name, bad)
+                            cases += 1
+    assert cases > 900 and witnesses
+
+
 def _swapped_evidence(protocol, r):
     """A valid compact round-``r`` certificate of ``protocol`` whose two
     pieces of evidence make different votes, the same with them swapped,
