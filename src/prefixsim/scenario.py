@@ -157,13 +157,9 @@ def _msc_engines(scn, scheme):
     return None, lambda p: MscEngine(cfg, p, scheme, lambda s: payload_fn(p, s))
 
 
-_pc_row = lambda name: Protocol(  # the resilience is the variant's
-    VARIANT_TABLE[VARIANTS[name]].resilience, VECTOR, False, _shaped_inputs, _pc_engines, checks.pc)
-
 PROTOCOL_TABLE: Dict[str, Protocol] = {
-    "pc3": _pc_row("pc3"),
-    "pc_opt": _pc_row("pc_opt"),
-    "pc_5f1": _pc_row("pc_5f1"),
+    **{name: Protocol(VARIANT_TABLE[variant].resilience, VECTOR, False, _shaped_inputs, _pc_engines, checks.pc)
+       for name, variant in VARIANTS.items()},  # the resilience is the variant's
     "spc": Protocol(3, VECTOR, False, _shaped_inputs, _spc_engines, checks.spc),
     "msc": Protocol(3, None, True, lambda scn: [None] * scn["n"],  # msc_payload_fn makes the payloads
                     _msc_engines, checks.msc),

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from prefixsim import cli, wire
-from prefixsim.scenario import ADVERSARIES, ScenarioError, run_scenario, validate
+from prefixsim.scenario import ADVERSARIES, ScenarioError, load_scenario, run_scenario, validate
 
 SCENARIOS = os.path.join(os.path.dirname(cli.__file__), "scenarios")
 
@@ -174,7 +174,7 @@ def test_sweep_reports_exponents(tmp_path):
 def test_sweep_validates_the_sizes_it_runs(tmp_path):
     # Each size runs with L = n, so the template's own L is never used:
     # 300 used to fail validation under unanimous inputs (exit 2).
-    scn = json.load(open(scenario_path("sweep_pc3.json")))
+    scn = load_scenario(scenario_path("sweep_pc3.json"))
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps({**scn, "L": 300, "inputs": {"kind": "unanimous"}}))
     assert cli.main(["--quiet", "sweep", "--scenario", str(path), "--ns", "4,7"]) == 0
@@ -182,11 +182,11 @@ def test_sweep_validates_the_sizes_it_runs(tmp_path):
 
 def test_sweep_takes_f_from_the_protocol_bound(tmp_path, capsys):
     # pc_5f1 needs n >= 5f+1; with the f of n >= 3f+1, n=11 ran f=3 and exited 2.
-    fast = json.load(open(scenario_path("pc_5f1_faultfree_n6.json")))
+    fast = load_scenario(scenario_path("pc_5f1_faultfree_n6.json"))
     assert [cli.sweep_scenario(fast, n)["f"] for n in (6, 11, 16)] == [1, 2, 3]
     assert cli.main(["--quiet", "sweep", "--scenario", scenario_path("pc_5f1_faultfree_n6.json"),
                      "--ns", "6,11"]) == 0
-    pc3 = json.load(open(scenario_path("sweep_pc3.json")))
+    pc3 = load_scenario(scenario_path("sweep_pc3.json"))
     assert [cli.sweep_scenario(pc3, n)["f"] for n in (4, 7, 10, 11)] == [1, 2, 3, 3]
     # A protocol with no row still reaches validate's protocol error.
     for protocol in ("nope", ["pc3"]):
@@ -200,7 +200,7 @@ def test_sweep_takes_f_from_the_protocol_bound(tmp_path, capsys):
 @pytest.mark.parametrize("name", ["graded_faultfree_n4.json", "binary_mixed_n4.json",
                                   "validated_faultfree_n4.json"])
 def test_byte_accounting_covers_derived_protocols(name):
-    scn = json.load(open(scenario_path(name)))
+    scn = load_scenario(scenario_path(name))
     assert run_scenario({**scn, "measure_bytes": True}).metrics.bytes_total > 0
 
 
@@ -220,7 +220,7 @@ def test_sweep_of_a_graded_template(tmp_path):
     ("4,7", {"kind": "explicit", "vectors": [["a"] * 4] * 4}, "inputs.vectors"),
 ], ids=["one-size", "non-integer", "inputs-for-n4-only"])
 def test_sweep_rejects_bad_sizes(tmp_path, capsys, ns, inputs, where):
-    scn = json.load(open(scenario_path("sweep_pc3.json")))
+    scn = load_scenario(scenario_path("sweep_pc3.json"))
     if inputs is not None:
         scn["inputs"] = inputs
     path = tmp_path / "sweep.json"
@@ -302,7 +302,7 @@ def test_party_ids_out_of_range_are_a_schema_error(kind):
 
 
 def test_decode_roundtrip(capsys):
-    scn = json.load(open(scenario_path("pc3_faultfree_n4.json")))
+    scn = load_scenario(scenario_path("pc3_faultfree_n4.json"))
     result = run_scenario(scn)
     proof = result.metrics.outputs[0]["low"][1]
     blob = wire.encode(proof)
