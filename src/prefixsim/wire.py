@@ -637,6 +637,11 @@ def _shape_error(obj) -> str:
     return next((f"{f.name}: not {f.type}" for f in bad), "")
 
 
+def _signers_ok(signers: tuple, cfg: PcConfig) -> bool:
+    """Whether ``signers`` names a quorum of distinct parties of ``cfg``."""
+    return all(type(p) is int and 0 <= p < cfg.n for p in signers) and len(signers) == len(set(signers)) == cfg.quorum
+
+
 def _verify_form(form, q, r: int, cfg: PcConfig, scheme: Scheme):
     if not isinstance(q, form.cls):
         return False, f"not a {form.cls.__name__}"
@@ -680,7 +685,7 @@ def verify_cqc1(q: CQC1, r: int, cfg: PcConfig, scheme: Scheme):
         return False, "instance"
     if not _padded_ok(q.value, cfg.L):
         return False, "certified value malformed"
-    if len(q.signers) != cfg.quorum or len(set(q.signers)) != cfg.quorum:
+    if not _signers_ok(q.signers, cfg):
         return False, "signer set"
     if len(q.descs) != cfg.quorum or len(q.blob) != scheme.sig_size * cfg.quorum:
         return False, "descriptor/blob arity"
@@ -714,7 +719,7 @@ def _verify_common(value: Vector, signers, blob: bytes, r: int, cfg: PcConfig, s
     that the whole quorum signed."""
     if not _padded_ok(value, cfg.L):
         return False, "common prefix malformed"
-    if len(signers) != cfg.quorum or len(set(signers)) != cfg.quorum:
+    if not _signers_ok(signers, cfg):
         return False, "signer set"
     if len(blob) != scheme.sig_size * cfg.quorum:
         return False, "multi-signature: blob length"
@@ -732,11 +737,8 @@ def _verify_witnesses(q_value: Vector, witnesses, r: int, cfg: PcConfig, scheme:
     if len(witnesses) != 2:
         return False, "witness arity"
     w1, w2 = witnesses
-    if not isinstance(w1, Witness2) or not isinstance(w2, Witness2):
-        return False, "witness type"
-    why = _shape_error(w1) or _shape_error(w2)
-    if why:
-        return False, f"witness {why}"
+    if not isinstance(w1, Witness2) or not isinstance(w2, Witness2) or _shape_error(w1) or _shape_error(w2):
+        return False, "witness type or field shape"
     if w1.elem == w2.elem:
         return False, "witness elements equal"
     cut = len(strip(q_value))
@@ -812,7 +814,7 @@ def verify_chain(q: ChainQC, r: int, cfg: PcConfig, scheme: Scheme):
         return False, "instance"
     if not _padded_ok(q.short, cfg.L) or not _padded_ok(q.long, cfg.L):
         return False, "extreme values malformed"
-    if len(q.signers) != cfg.quorum or len(set(q.signers)) != cfg.quorum:
+    if not _signers_ok(q.signers, cfg):
         return False, "signer set"
     if len(q.lengths) != cfg.quorum:
         return False, "length set"
@@ -839,7 +841,7 @@ def verify_stem(q: StemQC, r: int, cfg: PcConfig, scheme: Scheme):
         return False, "instance"
     if not _padded_ok(q.stem, cfg.L):
         return False, "stem malformed"
-    if len(q.signers) != cfg.quorum or len(set(q.signers)) != cfg.quorum:
+    if not _signers_ok(q.signers, cfg):
         return False, "signer set"
     if len(q.suffixes) != cfg.quorum or len(q.blob) != scheme.sig_size * cfg.quorum:
         return False, "suffix/blob arity"

@@ -319,8 +319,8 @@ MISSHAPEN = (5, None, b"x", ("x",), ([1],), (5, 5, 5), "s")
 
 def test_compact_verifiers_reject_every_misshapen_field():
     """Each field of each round certificate of party 0, and of a witness,
-    replaced by each value of ``MISSHAPEN``: the verifier says no with a
-    reason and never raises."""
+    and the first entry of each tuple field, replaced by each value of
+    ``MISSHAPEN``: the verifier says no with a reason and never raises."""
     from prefixsim.scenario import run_scenario
 
     rep = dataclasses.replace
@@ -341,13 +341,16 @@ def test_compact_verifiers_reject_every_misshapen_field():
                 for obj, wrap in targets:
                     witnesses += isinstance(obj, wire.Witness2)
                     for field in dataclasses.fields(obj):
+                        value = getattr(obj, field.name)
                         for bad in MISSHAPEN:
-                            if bad == getattr(obj, field.name):
-                                continue
-                            ok, why = wire.verify_compact(wrap(rep(obj, **{field.name: bad})), r, cfg, scheme)
-                            assert not ok and why, (protocol, r, type(obj).__name__, field.name, bad)
-                            cases += 1
-    assert cases > 900 and witnesses
+                            changed = [bad] + ([(bad,) + value[1:]] if isinstance(value, tuple) and value else [])
+                            for new in changed:
+                                if new == value:
+                                    continue
+                                ok, why = wire.verify_compact(wrap(rep(obj, **{field.name: new})), r, cfg, scheme)
+                                assert not ok and why, (protocol, r, type(obj).__name__, field.name, new)
+                                cases += 1
+    assert cases > 1500 and witnesses
 
 
 def _swapped_evidence(protocol, r):
