@@ -4,9 +4,13 @@ counts (bytes under plain accounting), its drops, and the text and type of
 
 The runs are one seeded scenario per catalogue stratum, every bundled
 scenario file, a ``Delayer`` run (a ``pick_delay`` override), a
-``Suspender`` run on a 240-tick clock and an msc ``withhold_body`` run.
-The runs named in ``FETCHING`` must pull bodies over the fetch path.  A second test pins the jitter
-draws to the ``random.Random(seed).randint`` sequence they come from.
+``Suspender`` run on a 240-tick clock, an msc ``withhold_body`` run, three
+Byzantine runs of the derived protocols and a ``PcFromGradedEngine`` run
+under jitter.  The runs named in ``FETCHING`` must pull bodies over the
+fetch path.  The transcript digest names no output value, so the runs in
+``VALUES`` pin every honest output's value as well.  A second test pins
+the jitter draws to the ``random.Random(seed).randint`` sequence they come
+from.
 """
 
 import hashlib
@@ -19,6 +23,7 @@ import pytest
 from prefixsim import adversaries, catalogue, wire
 from prefixsim.actions import Broadcast
 from prefixsim.crypto import MacScheme
+from prefixsim.derived import PcFromGradedEngine
 from prefixsim.scenario import load_scenario, run_scenario
 from prefixsim.simnet import DelayPolicy, Simulation
 from prefixsim.spc import SpcConfig, SpcEngine
@@ -38,26 +43,44 @@ def _fingerprint(metrics) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
 
 
+def _values(sim) -> str:
+    """Digest of every honest party's output values, kind by kind."""
+    outputs = sim.metrics.outputs
+    lines = [f"{p} {kind} {value!r}" for p in sim.honest for kind, (value, _proof, _t) in sorted(outputs[p].items())]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
 def _plain(scn: dict) -> dict:
     return {**scn, "measure_bytes": True, "codec": "plain"}
 
 
 def _runs():
-    """(name, thunk returning Metrics) for every pinned run."""
+    """(name, thunk returning the finished Simulation) for every pinned run."""
     for i, stratum in enumerate(catalogue.STRATA):
         scn = _plain({**stratum.template, "seed": 7000 + i})
-        yield f"stratum{i:02d}", lambda scn=scn: run_scenario(scn).metrics
+        yield f"stratum{i:02d}", lambda scn=scn: run_scenario(scn).sim
     for name in sorted(os.listdir(SCENARIOS)):
         scn = _plain(load_scenario(os.path.join(SCENARIOS, name)))
-        yield name, lambda scn=scn: run_scenario(scn).metrics
+        yield name, lambda scn=scn: run_scenario(scn).sim
     delayer = _plain({"version": 1, "protocol": "spc", "n": 4, "f": 1, "L": 4, "gst": 6, "delta_cap": 2,
                       "seed": 5, "adversary": {"kind": "delayer", "links": [[0, 1], [2, 3]],
                                                "stretch": 5, "jitter": 3}})
-    yield "delayer", lambda: run_scenario(delayer).metrics
+    yield "delayer", lambda: run_scenario(delayer).sim
     withhold = _plain({**catalogue.PSYNC, "protocol": "msc", "n": 4, "f": 1, "slots": 2, "seed": 3,
                        "adversary": {"kind": "withhold_body", "reveal": {"2": [0]}, "jitter": 4}})
-    yield "msc_withhold", lambda: run_scenario(withhold).metrics
+    yield "msc_withhold", lambda: run_scenario(withhold).sim
     yield "suspender", _suspender_run
+    derived = {
+        "graded_equivocate": {"protocol": "graded", "n": 4, "f": 1, "seed": 21,
+                              "adversary": {"kind": "equivocate", "byzantine": [3], "jitter": 3}},
+        "binary_doctored": {"protocol": "binary", "n": 4, "f": 1, "seed": 22,
+                            "adversary": {"kind": "doctored", "byzantine": [1], "jitter": 3}},
+        "validated_silent_n7": {"protocol": "validated", "n": 7, "f": 2, "seed": 23, "delta_cap": 2,
+                                "adversary": {"kind": "silent", "byzantine": [0, 4], "jitter": 2}},
+    }
+    for name, scn in derived.items():
+        yield name, lambda scn=_plain({"version": 1, **scn}): run_scenario(scn).sim
+    yield "pc_from_graded", _pc_from_graded_run
 
 
 def _suspender_run():
@@ -73,7 +96,19 @@ def _suspender_run():
     rng = random.Random(8)
     for p in range(4):
         sim.schedule_input(p, tuple(bytes([97 + rng.randrange(3)]) for _ in range(4)))
-    return sim.run()
+    sim.run()
+    return sim
+
+
+def _pc_from_graded_run():
+    scheme = MacScheme(4)
+    sim = Simulation(4, lambda p: PcFromGradedEngine(4, 1, 3, p, scheme),
+                     policy=DelayPolicy(gst=None, jitter=4), seed=9, measure=wire.measure)
+    rng = random.Random(9)
+    for p in range(4):
+        sim.schedule_input(p, tuple(bytes([97 + rng.randrange(2)]) for _ in range(3)))
+    sim.run()
+    return sim
 
 
 #: Recorded before the simulator's send and delivery paths were merged.
@@ -107,6 +142,7 @@ PINS = {
     "stratum26": "89c0effaf1bded5e",
     "stratum27": "3b8ad0f3c6a40152",
     "binary_mixed_n4.json": "d2e6c3fd47aace7d",
+    "binary_random_n4.json": "5f22ae1232fa4ba3",
     "graded_faultfree_n4.json": "b8716f3bc0effa1e",
     "msc_censor_f1.json": "301329dba7153e59",
     "msc_censor_f2_n7.json": "fa7e3246ace733b5",
@@ -126,6 +162,10 @@ PINS = {
     "delayer": "a18b2deeca064c27",
     "suspender": "219cf79fce07ec64",
     "msc_withhold": "44e1034a5ebf1637",
+    "graded_equivocate": "fcf4e92bd00262b5",
+    "binary_doctored": "6ff932cce880a527",
+    "validated_silent_n7": "dff39458fd92319c",
+    "pc_from_graded": "74c6cfadc65de63a",
 }
 
 #: Runs that commit a body some honest party never received: a slot
@@ -133,11 +173,28 @@ PINS = {
 FETCHING = {"msc_fetch_payload_n4.json", "spc_withhold_n4.json", "msc_withhold"}
 
 
+#: Recorded before the derived engines became subclasses of their base
+#: engines: every honest output value (graded pairs, decisions, low/high).
+VALUES = {
+    "binary_mixed_n4.json": "2cdc20df7dd8e86c",
+    "binary_random_n4.json": "d49af75dc2f143d8",
+    "graded_faultfree_n4.json": "9dd3eb1f2047e321",
+    "validated_faultfree_n4.json": "bc554f17e4c30679",
+    "graded_equivocate": "096216a8f2c1dd20",
+    "binary_doctored": "ed20c891c3d4e3c0",
+    "validated_silent_n7": "5716c7f9c8c19f26",
+    "pc_from_graded": "6f20837f334716dc",
+}
+
+
 @pytest.mark.parametrize("name,run", list(_runs()), ids=lambda v: v if isinstance(v, str) else "")
 def test_run_is_pinned(name, run):
-    metrics = run()
+    sim = run()
+    metrics = sim.metrics
     assert _fingerprint(metrics) == PINS[name]
     assert (metrics.fetch_messages > 0) == (name in FETCHING)
+    if name in VALUES:
+        assert _values(sim) == VALUES[name]
 
 
 def test_jitter_draws_follow_randint():
