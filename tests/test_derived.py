@@ -1,4 +1,4 @@
-"""Graded consensus mappings and the binary/validated wrappers."""
+"""Graded consensus mappings and the binary/validated engines."""
 
 import random
 
@@ -15,7 +15,7 @@ from prefixsim.derived import (
     pc_from_graded,
 )
 from prefixsim.prefixes import consistent, is_prefix, mcp
-from prefixsim.simnet import DelayPolicy, Simulation
+from prefixsim.simnet import Adversary, DelayPolicy, Simulation
 from test_spc import DropCounter
 
 x, y = b"x", b"y"
@@ -159,20 +159,28 @@ def test_validated_fault_free_decides_first_ranked():
 
 
 def test_validated_skips_invalid_entries():
+    # Party 0, ranked first, is Byzantine: its engine accepts any payload
+    # and proposes one that the honest predicate rejects.
     n = 4
     scheme = MacScheme(n)
-    validator = lambda blob: blob.startswith(b"ok")
+
+    class Careless(Adversary):
+        def engine_for(self, party, build):
+            return ValidatedEngine(n, 1, 1, party, scheme, validator=lambda blob: True)
+
     sim = Simulation(
         n,
-        lambda p: ValidatedEngine(n, 1, 1, p, scheme, validator=validator),
+        lambda p: ValidatedEngine(n, 1, 1, p, scheme, validator=lambda blob: blob.startswith(b"ok")),
         policy=DelayPolicy.synchronized(1),
+        adversary=Careless({0}),
     )
-    payloads = [b"ok-%d" % p for p in range(n)]
+    payloads = [b"bad-0"] + [b"ok-%d" % p for p in range(1, n)]
     for party, blob in enumerate(payloads):
         sim.schedule_input(party, blob)
     metrics = sim.run()
-    decisions = {metrics.output_value(p, "decision") for p in range(n)}
-    assert decisions == {b"ok-0"}
+    honest = (1, 2, 3)
+    assert all(0 not in sim.engines[p].buffer for p in honest)
+    assert {metrics.output_value(p, "decision") for p in honest} == {b"ok-1"}
 
 
 def test_binary_and_validated_runs_report_inner_drops():
@@ -189,7 +197,7 @@ def test_binary_and_validated_runs_report_inner_drops():
             sim.schedule_input(party, value)
         metrics = sim.run()
         assert adv.injected > 0
-        # The inner engines' drops pass up through the wrappers, and the
-        # simulator counts each one.
+        # The drops of the strong layer and of its view instances reach
+        # the simulator, which counts each one.
         assert sum(sim.engines[p].drops for p in (0, 1, 2)) >= adv.injected
         assert metrics.drops == sum(e.drops for e in sim.engines.values())
