@@ -17,6 +17,7 @@ from typing import List
 from .msc import update_rank
 from .pc import Variant, predicate_high, predicate_low
 from .prefixes import consistent, is_prefix, mcp
+from .spc import _Missing
 
 
 @dataclass
@@ -121,9 +122,22 @@ def spc(run) -> List[Violation]:
         for view in range(cert.ref_view + 1, cert.prev_view + 1):
             for other in engines:
                 out = other.vpc_outputs.get(view, {})
-                if "low" in out and other._parent_of(out["low"][0]) is not None:
+                if "low" in out and _parented(view, out["low"][0], [other] + engines):
                     bad.append(Violation("skip-conservatism", f"skip over view {view} despite a parented low"))
     return bad
+
+
+def _parented(view, value, engines) -> bool:
+    """Whether a view's output has a parent, as ``SpcEngine._has_parent``
+    says: a view-1 output always does.  Each engine is asked in turn until
+    one holds the body that the output's first digest names; a body that
+    no engine holds counts as parentless."""
+    for engine in engines:
+        try:
+            return engine._has_parent(view, value)
+        except _Missing:
+            continue
+    return False
 
 
 def msc(run) -> List[Violation]:

@@ -5,8 +5,8 @@ seen to fire.
 party 0 in ``metrics.outputs`` (delete it, extend it, cut it, flip its
 first element, or change its decision or grade) and run the checks
 again.  *Engine-state controls* change what an engine recorded (an msc
-commit log, slot output or ranking, or an spc skip certificate), or
-delete an msc slot output.  Each case's violation list is pinned, so a
+commit log, slot output or ranking, or an spc skip certificate or
+stored body), or delete an msc slot output.  Each case's violation list is pinned, so a
 refactor of the checks must keep every verdict and its text.  The
 coverage test reads every invariant name given to ``Violation`` or
 ``_agreement`` in ``src/prefixsim`` and asks that a control here or
@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from prefixsim import checks, cli
 from prefixsim.scenario import run_checks, run_scenario
-from prefixsim.spc import SkipCert
+from prefixsim.spc import HBOT, SkipCert
 
 SRC = os.path.dirname(checks.__file__)
 
@@ -118,9 +118,25 @@ def _skip_parented_view(run):
     run.sim.engines[1].built_skips.append(SkipCert(2, 1, (), None, None))
 
 
+def _skip_views_1_and_2(run):
+    run.sim.engines[1].built_skips.append(SkipCert(2, 0, (), None, None))
+
+
+def _skip_view_2_body_held_elsewhere(run):
+    # Party 2 lacks the body its view-2 low names first; the others hold it.
+    engine = run.sim.engines[2]
+    low = engine.vpc_outputs[2]["low"][0]
+    del engine.store[next(d for d in low if d != HBOT)]
+    engine.built_skips.append(SkipCert(2, 1, (), None, None))
+
+
+SILENT_SPC = {**BASE, "protocol": "spc", "L": 4, "adversary": {"kind": "silent", "byzantine": [0]}}
+
 #: name -> (scenario, change to the finished run).  The suspender run
 #: makes view 2 of every party but 0 end with a parented low, so a skip
-#: certificate over view 2 is not conservative.
+#: certificate over view 2 is not conservative.  In the silent run every
+#: honest party ends views 1 and 2 with a low, and a view-1 low always
+#: counts as parented.
 STATE_CONTROLS = {
     "msc drop-last-commit": (MSC, _drop_last_commit),
     "msc delete-slot1-high": (MSC, _forget_slot1_high),
@@ -129,6 +145,8 @@ STATE_CONTROLS = {
     "msc reverse-slot2-ranking": (MSC, _reverse_ranking),
     "spc skip-parented-view": ({**BASE, "protocol": "spc", "L": 4,
                                 "adversary": {"kind": "suspender", "round_len": 1}}, _skip_parented_view),
+    "spc skip-views-1-and-2": (SILENT_SPC, _skip_views_1_and_2),
+    "spc skip-view-2-body-held-elsewhere": (SILENT_SPC, _skip_view_2_body_held_elsewhere),
 }
 
 
@@ -545,6 +563,19 @@ STATE_PINS = {
         "demotion: slot 2 ranking update mismatch",
     ],
     "spc skip-parented-view": [
+        "skip-conservatism: skip over view 2 despite a parented low",
+        "skip-conservatism: skip over view 2 despite a parented low",
+        "skip-conservatism: skip over view 2 despite a parented low",
+    ],
+    "spc skip-views-1-and-2": [
+        "skip-conservatism: skip over view 1 despite a parented low",
+        "skip-conservatism: skip over view 1 despite a parented low",
+        "skip-conservatism: skip over view 1 despite a parented low",
+        "skip-conservatism: skip over view 2 despite a parented low",
+        "skip-conservatism: skip over view 2 despite a parented low",
+        "skip-conservatism: skip over view 2 despite a parented low",
+    ],
+    "spc skip-view-2-body-held-elsewhere": [
         "skip-conservatism: skip over view 2 despite a parented low",
         "skip-conservatism: skip over view 2 despite a parented low",
         "skip-conservatism: skip over view 2 despite a parented low",
