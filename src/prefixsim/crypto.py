@@ -231,9 +231,9 @@ class MacScheme(Scheme):
     _IPAD = bytes(b ^ 0x36 for b in range(256))  # byte translation tables
     _OPAD = bytes(b ^ 0x5C for b in range(256))
 
-    def __init__(self, n: int, seed: bytes = b"prefixsim-mac"):
+    def __init__(self, n: int):
         super().__init__(n)
-        keys = [hashlib.sha256(seed + b"|" + str(i).encode()).digest().ljust(64, b"\0") for i in range(n)]
+        keys = [hashlib.sha256(b"prefixsim-mac|" + str(i).encode()).digest().ljust(64, b"\0") for i in range(n)]
         self._pads = [(hashlib.sha256(key.translate(self._IPAD)), hashlib.sha256(key.translate(self._OPAD)))
                       for key in keys]
 

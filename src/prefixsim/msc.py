@@ -17,7 +17,7 @@ fetch request and parks commits that wait for a missing payload.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from . import crypto, wire
 from .actions import DROP, Broadcast, Output, StartTimer
@@ -81,24 +81,14 @@ def payload_digest(payload: bytes) -> bytes:
 class MscEngine:
     """One party's reactor across slots.
 
-    ``input_for(slot)`` supplies the per-slot proposal payload;
-    ``validator`` is the external-validity predicate applied to received
-    proposals (invalid ones are discarded on arrival).
+    ``input_for(slot)`` supplies the per-slot proposal payload.
     """
 
-    def __init__(
-        self,
-        cfg: MscConfig,
-        party: int,
-        scheme: Scheme,
-        input_for: Callable[[int], bytes],
-        validator: Optional[Callable[[bytes], bool]] = None,
-    ):
+    def __init__(self, cfg: MscConfig, party: int, scheme: Scheme, input_for: Callable[[int], bytes]):
         self.cfg = cfg
         self.party = party
         self.scheme = scheme
         self.input_for = input_for
-        self.validator = validator
         self.slot = 0
         self.buffers: Dict[int, Dict[int, bytes]] = {}
         self.store = Store()  # payloads in blobs, and the slot engines' objects
@@ -165,8 +155,6 @@ class MscEngine:
         if prop.inst != self.cfg.instance or not isinstance(prop.slot, int):
             return [DROP]
         if not isinstance(prop.payload, bytes):
-            return [DROP]
-        if self.validator is not None and not self.validator(prop.payload):
             return [DROP]
         digest = payload_digest(prop.payload)
         self.store.blobs.setdefault(digest, prop.payload)

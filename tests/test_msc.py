@@ -23,12 +23,12 @@ def payload(party, slot):
     return b"tx-%d-%d" % (party, slot)
 
 
-def run_msc(n=4, f=1, slots=2, delta_cap=1, policy=None, adversary=None, seed=0, validator=None):
+def run_msc(n=4, f=1, slots=2, delta_cap=1, policy=None, adversary=None, seed=0, engine=MscEngine):
     cfg = MscConfig(n, f, delta_cap, ("t", "msc"), slots=slots)
     scheme = MacScheme(n)
     sim = Simulation(
         n,
-        lambda p: MscEngine(cfg, p, scheme, lambda s, p=p: payload(p, s), validator=validator),
+        lambda p: engine(cfg, p, scheme, lambda s, p=p: payload(p, s)),
         policy=policy or DelayPolicy.synchronized(1),
         adversary=adversary,
         seed=seed,
@@ -135,12 +135,22 @@ def test_equivocator_bounded_censorship():
     assert len(censored) <= 1
 
 
+class RejectsAlt(MscEngine):
+    """An external-validity predicate, added by extension: proposals whose
+    payload ends in '/alt' are dropped on arrival."""
+
+    def _handle_proposal(self, sender, prop):
+        if isinstance(prop.payload, bytes) and prop.payload.endswith(b"/alt"):
+            return [DROP]
+        return super()._handle_proposal(sender, prop)
+
+
 def test_external_validity_filters_proposals():
-    # Predicate rejects the equivocator's '/alt' payloads on arrival.
+    # The predicate rejects the equivocator's '/alt' payloads on arrival.
     policy = DelayPolicy(gst=0, cap=2, default_delay=1)
     adv = adversaries.Equivocate({2}, MacScheme(4))
-    validator = lambda blob: not blob.endswith(b"/alt")
-    cfg, sim, metrics = run_msc(slots=2, delta_cap=2, policy=policy, adversary=adv, seed=4, validator=validator)
+    cfg, sim, metrics = run_msc(slots=2, delta_cap=2, policy=policy, adversary=adv, seed=4, engine=RejectsAlt)
+    assert metrics.drops > 0  # the predicate met '/alt' payloads
     honest = [0, 1, 3]
     for slot in (1, 2):
         logs = committed_payload_sets(sim, slot, honest)

@@ -403,7 +403,7 @@ def test_view_high_proof_does_not_certify_the_next_view():
 
 def test_vote_verdict_is_not_reused_across_schemes():
     cfg = SpcConfig(4, 1, 4, 1, ("t", "spc")).vpc_cfg(1)
-    signer, other = MacScheme(4), MacScheme(4, seed=b"other-keys")
+    signer, other = MacScheme(4), crypto.Ed25519Scheme(4)
     value = (a, b, c, d)
     vote = Vote(cfg.instance, 1, 1, value, signer.sign_vector(1, crypto.VOTE1, cfg.instance, value))
     assert verify_vote(vote, cfg, signer)
