@@ -12,7 +12,8 @@ The package is organised as a small stack:
   to run keyed sub-instances (views, slots, lanes).
 * :mod:`prefixsim.spc`, :mod:`prefixsim.msc` -- the leaderless agreement
   layer and the multi-slot replication layer built on top of it.
-* :mod:`prefixsim.derived` -- graded/binary/validated consensus wrappers.
+* :mod:`prefixsim.derived` -- graded/binary/validated consensus, each
+  extending the engine it runs with one output rule.
 * :mod:`prefixsim.simnet`, :mod:`prefixsim.adversaries` -- the seeded
   discrete-event network with Byzantine strategies.
 * :mod:`prefixsim.checks` -- executable safety/liveness invariant suites.
