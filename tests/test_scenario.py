@@ -105,3 +105,18 @@ def test_compact_codec_covers_the_pc_variants_only():
         assert validate(scn) == want, protocol
     bad = {"version": 1, "protocol": ["pc3"], "n": 7, "f": 1, "L": 4, "codec": "compact"}
     assert ("codec", "compact codec covers pc3/pc_opt/pc_5f1 only") in validate(bad)
+
+
+def test_explicit_msc_payloads_are_committed():
+    # Per slot, per party; a party the table does not reach proposes the
+    # default payload of its slot.
+    scn = {"version": 1, "protocol": "msc", "n": 4, "f": 1, "slots": 2, "seed": 7,
+           "inputs": {"kind": "explicit", "payloads": [["a", "b", "c", "d"], ["e"]]}}
+    result = run_scenario(scn)
+    assert result.violations == []
+    slot2 = [b"e"] + [b"tx-%d-2-7" % p for p in (1, 2, 3)]
+    for p in result.honest:
+        commits = result.sim.engines[p].committed_by_slot()
+        assert [payload for _, _, payload in commits[1]] == [b"a", b"b", b"c", b"d"]
+        assert [payload for _, _, payload in commits[2]] == slot2
+
