@@ -2,7 +2,7 @@
 
 Each protocol has one check of the finished run, ``check(run) -> List[Violation]``,
 where ``run`` is the :class:`~prefixsim.scenario.RunResult`: the simulation
-(white-box engine access), the injected inputs, the pc config and scheme, and
+(white-box engine access), the injected inputs, the engines' config and scheme, and
 the metrics.  No violation means every invariant holds.  ``scenario.run_checks``
 runs the protocol's check, and ``model_soundness`` too for a recorded run.
 """
@@ -188,16 +188,15 @@ def _slot_post_gst(metrics, honest, slot, gst) -> bool:
 
 def censorship_audit(run) -> List[int]:
     """Post-GST slots (``_slot_post_gst``) whose committed output misses
-    some honest party's proposal, read from its engine's ``input_for``.
-    The bound holds "after GST", so a run with no GST counts no slot."""
+    some honest party's proposal, read from its input.  The bound holds
+    "after GST", so a run with no GST counts no slot."""
     honest, gst = run.honest, run.scenario["gst"]
-    engines = [run.sim.engines[p] for p in honest]
-    commits = [e.committed_by_slot() for e in engines]
+    commits = [run.sim.engines[p].committed_by_slot() for p in honest]
     censored = []
     for slot in range(1, run.scenario["slots"] + 1):
         if not _slot_post_gst(run.metrics, honest, slot, gst):
             continue
-        proposals = {e.input_for(slot) for e in engines}
+        proposals = {run.inputs[p][slot - 1] for p in honest}
         logs = ({payload for _, _, payload in by_slot.get(slot, [])} for by_slot in commits)
         if any(log and not proposals <= log for log in logs):  # an empty log is a termination problem
             censored.append(slot)

@@ -1,7 +1,9 @@
 """Primitives derived from the consensus family.
 
 Each derived engine extends the engine it runs and adds one output rule;
-it sends the same messages as that engine.
+it sends the same messages as that engine.  Like every engine it is
+built as ``cls(cfg, party, scheme)`` from the config of the engine it
+extends, and takes its input through ``on_input``.
 
 * Graded consensus is a length-one consistent-prefix engine that reports
   its (low, high) pair as one (value, grade) output; running one graded
@@ -16,10 +18,10 @@ it sends the same messages as that engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import wire
-from .actions import Broadcast, Output, StartTimer
+from .actions import DROP, Broadcast, Output, StartTimer
 from .crypto import Scheme
 from .nest import Host
 from .pc import PcConfig, PcEngine, Variant
@@ -63,9 +65,6 @@ class GradedEngine(PcEngine):
     """Graded consensus: a length-one prefix instance whose output pair is
     reported as one ``graded`` (value, grade) output."""
 
-    def __init__(self, n: int, f: int, party: int, scheme: Scheme, instance: tuple = ("graded",)):
-        super().__init__(PcConfig(n, f, 1, Variant.THREE_ROUND, instance), party, scheme)
-
     def on_input(self, value: bytes) -> list:
         return super().on_input((value,))
 
@@ -83,21 +82,23 @@ class GradedEngine(PcEngine):
 
 
 class PcFromGradedEngine:
-    """Consistent prefix consensus rebuilt from L parallel graded lanes."""
+    """Consistent prefix consensus rebuilt from ``cfg.L`` parallel graded
+    lanes; lane ``k`` runs under the instance ``cfg.instance + ("lane", k)``."""
 
-    def __init__(self, n: int, f: int, L: int, party: int, scheme: Scheme):
-        self.L = L
+    def __init__(self, cfg: PcConfig, party: int, scheme: Scheme):
+        self.cfg = cfg
         self.lanes = Host(
-            ("pcg",),
-            lambda k: GradedEngine(n, f, party, scheme, ("pcg", "lane", k)),
+            cfg.instance,
+            lambda k: GradedEngine(PcConfig(cfg.n, cfg.f, 1, Variant.THREE_ROUND, cfg.instance + ("lane", k)),
+                                   party, scheme),
             self._lane_output,
-            stop=L,
+            stop=cfg.L,
         )
         self.results: Dict[int, Tuple[Optional[bytes], int]] = {}
         self.emitted = False
 
     def on_input(self, value: Vector) -> list:
-        if len(value) != self.L:
+        if len(value) != self.cfg.L:
             raise ValueError("input length mismatch")
         actions: list = []
         for lane, elem in enumerate(value):
@@ -109,19 +110,16 @@ class PcFromGradedEngine:
 
     def _lane_output(self, lane: int, out: Output) -> list:
         self.results[lane] = out.value
-        if len(self.results) < self.L or self.emitted:
+        if len(self.results) < self.cfg.L or self.emitted:
             return []
         self.emitted = True
-        low, high = pc_from_graded([self.results[k] for k in range(self.L)])
+        low, high = pc_from_graded([self.results[k] for k in range(self.cfg.L)])
         return [Output("low", low), Output("high", high)]
 
 
 class BinaryEngine(SpcEngine):
     """Binary consensus: the strong layer on a one-bit vector, deciding
     right after its high output."""
-
-    def __init__(self, n: int, f: int, delta_cap, party: int, scheme: Scheme):
-        super().__init__(SpcConfig(n, f, 1, delta_cap, ("binary",)), party, scheme)
 
     def on_input(self, bit: int) -> list:
         return super().on_input((bytes([bit]),))
@@ -144,27 +142,23 @@ ABSENT = b""
 
 class ValidatedEngine(SpcEngine):
     """Validated consensus: disseminate inputs, agree on the collected
-    vector, decide right after the high output its first entry the
-    predicate accepts."""
+    vector, decide right after the high output its first entry that
+    ``valid`` accepts.  Its config is that of the strong layer, whose
+    vector has one entry per party."""
 
-    instance = ("validated",)
+    instance = ("validated",)  # of its ValInput messages
 
-    def __init__(
-        self,
-        n: int,
-        f: int,
-        delta_cap,
-        party: int,
-        scheme: Scheme,
-        validator: Optional[Callable[[bytes], bool]] = None,
-    ):
-        super().__init__(SpcConfig(n, f, n, delta_cap, self.instance + ("spc",)), party, scheme)
-        self.validator = validator or (lambda payload: len(payload) > 0)
+    def __init__(self, cfg: SpcConfig, party: int, scheme: Scheme):
+        super().__init__(cfg, party, scheme)
         self.buffer: Dict[int, bytes] = {}
         self.started = False
 
+    def valid(self, payload: bytes) -> bool:
+        """The validity predicate: a non-empty payload."""
+        return len(payload) > 0
+
     def on_input(self, payload: bytes) -> list:
-        if not self.validator(payload):
+        if not self.valid(payload):
             raise ValueError("own input fails the validity predicate")
         msg = ValInput(self.instance, payload)
         actions = [Broadcast(msg), StartTimer(("collect",), 2 * self.cfg.delta_cap)]
@@ -182,10 +176,8 @@ class ValidatedEngine(SpcEngine):
         return super().on_message(sender, msg)
 
     def _handle_input_msg(self, sender: int, msg: ValInput) -> list:
-        if msg.inst != self.instance or not isinstance(msg.payload, bytes):
-            return []
-        if not self.validator(msg.payload):
-            return []
+        if msg.inst != self.instance or not isinstance(msg.payload, bytes) or not self.valid(msg.payload):
+            return [DROP]
         self.buffer.setdefault(sender, msg.payload)
         if len(self.buffer) == self.cfg.n and not self.started:
             return self._start_spc()
@@ -200,6 +192,6 @@ class ValidatedEngine(SpcEngine):
     def _emit_output(self, kind: str, value: Vector) -> list:
         actions = super()._emit_output(kind, value)
         if actions and kind == "high":
-            chosen = next((entry for entry in value if entry != ABSENT and self.validator(entry)), None)
+            chosen = next((entry for entry in value if entry != ABSENT and self.valid(entry)), None)
             actions.append(Output("undecided", True) if chosen is None else Output("decision", chosen))
         return actions

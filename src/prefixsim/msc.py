@@ -1,6 +1,7 @@
 """Multi-slot replication: one strong-prefix-consensus instance per slot.
 
-Each slot broadcasts proposals, orders the received ones by the slot
+A party's input is its tuple of per-slot payloads.  In each slot every
+party broadcasts its proposal, orders the received ones by the slot
 ranking, and agrees on a prefix of the ranked digest vector.  The next
 slot's ranking demotes the first party whose position fell outside the
 agreed prefix, so a censoring proposer loses its ability to censor after
@@ -17,7 +18,7 @@ fetch request and parks commits that wait for a missing payload.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from . import crypto, wire
 from .actions import DROP, Broadcast, Output, StartTimer
@@ -79,16 +80,14 @@ def payload_digest(payload: bytes) -> bytes:
 
 
 class MscEngine:
-    """One party's reactor across slots.
+    """One party's reactor across slots.  Its input is its tuple of
+    per-slot proposal payloads, in slot order."""
 
-    ``input_for(slot)`` supplies the per-slot proposal payload.
-    """
-
-    def __init__(self, cfg: MscConfig, party: int, scheme: Scheme, input_for: Callable[[int], bytes]):
+    def __init__(self, cfg: MscConfig, party: int, scheme: Scheme):
         self.cfg = cfg
         self.party = party
         self.scheme = scheme
-        self.input_for = input_for
+        self.payloads: Tuple[bytes, ...] = ()
         self.slot = 0
         self.buffers: Dict[int, Dict[int, bytes]] = {}
         self.store = Store()  # payloads in blobs, and the slot engines' objects
@@ -109,15 +108,17 @@ class MscEngine:
 
     # ------------------------------------------------------------------
 
-    def on_input(self, _value) -> list:
+    def on_input(self, payloads: Tuple[bytes, ...]) -> list:
+        if len(payloads) != self.cfg.slots:
+            raise ValueError(f"{len(payloads)} payloads for {self.cfg.slots} slots")
+        self.payloads = tuple(payloads)
         return self._new_slot(1)
 
     def _new_slot(self, slot: int) -> list:
         if slot > self.cfg.slots:
             return []
         self.slot = slot
-        payload = self.input_for(slot)
-        prop = Proposal(self.cfg.instance, slot, payload)
+        prop = Proposal(self.cfg.instance, slot, self.payloads[slot - 1])
         actions = [Broadcast(prop), StartTimer(("slot", slot), 2 * self.cfg.delta_cap)]
         actions.extend(self._handle_proposal(self.party, prop))
         return actions

@@ -1,17 +1,19 @@
 """Declarative scenario files: schema validation, construction, running.
 
 A scenario is a versioned JSON document selecting a protocol, the fault
-and timing model, the adversary, the inputs, and the invariant checks to
-enforce.  Every rule that differs by protocol or by adversary kind is a
-row of one of two tables: ``PROTOCOL_TABLE`` (:class:`Protocol`: the
-resilience bound, the inputs :class:`Shape`, the engine builder, the
-invariant checks) and ``KIND_TABLE``
-(:class:`Kind`: the builder, the fields read, each checked by ``FIELDS``,
-the source of the Byzantine parties, the Byzantine bound, the jitter
-field).  ``validate``, the builders, ``run_scenario`` and ``run_checks``
-read the rows, so a new protocol or kind is one row.  ``validate``
-returns (json-path, message) pairs; ``run_scenario`` returns a
-:class:`RunResult` carrying the simulation, metrics and violations.
+and timing model, the adversary and the inputs; every run is checked
+against its protocol's invariants.  Every rule that differs by protocol
+or by adversary kind is a row of one of two tables: ``PROTOCOL_TABLE``
+(:class:`Protocol`: the resilience bound, the inputs :class:`Shape`, the
+engines' config and class, the invariant checks) and ``KIND_TABLE``
+(:class:`Kind`: the builder, the fields read, each checked by
+``FIELDS``, the source of the Byzantine parties, the Byzantine bound,
+the jitter field).  ``validate``, the builders, ``run_scenario`` and
+``run_checks`` read the rows, so a new protocol or kind is one row.
+Every engine is built as ``engine(config, party, scheme)`` and takes its
+party's input through ``on_input``.  ``validate`` returns (json-path,
+message) pairs; ``run_scenario`` returns a :class:`RunResult` carrying
+the simulation, metrics and violations.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ DEFAULTS = {
     "measure_bytes": False,
     "adversary": {"kind": "none"},
     "inputs": {"kind": "random"},
-    "checks": "default",
 }
 
 
@@ -104,7 +105,8 @@ class Protocol(NamedTuple):
     shape: Optional[Shape]  # None: the inputs spec sets nothing it reads
     slots: bool
     inputs: Callable[[dict], list]  # per-party inputs of a defaulted scenario
-    engines: Callable[[dict, Scheme], tuple]  # (pc config or None, party -> engine)
+    config: Callable[[dict], object]  # the engines' config, from a defaulted scenario
+    engine: type  # built as engine(config, party, scheme)
     invariants: Callable[["RunResult"], list]  # the check of the finished run
 
 
@@ -120,59 +122,40 @@ def _shaped_inputs(scn: dict) -> list:
     return [shape.random(rng, spec, L) for _ in range(n)]
 
 
-def msc_payload_fn(scn: dict) -> Callable[[int, int], bytes]:
-    spec = scn.get("inputs", {})
-    if spec.get("kind") == "explicit" and "payloads" in spec:
-        table = spec["payloads"]  # per slot, per party payload strings
-        seed = scn["seed"]
+def _msc_payloads(scn: dict) -> list:
+    """Each party's per-slot payloads: the explicit ``payloads`` entry
+    (per slot, per party) where it is a string, else ``tx-<party>-<slot>-<seed>``."""
+    spec, seed = scn["inputs"], scn["seed"]
+    table = spec.get("payloads", []) if spec.get("kind") == "explicit" else []
 
-        def explicit(party: int, slot: int) -> bytes:
-            try:
-                return table[slot - 1][party].encode()
-            except (IndexError, AttributeError):
-                return b"tx-%d-%d-%d" % (party, slot, seed)
+    def payload(party: int, slot: int) -> bytes:
+        try:
+            return table[slot - 1][party].encode()
+        except (IndexError, AttributeError):
+            return b"tx-%d-%d-%d" % (party, slot, seed)
 
-        return explicit
-    seed = scn["seed"]
-    return lambda party, slot: b"tx-%d-%d-%d" % (party, slot, seed)
+    return [tuple(payload(p, slot) for slot in range(1, scn["slots"] + 1)) for p in range(scn["n"])]
 
 
 _rank0 = lambda scn: tuple(scn.get("rank0", ()) or range(scn["n"]))
 
-
-def _pc_engines(scn, scheme):
-    protocol = scn["protocol"]
-    cfg = PcConfig(scn["n"], scn["f"], scn["L"], VARIANTS[protocol], ("scn", protocol))
-    return cfg, lambda p: PcEngine(cfg, p, scheme)
-
-
-def _spc_engines(scn, scheme):
-    cfg = SpcConfig(scn["n"], scn["f"], scn["L"], scn["delta_cap"], ("scn", "spc"), _rank0(scn))
-    return None, lambda p: SpcEngine(cfg, p, scheme)
-
-
-def _msc_engines(scn, scheme):
-    cfg = MscConfig(scn["n"], scn["f"], scn["delta_cap"], ("scn", "msc"), _rank0(scn), slots=scn["slots"])
-    payload_fn = msc_payload_fn(scn)
-    return None, lambda p: MscEngine(cfg, p, scheme, lambda s: payload_fn(p, s))
-
-
 PROTOCOL_TABLE: Dict[str, Protocol] = {
-    **{name: Protocol(VARIANT_TABLE[variant].resilience, VECTOR, False, _shaped_inputs, _pc_engines, checks.pc)
+    **{name: Protocol(VARIANT_TABLE[variant].resilience, VECTOR, False, _shaped_inputs,
+                      lambda scn: PcConfig(scn["n"], scn["f"], scn["L"], VARIANTS[scn["protocol"]],
+                                           ("scn", scn["protocol"])), PcEngine, checks.pc)
        for name, variant in VARIANTS.items()},  # the resilience is the variant's
-    "spc": Protocol(3, VECTOR, False, _shaped_inputs, _spc_engines, checks.spc),
-    "msc": Protocol(3, None, True, lambda scn: [None] * scn["n"],  # msc_payload_fn makes the payloads
-                    _msc_engines, checks.msc),
-    "graded": Protocol(
-        3, VALUE, False, _shaped_inputs, lambda scn, scheme: (
-            None, lambda p: GradedEngine(scn["n"], scn["f"], p, scheme)), checks.graded),
-    "binary": Protocol(
-        3, BIT, False, _shaped_inputs, lambda scn, scheme: (
-            None, lambda p: BinaryEngine(scn["n"], scn["f"], scn["delta_cap"], p, scheme)), checks.binary),
+    "spc": Protocol(3, VECTOR, False, _shaped_inputs, lambda scn: SpcConfig(
+        scn["n"], scn["f"], scn["L"], scn["delta_cap"], ("scn", "spc"), _rank0(scn)), SpcEngine, checks.spc),
+    "msc": Protocol(3, None, True, _msc_payloads, lambda scn: MscConfig(
+        scn["n"], scn["f"], scn["delta_cap"], ("scn", "msc"), _rank0(scn), scn["slots"]), MscEngine, checks.msc),
+    "graded": Protocol(3, VALUE, False, _shaped_inputs, lambda scn: PcConfig(
+        scn["n"], scn["f"], 1, Variant.THREE_ROUND, ("graded",)), GradedEngine, checks.graded),
+    "binary": Protocol(3, BIT, False, _shaped_inputs, lambda scn: SpcConfig(
+        scn["n"], scn["f"], 1, scn["delta_cap"], ("binary",)), BinaryEngine, checks.binary),
     "validated": Protocol(
         3, None, False, lambda scn: [b"payload-%d-%d" % (p, scn["seed"]) for p in range(scn["n"])],
-        lambda scn, scheme: (None, lambda p: ValidatedEngine(scn["n"], scn["f"], scn["delta_cap"], p, scheme)),
-        checks.validated),
+        lambda scn: SpcConfig(scn["n"], scn["f"], scn["n"], scn["delta_cap"], ValidatedEngine.instance + ("spc",)),
+        ValidatedEngine, checks.validated),
 }
 PROTOCOLS = tuple(PROTOCOL_TABLE)
 
@@ -309,7 +292,7 @@ def _adversary_errors(adv, n, f) -> List[Tuple[str, str]]:
 
 def _input_errors(spec, row: Optional[Protocol], n, L) -> List[Tuple[str, str]]:
     """Schema errors of an ``inputs`` spec, for each field that
-    ``make_inputs`` or ``msc_payload_fn`` reads."""
+    ``make_inputs`` reads."""
     if not isinstance(spec, dict):
         return [("inputs", "object required")]
     kind = spec.get("kind", "random")
@@ -367,7 +350,7 @@ class RunResult:
     sim: Simulation
     metrics: object
     inputs: list
-    cfg: Optional[PcConfig]  # the pc config, for the pc variants
+    cfg: object  # the engines' config
     scheme: Scheme
     violations: list = field(default_factory=list)
 
@@ -408,14 +391,15 @@ def run_scenario(scn: dict, record: bool = False) -> RunResult:
     policy = build_policy(scn)
     adversary = build_adversary(scn, scheme)
     inputs = make_inputs(scn)
-    cfg, build = PROTOCOL_TABLE[scn["protocol"]].engines(scn, scheme)
+    row = PROTOCOL_TABLE[scn["protocol"]]
+    cfg = row.config(scn)
     measure = None
     if scn["measure_bytes"]:  # validate admits the compact codec for the pc variants only
         codec = wire.CompactCodec(cfg, scheme) if scn["codec"] == "compact" else wire.PlainCodec()
         measure = codec.measure
 
     sim = Simulation(
-        n, build, adversary=adversary, policy=policy, seed=scn["seed"],
+        n, lambda p: row.engine(cfg, p, scheme), adversary=adversary, policy=policy, seed=scn["seed"],
         measure=measure, record=record,
     )
     for party in range(n):
@@ -430,8 +414,6 @@ def run_scenario(scn: dict, record: bool = False) -> RunResult:
 def run_checks(result: RunResult) -> list:
     """The protocol's check of the finished run, and for a recorded run
     the delivery bound of partial synchrony (``checks.model_soundness``)."""
-    if result.scenario.get("checks") == "none":
-        return []
     bad = PROTOCOL_TABLE[result.scenario["protocol"]].invariants(result)
     return bad + checks.model_soundness(result.sim) if result.sim.record else bad
 

@@ -21,7 +21,7 @@ from prefixsim.crypto import MacScheme
 from prefixsim.derived import PcFromGradedEngine
 from prefixsim.pc import PcConfig, Variant
 from prefixsim.prefixes import consistent, is_prefix, longest_supported_prefix, mcp
-from prefixsim.scenario import msc_payload_fn, run_scenario
+from prefixsim.scenario import run_scenario
 from prefixsim.simnet import DelayPolicy, Simulation
 
 
@@ -114,7 +114,6 @@ def _run_censorship(n, f, byz, reveal, lag_victims, slots=100, kind="censor"):
            "delta_cap": 2, "adversary": adversary, "seed": 9}
     result = run(scn)
     honest = result.honest
-    payload_fn = msc_payload_fn(result.scenario)
     censored = checks.censorship_audit(result)
     assert len(censored) <= f, f"censored slots {censored}"
     engine = result.sim.engines[honest[0]]
@@ -127,7 +126,7 @@ def _run_censorship(n, f, byz, reveal, lag_victims, slots=100, kind="censor"):
     for slot in range(last_demotion + 1, slots + 1):
         committed = {pl for _, _, pl in engine.committed_by_slot().get(slot, [])}
         for h in honest:
-            assert payload_fn(h, slot) in committed, f"slot {slot} missing honest input"
+            assert result.inputs[h][slot - 1] in committed, f"slot {slot} missing honest input"
     return censored
 
 
@@ -229,12 +228,13 @@ def test_criterion_9_graded_consensus():
     rng = random.Random(42)
     n, f, L = 4, 1, 3
     scheme = MacScheme(n)
+    cfg = PcConfig(n, f, L, Variant.THREE_ROUND, ("pcg",))
     alphabet = [b"a", b"b", b"c"]
     for trial in range(200):
         inputs = [tuple(rng.choice(alphabet) for _ in range(L)) for _ in range(n)]
         sim = Simulation(
             n,
-            lambda p: PcFromGradedEngine(n, f, L, p, scheme),
+            lambda p: PcFromGradedEngine(cfg, p, scheme),
             policy=DelayPolicy.synchronized(1),
             seed=trial,
         )

@@ -5,17 +5,21 @@ import random
 import pytest
 
 from prefixsim import adversaries
+from prefixsim.actions import DROP
 from prefixsim.crypto import MacScheme
 from prefixsim.derived import (
     BinaryEngine,
     GradedEngine,
     PcFromGradedEngine,
     ValidatedEngine,
+    ValInput,
     graded_from_pc,
     pc_from_graded,
 )
+from prefixsim.pc import PcConfig, Variant
 from prefixsim.prefixes import consistent, is_prefix, mcp
 from prefixsim.simnet import Adversary, DelayPolicy, Simulation
+from prefixsim.spc import SpcConfig
 from test_spc import DropCounter
 
 x, y = b"x", b"y"
@@ -39,9 +43,10 @@ def test_pc_from_graded_mapping():
 
 def run_graded(inputs, n=4, f=1, adversary=None, seed=0):
     scheme = MacScheme(n)
+    cfg = PcConfig(n, f, 1, Variant.THREE_ROUND, ("graded",))
     sim = Simulation(
         n,
-        lambda p: GradedEngine(n, f, p, scheme),
+        lambda p: GradedEngine(cfg, p, scheme),
         policy=DelayPolicy.synchronized(1),
         adversary=adversary,
         seed=seed,
@@ -84,11 +89,12 @@ def test_reverse_reduction_satisfies_consistent_pc():
     alphabet = [b"a", b"b", b"c"]
     n, f, L = 4, 1, 3
     scheme = MacScheme(n)
+    cfg = PcConfig(n, f, L, Variant.THREE_ROUND, ("pcg",))
     for trial in range(25):
         inputs = [tuple(rng.choice(alphabet) for _ in range(L)) for _ in range(n)]
         sim = Simulation(
             n,
-            lambda p: PcFromGradedEngine(n, f, L, p, scheme),
+            lambda p: PcFromGradedEngine(cfg, p, scheme),
             policy=DelayPolicy.synchronized(1),
             seed=trial,
         )
@@ -108,9 +114,10 @@ def test_reverse_reduction_satisfies_consistent_pc():
 
 def run_binary(bits, n=4, f=1, adversary=None, seed=0):
     scheme = MacScheme(n)
+    cfg = SpcConfig(n, f, 1, 1, ("binary",))
     sim = Simulation(
         n,
-        lambda p: BinaryEngine(n, f, 1, p, scheme),
+        lambda p: BinaryEngine(cfg, p, scheme),
         policy=DelayPolicy.synchronized(1),
         adversary=adversary,
         seed=seed,
@@ -142,12 +149,18 @@ def test_binary_with_silent_party():
     assert len(decisions) == 1
 
 
+def validated_cfg(n):
+    """The strong layer's config of a validated instance with f = 1."""
+    return SpcConfig(n, 1, n, 1, ValidatedEngine.instance + ("spc",))
+
+
 def test_validated_fault_free_decides_first_ranked():
     n = 4
     scheme = MacScheme(n)
+    cfg = validated_cfg(n)
     sim = Simulation(
         n,
-        lambda p: ValidatedEngine(n, 1, 1, p, scheme),
+        lambda p: ValidatedEngine(cfg, p, scheme),
         policy=DelayPolicy.synchronized(1),
     )
     payloads = [b"payload-%d" % p for p in range(n)]
@@ -158,19 +171,30 @@ def test_validated_fault_free_decides_first_ranked():
         assert metrics.output_value(p, "decision") == payloads[0]
 
 
+class AcceptsAll(ValidatedEngine):
+    def valid(self, payload):
+        return True
+
+
+class AcceptsOk(ValidatedEngine):
+    def valid(self, payload):
+        return payload.startswith(b"ok")
+
+
 def test_validated_skips_invalid_entries():
     # Party 0, ranked first, is Byzantine: its engine accepts any payload
     # and proposes one that the honest predicate rejects.
     n = 4
     scheme = MacScheme(n)
+    cfg = validated_cfg(n)
 
     class Careless(Adversary):
         def engine_for(self, party, build):
-            return ValidatedEngine(n, 1, 1, party, scheme, validator=lambda blob: True)
+            return AcceptsAll(cfg, party, scheme)
 
     sim = Simulation(
         n,
-        lambda p: ValidatedEngine(n, 1, 1, p, scheme, validator=lambda blob: blob.startswith(b"ok")),
+        lambda p: AcceptsOk(cfg, p, scheme),
         policy=DelayPolicy.synchronized(1),
         adversary=Careless({0}),
     )
@@ -187,8 +211,8 @@ def test_binary_and_validated_runs_report_inner_drops():
     n = 4
     scheme = MacScheme(n)
     for build, inputs in (
-        (lambda p: BinaryEngine(n, 1, 1, p, scheme), [1, 1, 1, 1]),
-        (lambda p: ValidatedEngine(n, 1, 1, p, scheme), [b"payload-%d" % p for p in range(n)]),
+        (lambda p: BinaryEngine(SpcConfig(n, 1, 1, 1, ("binary",)), p, scheme), [1, 1, 1, 1]),
+        (lambda p: ValidatedEngine(validated_cfg(n), p, scheme), [b"payload-%d" % p for p in range(n)]),
     ):
         adv = adversaries.DoctoredProofs(byzantine={3})
         sim = Simulation(n, lambda p: DropCounter(build(p)), policy=DelayPolicy.synchronized(1),
@@ -201,3 +225,21 @@ def test_binary_and_validated_runs_report_inner_drops():
         # the simulator, which counts each one.
         assert sum(sim.engines[p].drops for p in (0, 1, 2)) >= adv.injected
         assert metrics.drops == sum(e.drops for e in sim.engines.values())
+
+
+@pytest.mark.parametrize("msg", [
+    ValInput(("other",), b"payload"),  # another instance
+    ValInput(ValidatedEngine.instance, "payload"),  # not bytes
+    ValInput(ValidatedEngine.instance, b""),  # fails the validity predicate
+], ids=["wrong-inst", "non-bytes", "invalid"])
+def test_validated_malformed_input_is_a_counted_drop(msg):
+    engine = ValidatedEngine(validated_cfg(4), 0, MacScheme(4))
+    assert engine.on_message(1, msg) == [DROP]
+    assert engine.buffer == {}
+
+
+def test_validated_duplicate_input_is_ignored_not_dropped():
+    engine = ValidatedEngine(validated_cfg(4), 0, MacScheme(4))
+    assert engine.on_message(1, ValInput(ValidatedEngine.instance, b"first")) == []
+    assert engine.on_message(1, ValInput(ValidatedEngine.instance, b"second")) == []
+    assert engine.buffer == {1: b"first"}

@@ -23,18 +23,23 @@ def payload(party, slot):
     return b"tx-%d-%d" % (party, slot)
 
 
+def payloads(party, slots):
+    """A party's input: its payload of each slot, in slot order."""
+    return tuple(payload(party, slot) for slot in range(1, slots + 1))
+
+
 def run_msc(n=4, f=1, slots=2, delta_cap=1, policy=None, adversary=None, seed=0, engine=MscEngine):
     cfg = MscConfig(n, f, delta_cap, ("t", "msc"), slots=slots)
     scheme = MacScheme(n)
     sim = Simulation(
         n,
-        lambda p: engine(cfg, p, scheme, lambda s, p=p: payload(p, s)),
+        lambda p: engine(cfg, p, scheme),
         policy=policy or DelayPolicy.synchronized(1),
         adversary=adversary,
         seed=seed,
     )
     for party in range(n):
-        sim.schedule_input(party, None)
+        sim.schedule_input(party, payloads(party, slots))
     metrics = sim.run()
     return cfg, sim, metrics
 
@@ -196,8 +201,8 @@ def fetch_server():
     """Party 0 in slot 1, holding party 1's slot-2 proposal; no slot
     engine has started."""
     cfg = MscConfig(4, 1, 1, ("t", "msc"), slots=2)
-    engine = MscEngine(cfg, 0, MacScheme(4), lambda s: payload(0, s))
-    engine.on_input(None)
+    engine = MscEngine(cfg, 0, MacScheme(4))
+    engine.on_input(payloads(0, 2))
     engine.on_message(1, Proposal(cfg.instance, 2, payload(1, 2)))
     assert not engine.slots.children
     return cfg, engine
@@ -295,3 +300,10 @@ def test_malformed_vote_two_envelopes_deep_is_one_drop():
     # Slot 3 is past the configured run: ignored, not buffered, not a drop.
     assert engine.on_message(3, Nested(cfg.instance, 3, vote)) == []
     assert 3 not in engine.slots.waiting
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_input_needs_one_payload_per_slot(count):
+    engine = MscEngine(MscConfig(4, 1, 1, ("t", "msc"), slots=2), 0, MacScheme(4))
+    with pytest.raises(ValueError, match="2 slots"):
+        engine.on_input(payloads(0, count))

@@ -7,7 +7,7 @@ from prefixsim.crypto import MacScheme
 from prefixsim.derived import PcFromGradedEngine
 from prefixsim.msc import MscConfig, MscEngine
 from prefixsim.nest import Host, Nested, innermost, rewrap
-from prefixsim.pc import Vote
+from prefixsim.pc import PcConfig, Variant, Vote
 from prefixsim.scenario import run_scenario
 from prefixsim.simnet import DelayPolicy, Simulation
 from prefixsim.spc import SpcConfig, SpcEngine
@@ -52,7 +52,7 @@ def test_malformed_key_or_inst_is_a_counted_drop():
     for bad in (Nested(("t",), 1, "m"), Nested(cfg.instance, 0, "m"), Nested(cfg.instance, (1,), "m")):
         assert spc.on_message(1, bad) == [DROP]
 
-    pcg = PcFromGradedEngine(4, 1, 2, 0, MacScheme(4))
+    pcg = PcFromGradedEngine(PcConfig(4, 1, 2, Variant.THREE_ROUND, ("pcg",)), 0, MacScheme(4))
     for bad in (Nested(("pcg",), 2, "m"), Nested(("pcg",), -1, "m"), Nested(("x",), 0, "m")):
         assert pcg.on_message(1, bad) == [DROP]
 
@@ -68,8 +68,8 @@ def test_early_slot_traffic_waits_for_its_slot():
     assert host.route(1, Nested(("h",), 3, "late")) == [Output("got", (1, "late"))]
 
     cfg = MscConfig(4, 1, 1, ("t", "msc"), slots=2)
-    engine = MscEngine(cfg, 0, MacScheme(4), lambda s: b"tx-%d" % s)
-    engine.on_input(None)
+    engine = MscEngine(cfg, 0, MacScheme(4))
+    engine.on_input((b"tx-1", b"tx-2"))
     for slot in (2, 3):  # slot 3 is past the configured run
         assert engine.on_message(1, Nested(cfg.instance, slot, "vote")) == []
     assert engine.slots.waiting == {2: [(1, "vote")]}
@@ -109,7 +109,8 @@ def test_pinned_msc_censor():
 def test_pinned_pc_from_graded():
     scheme = MacScheme(4)
     inputs = [(b"a", b"b", b"c"), (b"a", b"b", b"d"), (b"a", b"c", b"c"), (b"a", b"b", b"c")]
-    sim = Simulation(4, lambda p: PcFromGradedEngine(4, 1, 3, p, scheme),
+    cfg = PcConfig(4, 1, 3, Variant.THREE_ROUND, ("pcg",))
+    sim = Simulation(4, lambda p: PcFromGradedEngine(cfg, p, scheme),
                      policy=DelayPolicy(gst=None, jitter=3),
                      seed=3, measure=wire.PlainCodec().measure)
     for p, vec in enumerate(inputs):

@@ -24,6 +24,7 @@ from prefixsim import adversaries, catalogue, wire
 from prefixsim.actions import Broadcast
 from prefixsim.crypto import MacScheme
 from prefixsim.derived import PcFromGradedEngine
+from prefixsim.pc import PcConfig, Variant
 from prefixsim.scenario import load_scenario, run_scenario
 from prefixsim.simnet import DelayPolicy, Simulation
 from prefixsim.spc import SpcConfig, SpcEngine
@@ -102,7 +103,8 @@ def _suspender_run():
 
 def _pc_from_graded_run():
     scheme = MacScheme(4)
-    sim = Simulation(4, lambda p: PcFromGradedEngine(4, 1, 3, p, scheme),
+    cfg = PcConfig(4, 1, 3, Variant.THREE_ROUND, ("pcg",))
+    sim = Simulation(4, lambda p: PcFromGradedEngine(cfg, p, scheme),
                      policy=DelayPolicy(gst=None, jitter=4), seed=9, measure=wire.measure)
     rng = random.Random(9)
     for p in range(4):

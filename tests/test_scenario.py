@@ -120,3 +120,13 @@ def test_explicit_msc_payloads_are_committed():
         assert [payload for _, _, payload in commits[1]] == [b"a", b"b", b"c", b"d"]
         assert [payload for _, _, payload in commits[2]] == slot2
 
+
+@pytest.mark.parametrize("protocol", scenario.PROTOCOLS)
+def test_every_engine_is_built_from_the_run_config(protocol):
+    # Every engine is row.engine(cfg, party, scheme), with the config the
+    # run reports, and takes its party's input through on_input.
+    result = run_scenario({"version": 1, "protocol": protocol, "n": 6, "f": 1, "L": 2, "slots": 1})
+    assert result.violations == []
+    assert result.cfg is not None
+    assert all(type(engine) is scenario.PROTOCOL_TABLE[protocol].engine and engine.cfg is result.cfg
+               for engine in result.sim.engines.values())
