@@ -7,13 +7,15 @@ Strategies fall into three shapes:
   doctored-proof injection);
 * fully scripted: no engine at all (silent, split-view);
 * schedule-only: no Byzantine parties, just delivery-order control
-  (:class:`Delayer` stretches chosen links, :class:`Suspender` suspends
-  one party per round).
+  (:class:`Delayer` stretches chosen links).
 
-Random link delays, the schedule fuzzer, are not an adversary: they are
-the ``jitter`` of the simulation's :class:`~prefixsim.simnet.DelayPolicy`,
-drawn on every link whose delay no strategy picks.  So a strategy models
-only Byzantine behaviour and per-link overrides.
+Random link delays and suspension are not adversaries: they are the
+``jitter`` and ``suspend`` of the simulation's
+:class:`~prefixsim.simnet.DelayPolicy`.  Jitter is drawn on every link
+whose delay no strategy picks, and suspension pauses one honest party
+per round whatever the strategy.  So a strategy models only Byzantine
+behaviour and per-link overrides, and any strategy can run under
+suspension.
 
 Every strategy draws randomness exclusively from the simulation's
 seeded generator and signs only with Byzantine keys.
@@ -27,7 +29,7 @@ from . import crypto, msc, spc
 from .crypto import Scheme
 from .nest import innermost, rewrap
 from .pc import Vote
-from .simnet import Adversary, Time, denominator
+from .simnet import Adversary, Time
 
 
 class Silent(Adversary):
@@ -51,27 +53,6 @@ class Delayer(Adversary):
             return None
         if (sender, receiver) in self.links:
             return self.stretch
-        return None
-
-
-class Suspender(Adversary):
-    """Round-robin suspension: one (honest) party per round window, the
-    leaderless-termination adversary.  Combine with ``byzantine`` for the
-    f-1 silent parties variant."""
-
-    def __init__(self, n: int, byzantine=(), round_len: Time = 1):
-        super().__init__(byzantine)
-        self.round_len = round_len
-        self.grain = denominator(round_len)
-        self.targets = [p for p in range(n) if p not in self.byzantine]
-
-    def engine_for(self, party, build):
-        return None  # byzantine members stay silent
-
-    def suspended_until(self, party, t):
-        r = int(t // self.round_len)
-        if self.targets[r % len(self.targets)] == party:
-            return (r + 1) * self.round_len
         return None
 
 

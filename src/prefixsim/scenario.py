@@ -7,13 +7,18 @@ or by adversary kind is a row of one of two tables: ``PROTOCOL_TABLE``
 (:class:`Protocol`: the resilience bound, the inputs :class:`Shape`, the
 engines' config and class, the invariant checks) and ``KIND_TABLE``
 (:class:`Kind`: the builder, the fields read, each checked by
-``FIELDS``, the source of the Byzantine parties, the Byzantine bound,
-the jitter field).  ``validate``, the builders, ``run_scenario`` and
-``run_checks`` read the rows, so a new protocol or kind is one row.
-Every engine is built as ``engine(config, party, scheme)`` and takes its
-party's input through ``on_input``.  ``validate`` returns (json-path,
-message) pairs; ``run_scenario`` returns a :class:`RunResult` carrying
-the simulation, metrics and violations.
+``FIELDS``, the source of the Byzantine parties, and the fields feeding
+the timing model with their defaults).  ``validate``, the builders,
+``run_scenario`` and ``run_checks`` read the rows, so a new protocol or
+kind is one row.  Every kind runs under link jitter (``jitter``, or
+``stretch`` for ``fuzz``) and under suspension of one honest party per
+round (``round_len``; the ``suspender`` kind is silent parties with a
+default round length of 1).  The Byzantine bound is ``f``, or ``f - 1``
+when a round length is in effect.  Every engine is built as
+``engine(config, party, scheme)`` and takes its party's input through
+``on_input``.  ``validate`` returns (json-path, message) pairs, a field
+it does not know among them; ``run_scenario`` returns a
+:class:`RunResult` carrying the simulation, metrics and violations.
 """
 
 from __future__ import annotations
@@ -47,6 +52,9 @@ DEFAULTS = {
     "adversary": {"kind": "none"},
     "inputs": {"kind": "random"},
 }
+#: Every top-level field, and every field of ``inputs``; any other is a schema error.
+SCENARIO_FIELDS = ("version", "protocol", "n", "f", "L", "rank0", *DEFAULTS)
+INPUT_FIELDS = ("kind", "seed", "alphabet", "value", "vectors", "values", "bits", "payloads")
 
 
 def _party_ids(value) -> bool:
@@ -177,42 +185,41 @@ class Kind(NamedTuple):
     """One adversary kind's rules.  Its Byzantine parties are those its
     ``parties`` field names: the ``byzantine`` list, or the keys of ``reveal``."""
 
-    build: Callable[[dict, int, Scheme], Adversary]  # (spec, n, scheme)
+    build: Callable[[dict, Scheme], Adversary]  # (spec, scheme)
     fields: Tuple[str, ...]  # every field it reads besides ``kind``
     parties: str  # "byzantine" or "reveal"
-    suspends: int  # honest parties suspended at a time: the bound is f minus this
-    jitter: Tuple[str, Optional[int]]  # the field feeding the policy jitter, and its default
+    policy: Dict[str, Tuple[str, Optional[int]]]  # DelayPolicy attribute -> the field feeding it, and its default
 
 
 _byz = lambda spec: spec.get("byzantine", [])
 _reveal = lambda spec: {int(p): set(r) for p, r in spec.get("reveal", {}).items()}
 _lagged = lambda spec: {"lag_victims": spec.get("lag_victims", ()), "lag": spec.get("lag", 0)}
-_JITTER = ("jitter", None)
-_BYZ = ("byzantine", "jitter")  # the fields of a kind with no setting of its own
+_TIMING = ("jitter", "round_len")  # the fields feeding the policy, read by every kind but fuzz
+_POLICY = {"jitter": ("jitter", None), "suspend": ("round_len", None)}
+_BYZ = ("byzantine",) + _TIMING  # the fields of a kind with no setting of its own
 
 KIND_TABLE: Dict[str, Kind] = {
-    "none": Kind(lambda spec, n, scheme: Adversary(_byz(spec)), _BYZ, "byzantine", 0, _JITTER),
-    "silent": Kind(lambda spec, n, scheme: adversaries.Silent(_byz(spec)), _BYZ, "byzantine", 0, _JITTER),
-    "censor": Kind(lambda spec, n, scheme: adversaries.Censor(_reveal(spec), **_lagged(spec)),
-                   ("reveal", "lag_victims", "lag", "jitter"), "reveal", 0, _JITTER),
-    "equivocate": Kind(lambda spec, n, scheme: adversaries.Equivocate(_byz(spec), scheme, **_lagged(spec)),
-                       ("byzantine", "lag_victims", "lag", "jitter"), "byzantine", 0, _JITTER),
-    "split_view": Kind(lambda spec, n, scheme: adversaries.SplitView(_byz(spec), view=spec.get("view", 2)),
-                       ("byzantine", "view", "jitter"), "byzantine", 0, _JITTER),
-    "withhold_body": Kind(lambda spec, n, scheme: adversaries.WithholdBody(_reveal(spec)),
-                          ("reveal", "jitter"), "reveal", 0, _JITTER),
-    "doctored": Kind(lambda spec, n, scheme: adversaries.DoctoredProofs(_byz(spec)),
-                     _BYZ, "byzantine", 0, _JITTER),
-    "suspender": Kind(lambda spec, n, scheme: adversaries.Suspender(
-                          n, _byz(spec), round_len=spec.get("round_len", 1)),
-                      ("byzantine", "round_len", "jitter"), "byzantine", 1, _JITTER),
-    "delayer": Kind(lambda spec, n, scheme: adversaries.Delayer(
+    "none": Kind(lambda spec, scheme: Adversary(_byz(spec)), _BYZ, "byzantine", _POLICY),
+    "silent": Kind(lambda spec, scheme: adversaries.Silent(_byz(spec)), _BYZ, "byzantine", _POLICY),
+    "censor": Kind(lambda spec, scheme: adversaries.Censor(_reveal(spec), **_lagged(spec)),
+                   ("reveal", "lag_victims", "lag") + _TIMING, "reveal", _POLICY),
+    "equivocate": Kind(lambda spec, scheme: adversaries.Equivocate(_byz(spec), scheme, **_lagged(spec)),
+                       ("byzantine", "lag_victims", "lag") + _TIMING, "byzantine", _POLICY),
+    "split_view": Kind(lambda spec, scheme: adversaries.SplitView(_byz(spec), view=spec.get("view", 2)),
+                       ("byzantine", "view") + _TIMING, "byzantine", _POLICY),
+    "withhold_body": Kind(lambda spec, scheme: adversaries.WithholdBody(_reveal(spec)),
+                          ("reveal",) + _TIMING, "reveal", _POLICY),
+    "doctored": Kind(lambda spec, scheme: adversaries.DoctoredProofs(_byz(spec)), _BYZ, "byzantine", _POLICY),
+    # silent parties under suspension, in rounds of 1 unless round_len says otherwise
+    "suspender": Kind(lambda spec, scheme: adversaries.Silent(_byz(spec)), _BYZ, "byzantine",
+                      {**_POLICY, "suspend": ("round_len", 1)}),
+    "delayer": Kind(lambda spec, scheme: adversaries.Delayer(
                         [tuple(link) for link in spec.get("links", [])], stretch=spec.get("stretch", 8),
                         byzantine=_byz(spec)),
-                    ("byzantine", "links", "stretch", "jitter"), "byzantine", 0, _JITTER),
+                    ("byzantine", "links", "stretch") + _TIMING, "byzantine", _POLICY),
     # fuzz delays are the policy's jitter
-    "fuzz": Kind(lambda spec, n, scheme: Adversary(_byz(spec)),
-                 ("byzantine", "stretch"), "byzantine", 0, ("stretch", 6)),
+    "fuzz": Kind(lambda spec, scheme: Adversary(_byz(spec)), ("byzantine", "stretch", "round_len"), "byzantine",
+                 {**_POLICY, "jitter": ("stretch", 6)}),
 }
 ADVERSARIES = tuple(KIND_TABLE)
 
@@ -259,6 +266,7 @@ def validate(scn: dict) -> List[Tuple[str, str]]:
     if rank0 is not None and isinstance(n, int):
         need("rank0", _party_ids(rank0) and sorted(rank0) == list(range(n)), "must be a permutation of the parties")
     need("seed", isinstance(scn.get("seed", DEFAULTS["seed"]), int), "integer required")
+    errors += [(str(name), "not a field of a scenario") for name in scn if name not in SCENARIO_FIELDS]
     return errors + _input_errors(inputs, row, n, L)
 
 
@@ -280,8 +288,9 @@ def _adversary_errors(adv, n, f) -> List[Tuple[str, str]]:
         members = _reveal_parties(source) or set()
     else:
         members = set(source) if _party_ids(source) else set()
-    if isinstance(f, int):
-        limit = f - row.suspends
+    if isinstance(f, int):  # a suspended honest party counts against f
+        name, default = row.policy["suspend"]
+        limit = f - (adv.get(name, default) is not None)
         if len(members) > limit:
             errors.append((f"adversary.{row.parties}", f"at most {limit} byzantine parties for {kind}"))
     if isinstance(n, int) and not all(0 <= p < n for p in members):
@@ -316,7 +325,8 @@ def _input_errors(spec, row: Optional[Protocol], n, L) -> List[Tuple[str, str]]:
                                                  and all(shape.entry_ok(e, L) for e in entries)),
              f"list of {n} {shape.entries.format(L=L)} required, one per party"),
         ]
-    return [(f"inputs.{path}", msg) for path, ok, msg in checks if not ok]
+    return ([(f"inputs.{path}", msg) for path, ok, msg in checks if not ok]
+            + [(f"inputs.{name}", "not a field of inputs") for name in spec if name not in INPUT_FIELDS])
 
 
 class ScenarioError(ValueError):
@@ -326,17 +336,17 @@ class ScenarioError(ValueError):
 
 
 def build_policy(scn: dict) -> DelayPolicy:
-    """The scenario's timing model; the kind's row names the field that
-    sets the link jitter."""
+    """The scenario's timing model; the kind's row names the fields that
+    set the link jitter and the suspension round length."""
     spec = scn["adversary"]
-    name, default = KIND_TABLE[spec.get("kind", "none")].jitter
-    return DelayPolicy(gst=scn["gst"], cap=scn["delta_cap"], default_delay=scn["delta"],
-                       jitter=spec.get(name, default))
+    row = KIND_TABLE[spec.get("kind", "none")]
+    timing = {attr: spec.get(name, default) for attr, (name, default) in row.policy.items()}
+    return DelayPolicy(gst=scn["gst"], cap=scn["delta_cap"], default_delay=scn["delta"], **timing)
 
 
 def build_adversary(scn: dict, scheme: Scheme) -> Adversary:
     spec = scn["adversary"]
-    return KIND_TABLE[spec.get("kind", "none")].build(spec, scn["n"], scheme)
+    return KIND_TABLE[spec.get("kind", "none")].build(spec, scheme)
 
 
 def make_inputs(scn: dict) -> list:

@@ -2,22 +2,21 @@
 
 Virtual time is exact, never floats.  Each :class:`Simulation` counts it
 in integer *ticks* of ``1/D`` time units, where ``D`` is the least common
-multiple of the denominators of the policy's ``gst``, ``cap`` and
-``default_delay``, of the adversary's :attr:`Adversary.grain` and, when
-the policy has ``jitter``, of :data:`JITTER_GRAIN`.  The
-clock, the event queue, delivery bounds and suspension windows are plain
-ints; a delay, timer or resume time that is not a whole number of ticks
-raises :class:`SimulationError` (it is never rounded).
+multiple of the denominators of the policy's ``gst``, ``cap``,
+``default_delay`` and ``suspend`` and, when the policy has ``jitter``, of
+:data:`JITTER_GRAIN`.  The clock, the event queue, delivery bounds and
+suspension rounds are plain ints; a delay, timer or input time that is
+not a whole number of ticks raises :class:`SimulationError` (it is never
+rounded).
 
 An exact :data:`Time` is built only where a time leaves the simulator:
-the ``t`` handed to :meth:`Adversary.pick_delay` and
-:meth:`Adversary.suspended_until`, the output times in
+the ``t`` handed to :meth:`Adversary.pick_delay`, the output times in
 :attr:`Metrics.outputs` and :attr:`Metrics.end_time`.  An edge time is an
 ``int`` when ``D == 1`` and a ``Fraction`` otherwise; either compares
 equal to the same instant and renders as the same text (``7/2``, or ``3``
 when whole).  The trace writes that text from the tick count, reduced by
-their gcd and kept per run.  Those two hooks are called only when the
-adversary's class overrides them, as each simulation decides once.
+their gcd and kept per run.  ``pick_delay`` is called only when the
+adversary's class overrides it, as each simulation decides once.
 
 Each send, honest or Byzantine, is one fan-out loop over its receivers:
 a message is summarized and sized once, then every receiver gets its
@@ -27,12 +26,12 @@ The event queue is ordered by ``(time, sender, receiver, sequence)``;
 identical (scenario, seed) pairs replay bit-identically.  Partial
 synchrony is a :class:`DelayPolicy`: honest-to-honest messages are
 delivered by ``max(send, gst) + cap``, pre-GST delays are
-adversary-controlled but finite, and the policy's ``jitter`` draws a
-random delay for every link the adversary leaves alone (the schedule
-fuzzer).  Byzantine behaviour enters only through an
-:class:`Adversary`'s hooks; strategies can replace, omit, duplicate or
-delay the messages of Byzantine parties and may suspend one party per
-round, but they never hold honest keys.
+adversary-controlled but finite, the policy's ``jitter`` draws a random
+delay for every link the adversary leaves alone (the schedule fuzzer),
+and its ``suspend`` suspends one honest party per round.  Byzantine
+behaviour enters only through an :class:`Adversary`'s hooks; strategies
+can replace, omit, duplicate or delay the messages of Byzantine parties,
+but they never hold honest keys.
 """
 
 from __future__ import annotations
@@ -80,13 +79,17 @@ class DelayPolicy:
     adversary leaves alone takes a delay drawn from ``[1, jitter]`` in
     steps of ``1/JITTER_GRAIN`` instead, before and after GST, which
     randomizes delivery order; the cap still cuts a long draw short on
-    an honest link after GST.
+    an honest link after GST.  With ``suspend`` set, time is cut into
+    rounds of that length and round ``r`` suspends the ``r``-th honest
+    party in id order, cyclically: it neither sends nor receives, and its
+    events wait for the round's end.
     """
 
     gst: Optional[Time] = 0
     cap: Time = 1
     default_delay: Time = 1
     jitter: Optional[int] = None
+    suspend: Optional[Time] = None
 
     @classmethod
     def synchronized(cls, delta: Time = 1) -> "DelayPolicy":
@@ -96,10 +99,6 @@ class DelayPolicy:
 
 class Adversary:
     """Honest baseline strategy: no Byzantine parties, no interference."""
-
-    #: Denominator of every time this adversary hands the simulator
-    #: (delays, overrides, resume times); it sets the tick size.
-    grain = 1
 
     def __init__(self, byzantine=()):
         self.byzantine = frozenset(byzantine)
@@ -131,10 +130,6 @@ class Adversary:
 
     def pick_delay(self, rng: random.Random, sender: int, receiver: int, t: Time) -> Optional[Time]:
         """Schedule override for any link; None defers to the policy."""
-        return None
-
-    def suspended_until(self, party: int, t: Time) -> Optional[Time]:
-        """If ``party`` is suspended at ``t``, the time it resumes."""
         return None
 
 
@@ -199,13 +194,13 @@ class Simulation:
         self.measure = measure
         self.record = record
         self.max_events = max_events
-        gst = self.policy.gst
+        gst, suspend = self.policy.gst, self.policy.suspend
         #: Ticks per time unit.
         self.tick = math.lcm(
             1 if gst is None else denominator(gst),
             denominator(self.policy.cap),
             denominator(self.policy.default_delay),
-            self.adversary.grain,
+            1 if suspend is None else denominator(suspend),
             JITTER_GRAIN if self.policy.jitter else 1,
         )
         self._gst = None if gst is None else self._ticks(gst)
@@ -215,11 +210,10 @@ class Simulation:
         # _jitter_tick ticks: JITTER_GRAIN plus randrange's draw below _jitter_width.
         self._jitter_width = JITTER_GRAIN * (self.policy.jitter - 1) + 1 if self.policy.jitter else 0
         self._jitter_tick = self.tick // JITTER_GRAIN
-        # Each hook is called only if the adversary's class overrides it.
+        self._round_ticks = None if suspend is None else self._ticks(suspend)
+        # The hook is called only if the adversary's class overrides it.
         cls = type(self.adversary)
         self._pick_delay = self.adversary.pick_delay if cls.pick_delay is not Adversary.pick_delay else None
-        self._suspended_until = (
-            self.adversary.suspended_until if cls.suspended_until is not Adversary.suspended_until else None)
         self._peers = [tuple(p for p in range(n) if p != party) for party in range(n)]
         self._labels: Dict[int, str] = {}
         self._now = 0
@@ -243,9 +237,7 @@ class Simulation:
         whole, rest = divmod(self.tick, denominator(t))
         if rest:
             raise SimulationError(
-                f"time {t} is not a multiple of the tick 1/{self.tick}; "
-                "declare its denominator in Adversary.grain"
-            )
+                f"time {t} is not a multiple of the tick 1/{self.tick} that the policy's times set")
         return t.numerator * whole
 
     def _time(self, ticks: int) -> Time:
@@ -334,7 +326,7 @@ class Simulation:
     def run(self) -> Metrics:
         queue, engines, labels, lines = self._queue, self.engines, self._labels, self._lines
         adversary, outputs = self.adversary, self.metrics.outputs
-        byz, suspended_until = adversary.byzantine, self._suspended_until
+        byz, round_ticks, targets = adversary.byzantine, self._round_ticks, self.honest
         now, label = self._now, self._now_label
         steps = 0
         while queue:
@@ -342,12 +334,12 @@ class Simulation:
             if ticks != now:
                 now = self._now = ticks
                 label = self._now_label = labels.get(ticks) or self._label(ticks)
-            if suspended_until is not None:
-                resume = suspended_until(party, self._time(ticks))
-                if resume is not None and (resume := self._ticks(resume)) > ticks:
-                    # Suspended parties neither send nor receive; buffered
-                    # deliveries resume at the window end.
-                    self._push(resume, sender, party, (kind, arg, tail))
+            if round_ticks is not None:
+                r = ticks // round_ticks
+                if targets[r % len(targets)] == party:
+                    # The round's suspended party neither sends nor
+                    # receives; its events wait for the round's end.
+                    self._push((r + 1) * round_ticks, sender, party, (kind, arg, tail))
                     continue
             steps += 1
             if steps > self.max_events:

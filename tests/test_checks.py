@@ -18,6 +18,7 @@ import os
 from functools import lru_cache
 
 from prefixsim import checks, cli
+from prefixsim.msc import update_rank
 from prefixsim.scenario import run_checks, run_scenario
 from prefixsim.spc import HBOT, SkipCert
 
@@ -110,6 +111,16 @@ def _reverse_ranking(run):
     ranks[2] = ranks[2][::-1]
 
 
+def _demote_party_2(run):
+    # Party 0's slot-1 high stops before party 2, the first missing rank,
+    # and its slot-2 ranking follows that high, so the update demotes an
+    # honest party after GST.
+    engine = run.sim.engines[0]
+    high, proof = engine.slot_outputs[1]["high"]
+    engine.slot_outputs[1]["high"] = (high[:2], proof)
+    engine.ranks[2] = update_rank(engine.ranks[1], high[:2])
+
+
 def _forget_slot1_high(run):
     del run.metrics.outputs[0]["slot1-high"]
 
@@ -143,6 +154,7 @@ STATE_CONTROLS = {
     "msc replace-slot1-low": (MSC, _replace_low),
     "msc censor-party-3-slot1": (MSC, _censor_party_3),
     "msc reverse-slot2-ranking": (MSC, _reverse_ranking),
+    "msc demote-honest-party-2": (MSC, _demote_party_2),
     "spc skip-parented-view": ({**BASE, "protocol": "spc", "L": 4,
                                 "adversary": {"kind": "suspender", "round_len": 1}}, _skip_parented_view),
     "spc skip-views-1-and-2": (SILENT_SPC, _skip_views_1_and_2),
@@ -561,6 +573,12 @@ STATE_PINS = {
         "ranking-agreement: slot 2 rankings differ",
         "demotion: slot 1 ranking update mismatch",
         "demotion: slot 2 ranking update mismatch",
+    ],
+    "msc demote-honest-party-2": [
+        "ranking-agreement: slot 2 rankings differ",
+        "demotion: slot 1 demoted honest party 2",
+        "demotion: slot 2 ranking update mismatch",
+        "commit-prefix: slot 1 low not a prefix of high",
     ],
     "spc skip-parented-view": [
         "skip-conservatism: skip over view 2 despite a parented low",

@@ -7,6 +7,7 @@ import pytest
 
 from prefixsim import cli, wire
 from prefixsim.scenario import ADVERSARIES, ScenarioError, load_scenario, run_scenario, validate
+from prefixsim.simnet import SimulationError
 
 SCENARIOS = os.path.join(os.path.dirname(cli.__file__), "scenarios")
 
@@ -87,10 +88,11 @@ def test_adversary_lag_must_be_a_non_negative_int():
 
 def test_adversary_round_len_must_be_a_positive_int():
     # A fractional round length used to finish with a float end_time.
-    for round_len in (0.5, 0, "1"):
-        assert _adversary_errors(SPC, kind="suspender", round_len=round_len) == [
-            ("adversary.round_len", "positive integer required")], round_len
-    assert _adversary_errors(SPC, kind="suspender", round_len=2) == []
+    for kind in ("suspender", "censor", "fuzz"):
+        for round_len in (0.5, 0, "1", None):
+            assert _adversary_errors(SPC, kind=kind, round_len=round_len) == [
+                ("adversary.round_len", "positive integer required")], (kind, round_len)
+        assert _adversary_errors(SPC, kind=kind, round_len=2) == []
 
 
 def test_adversary_stretch_must_be_a_positive_int():
@@ -132,12 +134,14 @@ def test_adversary_jitter_must_be_a_positive_int():
     ({**PC3, "L": 300, "inputs": {"kind": "unanimous"}}, "L"),
     ({"protocol": "graded", "inputs": {"kind": "explicit", "values": ["a"] * 3}}, "inputs.values"),
     ({"protocol": "binary", "inputs": {"kind": "explicit", "bits": [1, 0, 1, "x"]}}, "inputs.bits"),
+    ({"adversry": {"kind": "silent", "byzantine": [0]}}, "adversry"),
+    ({"inputs": {"kind": "random", "alfabet": 3}}, "inputs.alfabet"),
 ], ids=["reveal-key", "byzantine-nested", "byzantine-int", "rank0-int", "rank0-mixed",
         "lag-victims-int", "lag-victims-nested", "links-int", "links-nested", "view-str",
         "seed-str", "inputs-int", "payloads-int", "vectors-missing", "vectors-too-few",
         "vectors-too-short", "alphabet-0", "alphabet-300", "inputs-seed-list", "unanimous-int",
         "unanimous-L-300",
-        "graded-too-few", "bits-str"])
+        "graded-too-few", "bits-str", "adversary-misspelt", "inputs-field-misspelt"])
 def test_malformed_party_sets_are_schema_errors(tmp_path, capsys, fields, path):
     scn = {**MSC_CENSOR, **fields}
     assert [p for p, _ in validate(scn)] == [path]
@@ -275,16 +279,21 @@ def test_none_adversary_honours_its_byzantine_list():
 def test_more_than_f_byzantine_parties_is_a_schema_error(tmp_path, capsys, kind):
     # none, fuzz and delayer used to pass, run with one honest party and
     # report protocol violations (exit 3).  censor and withhold_body name
-    # their parties by the keys of reveal; the suspender, which suspends one
-    # honest party at a time, may have f - 1.
+    # their parties by the keys of reveal.  Under suspension (a round_len,
+    # which the suspender has by default) one honest party at a time is
+    # suspended, so every kind may have f - 1.
     if kind in ("censor", "withhold_body"):
-        parties = {"reveal": {"0": [1], "1": [2], "2": [3]}}
+        parties, one = {"reveal": {"0": [1], "1": [2], "2": [3]}}, {"reveal": {"0": [1]}}
     else:
-        parties = {"byzantine": [0, 1, 2]}
+        parties, one = {"byzantine": [0, 1, 2]}, {"byzantine": [0]}
     where = f"adversary.{next(iter(parties))}"
     scn = {"version": 1, "protocol": "pc3", "n": 4, "f": 1, "L": 4, "adversary": {"kind": kind, **parties}}
     limit = 0 if kind == "suspender" else 1
     assert validate(scn) == [(where, f"at most {limit} byzantine parties for {kind}")]
+    f_parties = {**scn, "adversary": {"kind": kind, **one}}
+    assert validate(f_parties) == ([] if limit else [(where, f"at most 0 byzantine parties for {kind}")])
+    suspended = {**scn, "adversary": {"kind": kind, **one, "round_len": 2}}
+    assert validate(suspended) == [(where, f"at most 0 byzantine parties for {kind}")]
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(scn))
     assert cli.main(["--quiet", "run", "--scenario", str(path), "--out", str(tmp_path)]) == 2
@@ -299,6 +308,30 @@ def test_party_ids_out_of_range_are_a_schema_error(kind):
     scn = {"version": 1, "protocol": "pc3", "n": 7, "f": 2, "L": 4, "adversary": {"kind": kind, **parties}}
     where = f"adversary.{next(iter(parties))}"
     assert validate(scn) == [(where, "party ids out of range")]
+
+
+@pytest.mark.parametrize("args, seed, codec", [
+    (["--seed", "5"], 5, "plain"),
+    (["--codec", "plain"], 7, "plain"),
+    (["--codec", "compact", "--seed", "2"], 2, "compact"),
+], ids=["seed", "codec-plain", "codec-compact"])
+def test_run_overrides_seed_and_codec(tmp_path, args, seed, codec):
+    rc = cli.main(["--quiet", "run", "--scenario", scenario_path("pc3_faultfree_n4.json"),
+                   "--out", str(tmp_path), *args])
+    assert rc == 0
+    doc = json.loads((tmp_path / "metrics.json").read_text())
+    assert (doc["seed"], doc["codec"]) == (seed, codec)
+    # --codec turns on byte accounting; the file leaves it off.
+    assert (doc["bytes_total"] > 0) == ("--codec" in args)
+
+
+def test_simulation_error_is_exit_3(monkeypatch, capsys):
+    def abort(scn, record=False):
+        raise SimulationError("event budget exceeded (runaway protocol?)")
+
+    monkeypatch.setattr(cli, "run_scenario", abort)
+    assert cli.main(["--quiet", "run", "--scenario", scenario_path("pc3_faultfree_n4.json")]) == 3
+    assert capsys.readouterr().err == "simulation aborted: event budget exceeded (runaway protocol?)\n"
 
 
 def test_decode_roundtrip(capsys):

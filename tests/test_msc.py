@@ -181,9 +181,8 @@ def test_committed_byzantine_payload_is_fetched():
 
 def test_leaderless_suspension_still_commits():
     # One (honest) party suspended per round; slots keep committing.
-    policy = DelayPolicy(gst=0, cap=2, default_delay=1)
-    adv = adversaries.Suspender(4, byzantine=(), round_len=1)
-    cfg, sim, metrics = run_msc(slots=2, delta_cap=2, policy=policy, adversary=adv, seed=5)
+    policy = DelayPolicy(gst=0, cap=2, default_delay=1, suspend=1)
+    cfg, sim, metrics = run_msc(slots=2, delta_cap=2, policy=policy, seed=5)
     for slot in (1, 2):
         logs = committed_payload_sets(sim, slot, range(4))
         reference = logs[0]

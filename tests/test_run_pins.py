@@ -4,7 +4,7 @@ counts (bytes under plain accounting), its drops, and the text and type of
 
 The runs are one seeded scenario per catalogue stratum, every bundled
 scenario file, a ``Delayer`` run (a ``pick_delay`` override), a
-``Suspender`` run on a 240-tick clock, an msc ``withhold_body`` run, three
+run suspended in rounds of 7/5 on a 240-tick clock, an msc ``withhold_body`` run, three
 Byzantine runs of the derived protocols and a ``PcFromGradedEngine`` run
 under jitter.  The runs named in ``FETCHING`` must pull bodies over the
 fetch path.  The transcript digest names no output value, so the runs in
@@ -89,8 +89,7 @@ def _suspender_run():
     cfg = SpcConfig(4, 1, 4, 2, ("pin", "spc"))
     sim = Simulation(
         4, lambda p: SpcEngine(cfg, p, scheme),
-        adversary=adversaries.Suspender(4, round_len=Fraction(7, 5)),
-        policy=DelayPolicy(gst=Fraction(1, 2), cap=Fraction(2, 3), default_delay=1, jitter=2),
+        policy=DelayPolicy(gst=Fraction(1, 2), cap=Fraction(2, 3), default_delay=1, jitter=2, suspend=Fraction(7, 5)),
         seed=3, measure=wire.measure,
     )
     assert sim.tick == 240
@@ -148,6 +147,7 @@ PINS = {
     "graded_faultfree_n4.json": "b8716f3bc0effa1e",
     "msc_censor_f1.json": "301329dba7153e59",
     "msc_censor_f2_n7.json": "fa7e3246ace733b5",
+    "msc_censor_suspended_n7.json": "bf8ff6efc2f74d28",  # recorded when the file was added
     "msc_faultfree_n4.json": "e711e3f8d780ff5f",
     "msc_fetch_payload_n4.json": "b3bf376582215b80",
     "msc_leaderless_n4.json": "b3f550c0e305cada",

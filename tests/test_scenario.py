@@ -36,19 +36,20 @@ def test_every_shipped_scenario_validates():
 
 
 # The fields each kind reads besides "kind": its parties ("byzantine",
-# or the keys of "reveal"), its own settings, and the field that sets the
-# link jitter ("stretch" for fuzz, "jitter" for the others).
+# or the keys of "reveal"), its own settings, the field that sets the
+# link jitter ("stretch" for fuzz, "jitter" for the others) and the
+# suspension round length.
 READS = {
-    "none": {"byzantine", "jitter"},
-    "silent": {"byzantine", "jitter"},
-    "censor": {"reveal", "lag_victims", "lag", "jitter"},
-    "equivocate": {"byzantine", "lag_victims", "lag", "jitter"},
-    "split_view": {"byzantine", "view", "jitter"},
-    "withhold_body": {"reveal", "jitter"},
-    "doctored": {"byzantine", "jitter"},
+    "none": {"byzantine", "jitter", "round_len"},
+    "silent": {"byzantine", "jitter", "round_len"},
+    "censor": {"reveal", "lag_victims", "lag", "jitter", "round_len"},
+    "equivocate": {"byzantine", "lag_victims", "lag", "jitter", "round_len"},
+    "split_view": {"byzantine", "view", "jitter", "round_len"},
+    "withhold_body": {"reveal", "jitter", "round_len"},
+    "doctored": {"byzantine", "jitter", "round_len"},
     "suspender": {"byzantine", "round_len", "jitter"},
-    "delayer": {"byzantine", "links", "stretch", "jitter"},
-    "fuzz": {"byzantine", "stretch"},
+    "delayer": {"byzantine", "links", "stretch", "jitter", "round_len"},
+    "fuzz": {"byzantine", "stretch", "round_len"},
 }
 # One valid value of every adversary field, at n=7, f=2: party 6 is the
 # Byzantine party of every kind, whichever field names it.
@@ -72,8 +73,10 @@ def test_kind_table_drives_validate(kind):
     assert build_adversary(full, MacScheme(7)).byzantine == {6}
     jitter = "stretch" if kind == "fuzz" else "jitter"
     assert build_policy(full).jitter == SAMPLE[jitter]
+    assert build_policy(full).suspend == SAMPLE["round_len"]
     bare = {**DEFAULTS, **SPC7, "adversary": {"kind": kind}}
     assert build_policy(bare).jitter == (6 if kind == "fuzz" else None)
+    assert build_policy(bare).suspend == (1 if kind == "suspender" else None)
     for name in sorted(set(FIELDS) - READS[kind]):
         bad = {**scn, "adversary": {**spec, name: SAMPLE[name]}}
         assert validate(bad) == [(f"adversary.{name}", f"not a field of {kind}")], name

@@ -174,15 +174,9 @@ def test_rational_time_supported():
 
 
 def test_suspension_defers_delivery_and_sending():
-    # Party 0 suspended during [0, 3): its input (and hence its own
-    # broadcast) waits until the window ends.
-    class Susp(Adversary):
-        def suspended_until(self, party, t):
-            if party == 0 and t < 3:
-                return 3
-            return None
-
-    sim = build(adversary=Susp())
+    # Party 0 suspended during [0, 3), the first round: its input (and
+    # hence its own broadcast) waits until the round ends.
+    sim = build(policy=DelayPolicy(suspend=3))
     metrics = sim.run()
     started = metrics.output_time(0, "started")
     assert started == 3
@@ -190,12 +184,21 @@ def test_suspension_defers_delivery_and_sending():
 
 
 def test_suspender_rotates_one_party_per_round():
-    adv = adversaries.Suspender(4, round_len=1)
-    assert adv.suspended_until(0, 0) == 1
-    assert adv.suspended_until(1, 0) is None
-    assert adv.suspended_until(1, 1) == 2
-    assert adv.suspended_until(1, Fraction(3, 2)) == 2
-    assert adv.suspended_until(0, 4) == 5
+    # Round r suspends the r-th honest party in id order, cyclically; an
+    # input at t reaches its party when the party's round ends.
+    def resumes(party, t, adversary=None):
+        sim = Simulation(4, EchoEngine, adversary=adversary,
+                         policy=DelayPolicy(default_delay=Fraction(1, 2), suspend=1))
+        sim.schedule_input(party, 0, at=t)
+        return sim.run().output_time(party, "started")
+
+    assert resumes(0, 0) == 1
+    assert resumes(1, 0) == 0
+    assert resumes(1, 1) == 2
+    assert resumes(1, Fraction(3, 2)) == 2
+    assert resumes(0, 4) == 5
+    # Byzantine parties are never suspended: round 1 takes party 2.
+    assert resumes(2, 1, adversaries.Silent(byzantine={1})) == 2
 
 
 def test_byz_send_requires_byzantine_sender():
@@ -276,11 +279,10 @@ def test_edge_times_are_int_on_whole_ticks_and_fraction_otherwise():
 
 
 def test_tick_is_the_lcm_of_every_declared_grain():
-    policy = DelayPolicy(gst=Fraction(1, 2), cap=Fraction(2, 3), default_delay=1, jitter=2)
-    adv = adversaries.Suspender(3, round_len=Fraction(7, 5))
-    assert adv.grain == 5
-    # 2 (gst), 3 (cap), 5 (the suspender's rounds), 16 (JITTER_GRAIN)
-    assert build(policy=policy, adversary=adv).tick == 240
+    assert build(policy=DelayPolicy(suspend=Fraction(7, 5))).tick == 5
+    policy = DelayPolicy(gst=Fraction(1, 2), cap=Fraction(2, 3), default_delay=1, jitter=2, suspend=Fraction(7, 5))
+    # 2 (gst), 3 (cap), 5 (the suspension rounds), 16 (JITTER_GRAIN)
+    assert build(policy=policy).tick == 240
 
 
 def test_undeclared_grain_raises_instead_of_rounding():
@@ -288,13 +290,8 @@ def test_undeclared_grain_raises_instead_of_rounding():
         def pick_delay(self, rng, sender, receiver, t):
             return Fraction(1, 3)
 
-    with pytest.raises(SimulationError, match="grain"):
+    with pytest.raises(SimulationError, match="not a multiple of the tick 1/1"):
         build(adversary=Thirds()).run()
-
-    class DeclaredThirds(Thirds):
-        grain = 3
-
-    assert build(adversary=DeclaredThirds()).run().end_time == Fraction(1, 3)
 
 
 def test_float_time_rejected():
